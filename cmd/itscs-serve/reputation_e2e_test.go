@@ -77,11 +77,14 @@ func waitWindows(t *testing.T, e *pipeline.Engine, want uint64) {
 
 // TestReputationEndpointsE2E streams a fleet with persistently faulty
 // participants through the TCP door and reads the trust ledger back over
-// every /reputation route.
+// every /reputation route. The stream is uploaded hop by hop, each closed
+// window folded before the next hop arrives, and runs two hops past the
+// window that quarantines the faulty rows, so their later reports reach
+// the gate while they are quarantined.
 func TestReputationEndpointsE2E(t *testing.T) {
 	const (
 		n, w, h    = 24, 60, 20
-		slots      = 60 + 20*8
+		slots      = 60 + 20*10
 		faultyFrom = 22
 	)
 	rep := reputation.DefaultConfig()
@@ -100,11 +103,21 @@ func TestReputationEndpointsE2E(t *testing.T) {
 	}()
 
 	reports := faultyFleetReports(t, "cab", n, slots, faultyFrom)
-	acked, err := mcs.SendReports(context.Background(), d2.ingestAddr.String(), reports)
-	if err != nil || acked != len(reports) {
-		t.Fatalf("acked %d of %d, err %v", acked, len(reports), err)
+	// Hop k holds slots [w+(k-1)h, w+kh); its first report closes window
+	// k-1. Hop 0 is the first window's span, which closes nothing.
+	for k, lo := 0, 0; lo < len(reports); k++ {
+		end := w + k*h
+		hi := lo
+		for hi < len(reports) && reports[hi].Slot < end {
+			hi++
+		}
+		acked, err := mcs.SendReports(context.Background(), d2.ingestAddr.String(), reports[lo:hi])
+		if err != nil || acked != hi-lo {
+			t.Fatalf("hop %d: acked %d of %d, err %v", k, acked, hi-lo, err)
+		}
+		waitWindows(t, d2.engine, uint64(k))
+		lo = hi
 	}
-	waitWindows(t, d2.engine, uint64((slots-w)/h))
 
 	base := "http://" + d2.httpBound.String()
 	var snap reputation.Snapshot

@@ -147,7 +147,7 @@ func (f *Forwarder) Owner(fleet string) (string, bool) {
 }
 
 // Flush drains every backend client's send buffer or fails with the
-// context. With an owner down its in-flight report retries until the
+// context. With an owner down its in-flight reports retry until the
 // deadline, so callers bound Flush.
 func (f *Forwarder) Flush(ctx context.Context) error {
 	for name, cl := range f.clients {

@@ -26,7 +26,8 @@ type ClientOptions struct {
 	QueueDepth int
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each report write (default 10s).
+	// WriteTimeout bounds each write of a batch of report lines (default
+	// 10s).
 	WriteTimeout time.Duration
 	// AckTimeout bounds the wait for each acknowledgement line (default
 	// 30s). A swallowed write or a hung peer surfaces here and triggers a
@@ -78,19 +79,21 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // ClientStats snapshots a client's counters. They conserve: Enqueued =
-// Acked + Rejected + Dropped + QueueDepth + in-flight (0 or 1).
+// Acked + Rejected + Dropped + QueueDepth + in-flight, where in-flight is
+// at most the window of reports written but not yet answered (256).
 type ClientStats struct {
 	// Enqueued counts reports accepted by Send; Dropped the subset evicted
 	// from the full queue or abandoned by Close before delivery.
 	Enqueued uint64 `json:"enqueued"`
 	Dropped  uint64 `json:"dropped"`
-	// Sent counts wire writes including retries; Acked reports the server
+	// Sent counts report writes including retries; Acked reports the server
 	// answered "ok", Rejected those it answered "err ..." (duplicates, range
 	// errors — delivered but refused, never retried).
 	Sent     uint64 `json:"sent"`
 	Acked    uint64 `json:"acked"`
 	Rejected uint64 `json:"rejected"`
-	// Retries counts re-sends after a transport failure mid-report.
+	// Retries counts re-sends: unacked reports written again on a fresh
+	// connection after a transport failure.
 	Retries uint64 `json:"retries"`
 	// Dials counts connection attempts, DialFailures the failed subset, and
 	// Reconnects established connections torn down and replaced.
@@ -103,9 +106,10 @@ type ClientStats struct {
 }
 
 // Client maintains one report stream to an mcs server, surviving the
-// transport: it dials lazily, reconnects with capped exponential backoff
-// plus seeded jitter, retries the in-flight report after a connection loss
-// (the server's duplicate rejection makes the retry idempotent), and
+// transport: it dials lazily, keeps a window of reports in flight on the
+// connection, reconnects with capped exponential backoff plus seeded
+// jitter, re-sends the unacked reports in order after a connection loss
+// (the server's duplicate rejection makes the re-send idempotent), and
 // buffers sends in a bounded drop-oldest queue so a dead backend never
 // blocks the producer. Send never blocks; Flush waits for the buffer to
 // drain. All methods are safe for concurrent use.
@@ -189,7 +193,7 @@ func (c *Client) Send(r Report) error {
 
 // Flush blocks until every buffered report has reached a terminal state
 // (acked, rejected, or dropped) or the context ends. With the backend down
-// the in-flight report retries indefinitely, so callers bound Flush with a
+// the in-flight reports retry indefinitely, so callers bound Flush with a
 // deadline.
 func (c *Client) Flush(ctx context.Context) error {
 	wake := context.AfterFunc(ctx, func() {
@@ -284,67 +288,86 @@ func (c *Client) settle(n int, update func()) {
 	c.mu.Unlock()
 }
 
+// window bounds how many reports one connection keeps in flight: written
+// to the wire but not yet answered. The server acks in order, so the oldest
+// in-flight report owns the next ack line, and up to window reports share
+// one flush and one round trip instead of paying a round trip each.
+const window = 256
+
 // loop is the single delivery goroutine: it owns the connection and drains
-// the queue in FIFO order, one report at a time, so per-fleet slot order is
-// preserved end to end.
+// the queue in FIFO order, keeping up to window reports in flight, so
+// per-fleet slot order is preserved end to end. win holds the unacked
+// reports, oldest first.
 func (c *Client) loop() {
 	defer close(c.done)
+	var (
+		win    = make([]Report, 0, window)
+		wrote  int // win[:wrote] are on the current connection's wire
+		resend int // win[:resend] went out on a connection that failed
+		fails  int // consecutive transport failures, for backoff
+	)
+	defer func() {
+		// Close abandons whatever is still in flight.
+		if n := len(win); n > 0 {
+			c.settle(n, func() { c.c.dropped += uint64(n) })
+		}
+	}()
+	fail := func() {
+		c.dropConn()
+		wrote, resend, fails = 0, len(win), fails+1
+	}
 	for {
-		select {
-		case <-c.stop:
-			return
-		case r := <-c.queue:
-			switch c.deliver(r) {
-			case deliveredAck:
-				c.settle(1, func() { c.c.acked++ })
-			case deliveredErr:
-				c.settle(1, func() { c.c.rejected++ })
-			case aborted:
-				c.settle(1, func() { c.c.dropped++ })
+		if len(win) == 0 {
+			select {
+			case <-c.stop:
 				return
+			case r := <-c.queue:
+				win = append(win, r)
 			}
 		}
-	}
-}
-
-type deliverOutcome int
-
-const (
-	deliveredAck deliverOutcome = iota
-	deliveredErr
-	aborted
-)
-
-// deliver pushes one report through the wire until the server answers or
-// the client closes. A transport failure mid-report tears the connection
-// down and retries the same report on a fresh one; the server's first-write-
-// wins duplicate rejection makes the at-least-once retry harmless.
-func (c *Client) deliver(r Report) deliverOutcome {
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.mu.Lock()
-			c.c.retries++
-			c.mu.Unlock()
-			if !c.sleep(c.backoff(attempt - 1)) {
-				return aborted
-			}
+		if fails > 0 && !c.sleep(c.backoff(fails-1)) {
+			return
 		}
 		cs := c.ensureConn()
 		if cs == nil {
-			return aborted
+			return
 		}
-		c.mu.Lock()
-		c.c.sent++
-		c.mu.Unlock()
-		ok, _, err := cs.exchange(r, c.opt.WriteTimeout, c.opt.AckTimeout)
+		// Refill only while connected: during an outage new reports wait in
+		// the drop-oldest queue, where they stay visible and evictable.
+	refill:
+		for len(win) < window {
+			select {
+			case r := <-c.queue:
+				win = append(win, r)
+			default:
+				break refill
+			}
+		}
+		if wrote < len(win) {
+			c.mu.Lock()
+			c.c.sent += uint64(len(win) - wrote)
+			c.c.retries += uint64(resend)
+			c.mu.Unlock()
+			err := cs.send(win[wrote:], c.opt.WriteTimeout)
+			wrote, resend = len(win), 0
+			if err != nil {
+				fail()
+				continue
+			}
+		}
+		acked, rejected, err := cs.acks(wrote, c.opt.AckTimeout)
+		if n := acked + rejected; n > 0 {
+			c.settle(n, func() {
+				c.c.acked += uint64(acked)
+				c.c.rejected += uint64(rejected)
+			})
+			win = append(win[:0], win[n:]...)
+			wrote -= n
+			fails = 0
+		}
 		if err != nil {
-			c.dropConn()
-			continue
+			fail()
 		}
-		if ok {
-			return deliveredAck
-		}
-		return deliveredErr
 	}
 }
 
@@ -454,17 +477,40 @@ func newClientConn(conn net.Conn) *clientConn {
 	return &clientConn{Conn: conn, fr: newFrame(conn)}
 }
 
-// exchange writes one report line and reads its acknowledgement, each under
-// its own wall-clock deadline.
-func (cs *clientConn) exchange(r Report, writeTimeout, ackTimeout time.Duration) (ok bool, reason string, err error) {
+// send buffers the reports' lines and flushes them in one write, under
+// one wall-clock deadline.
+func (cs *clientConn) send(rs []Report, writeTimeout time.Duration) error {
 	if err := cs.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return false, "", err
+		return err
 	}
-	if err := cs.fr.writeReport(r); err != nil {
-		return false, "", err
+	for _, r := range rs {
+		if err := cs.fr.queueReport(r); err != nil {
+			return err
+		}
 	}
+	return cs.fr.flush()
+}
+
+// acks reads at least one acknowledgement, waiting up to ackTimeout, then
+// every further one already buffered, up to the inFlight reports written,
+// and counts them by verdict. On a transport error the counts cover the
+// acks read before it.
+func (cs *clientConn) acks(inFlight int, ackTimeout time.Duration) (acked, rejected int, err error) {
 	if err := cs.SetReadDeadline(time.Now().Add(ackTimeout)); err != nil {
-		return false, "", err
+		return 0, 0, err
 	}
-	return cs.fr.readAck()
+	for {
+		ok, _, err := cs.fr.readAck()
+		if err != nil {
+			return acked, rejected, err
+		}
+		if ok {
+			acked++
+		} else {
+			rejected++
+		}
+		if acked+rejected == inFlight || !cs.fr.ackBuffered() {
+			return acked, rejected, nil
+		}
+	}
 }

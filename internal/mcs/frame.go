@@ -2,8 +2,10 @@ package mcs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,55 +13,77 @@ import (
 )
 
 // frame is the client side of the report-stream wire protocol: one JSON
-// report per line out, one "ok" / "err <reason>" line back per report. It
-// is the single home of that framing — Client, SendReports, and the
-// examples all speak through it instead of hand-rolling encoders and
-// scanners per call site.
+// report per line out, one "ok" / "err <reason>" line back per report, in
+// report order. It is the single home of that framing — Client,
+// SendReports, and the examples all speak through it instead of
+// hand-rolling encoders and scanners per call site.
 type frame struct {
-	w  *bufio.Writer
-	sc *bufio.Scanner
+	w   *bufio.Writer
+	enc *json.Encoder
+	r   *bufio.Reader
 }
 
 // newFrame wraps a connection (or any duplex stream) in the line protocol.
 func newFrame(conn io.ReadWriter) *frame {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &frame{w: bufio.NewWriter(conn), sc: sc}
+	w := bufio.NewWriter(conn)
+	return &frame{w: w, enc: json.NewEncoder(w), r: bufio.NewReader(conn)}
 }
 
-// writeReport sends one report as a JSON line and flushes it to the wire.
-func (f *frame) writeReport(r Report) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("mcs: encode: %w", err)
-	}
-	if _, err := f.w.Write(b); err != nil {
+// queueReport buffers one report as a JSON line without flushing it, so a
+// batch of reports reaches the wire in one flush.
+func (f *frame) queueReport(r Report) error {
+	if err := f.enc.Encode(r); err != nil {
 		return fmt.Errorf("mcs: send: %w", err)
 	}
-	if err := f.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("mcs: send: %w", err)
-	}
+	return nil
+}
+
+// flush pushes every buffered report line to the wire.
+func (f *frame) flush() error {
 	if err := f.w.Flush(); err != nil {
 		return fmt.Errorf("mcs: send: %w", err)
 	}
 	return nil
 }
 
+// writeReport sends one report as a JSON line and flushes it to the wire.
+func (f *frame) writeReport(r Report) error {
+	if err := f.queueReport(r); err != nil {
+		return err
+	}
+	return f.flush()
+}
+
 // readAck reads one acknowledgement line. ok reports acceptance; reason
 // carries the server's rejection text when ok is false. err is a transport
 // failure (EOF, timeout), after which the stream is unusable.
 func (f *frame) readAck() (ok bool, reason string, err error) {
-	if !f.sc.Scan() {
-		if serr := f.sc.Err(); serr != nil {
-			return false, "", fmt.Errorf("mcs: read ack: %w", serr)
-		}
-		return false, "", io.ErrUnexpectedEOF
+	line, err := f.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		// A rejection reason longer than the read buffer: gather the rest.
+		head := string(line)
+		var rest string
+		rest, err = f.r.ReadString('\n')
+		line = []byte(head + rest)
 	}
-	line := f.sc.Text()
-	if line == "ok" {
+	switch {
+	case err == io.EOF:
+		return false, "", io.ErrUnexpectedEOF
+	case err != nil:
+		return false, "", fmt.Errorf("mcs: read ack: %w", err)
+	}
+	line = bytes.TrimSuffix(line[:len(line)-1], []byte{'\r'})
+	if string(line) == "ok" {
 		return true, "", nil
 	}
-	return false, strings.TrimPrefix(line, "err "), nil
+	return false, strings.TrimPrefix(string(line), "err "), nil
+}
+
+// ackBuffered reports whether a whole acknowledgement line is already
+// buffered, so that readAck returns without touching the connection.
+func (f *frame) ackBuffered() bool {
+	b, _ := f.r.Peek(f.r.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // SendReports connects to a collector server and uploads the reports in

@@ -158,11 +158,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.handle(conn)
 }
 
-// handle processes one connection's report stream.
+// handle processes one connection's report stream. Acks are buffered and
+// flushed only when the handler is about to read the connection again, so
+// a client with many reports in flight gets their acks in one write while
+// a client waiting on its last ack never waits on a withheld one.
 func (s *Server) handle(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	w := bufio.NewWriter(conn)
+	sc := bufio.NewScanner(flushReader{conn, w})
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	for {
 		// Refresh the read deadline before every line: a client must keep
 		// delivering complete reports within IdleTimeout or be dropped, so a
@@ -186,10 +189,27 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	// Scanner errors (timeouts and closed connections included) end the
 	// stream; the participant will reconnect and retry in a real deployment.
+	// A peer that only half-closed still gets the acks it is owed.
+	_ = w.Flush()
+}
+
+// flushReader reads the connection through the ack writer: every read first
+// flushes the acks buffered so far. The scanner reads only once its buffer
+// holds no whole line, so acks go out exactly when the handler would
+// otherwise wait for input.
+type flushReader struct {
+	conn net.Conn
+	w    *bufio.Writer
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.conn.Read(p)
 }
 
 func writeLine(w *bufio.Writer, line string) {
 	_, _ = w.WriteString(line)
 	_ = w.WriteByte('\n')
-	_ = w.Flush()
 }

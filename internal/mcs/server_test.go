@@ -12,7 +12,7 @@ import (
 
 // startServer spins up a loopback server and returns its address and a
 // cleanup-registered shutdown.
-func startServer(t *testing.T, c *Collector) string {
+func startServer(t *testing.T, c Ingestor) string {
 	t.Helper()
 	srv := NewServer(c)
 	addr, err := srv.Listen("127.0.0.1:0")

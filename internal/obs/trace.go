@@ -74,8 +74,10 @@ func NewTraceTable(depth int) *TraceTable {
 }
 
 // Begin opens (or reopens, after replay re-delivers a record) the trace
-// for id with its ingest stage. atUnixMicro is the door's ingest stamp.
-func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64) {
+// for id with its ingest stage, at the door's stamp atUnixMicro, followed
+// by the given stages (the engine passes wal_commit). Opening the trace
+// whole in one call means no racing window close can link it half-built.
+func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64, stages ...TraceStage) {
 	if t == nil || t.cap == 0 || id == 0 {
 		return
 	}
@@ -96,7 +98,7 @@ func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origi
 		Slot:        slot,
 		Origin:      origin,
 		WindowSeq:   -1,
-		Stages:      []TraceStage{{Name: "ingest", AtUnixMicro: atUnixMicro}},
+		Stages:      append([]TraceStage{{Name: "ingest", AtUnixMicro: atUnixMicro}}, stages...),
 	}
 	t.order = append(t.order, id)
 	t.compact()
@@ -121,18 +123,6 @@ func (t *TraceTable) compact() {
 	if t.head > t.cap && t.head*2 > len(t.order) {
 		t.order = append(t.order[:0:0], t.order[t.head:]...)
 		t.head = 0
-	}
-}
-
-// Stage appends a stage to the trace for id, if retained.
-func (t *TraceTable) Stage(id uint64, name, detail string, atUnixMicro int64) {
-	if t == nil || t.cap == 0 || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tr, ok := t.byID[id]; ok {
-		tr.Stages = append(tr.Stages, TraceStage{Name: name, AtUnixMicro: atUnixMicro, Detail: detail})
 	}
 }
 

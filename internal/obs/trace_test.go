@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -31,8 +32,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 func TestTraceTableLifecycle(t *testing.T) {
 	tab := NewTraceTable(8)
-	tab.Begin(7, "cab", 3, 5, "direct", 1000)
-	tab.Stage(7, "wal_commit", "", 1500)
+	tab.Begin(7, "cab", 3, 5, "direct", 1000, TraceStage{Name: "wal_commit", AtUnixMicro: 1500})
 
 	// A window whose range misses the slot links nothing.
 	if linked := tab.StageWindow(0, 10, 20, "window_close", 2000); len(linked) != 0 {
@@ -112,8 +112,7 @@ func TestTraceTableEviction(t *testing.T) {
 	}
 	// And a nil table ignores everything.
 	var nilTab *TraceTable
-	nilTab.Begin(1, "x", 0, 0, "direct", 1)
-	nilTab.Stage(1, "s", "", 2)
+	nilTab.Begin(1, "x", 0, 0, "direct", 1, TraceStage{Name: "s", AtUnixMicro: 2})
 	if nilTab.Len() != 0 || nilTab.Evicted() != 0 || nilTab.Snapshot() != nil {
 		t.Error("nil table misbehaved")
 	}
@@ -124,7 +123,9 @@ func TestTraceTableEviction(t *testing.T) {
 // shards closing overlapping windows, stage appends, and readers
 // snapshotting mid-eviction. Run under -race (CI does) this pins the
 // locking; the invariant checked here is single-claim: every trace is
-// linked by exactly one window even when closes race.
+// linked by exactly one window even when closes race. The goroutines share
+// one timeline and, as in the engine, open traces and close windows under
+// the shard's lock, reading the close time inside it.
 func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 	const (
 		writers = 8
@@ -132,7 +133,11 @@ func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 		depth   = 64
 	)
 	tab := NewTraceTable(depth)
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		shardMu sync.Mutex
+		clock   atomic.Int64
+	)
 	claims := make([][]uint64, writers)
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -141,12 +146,17 @@ func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				id := uint64(g*perW + i + 1)
 				slot := int(id % 50)
-				tab.Begin(id, fmt.Sprintf("fleet-%d", g), g, slot, "router", int64(id))
-				tab.Stage(id, "wal_commit", "", int64(id)+1)
+				ingest, commit := clock.Add(1), clock.Add(1)
+				shardMu.Lock()
+				tab.Begin(id, fmt.Sprintf("fleet-%d", g), g, slot, "router", ingest,
+					TraceStage{Name: "wal_commit", AtUnixMicro: commit})
+				shardMu.Unlock()
 				// Overlapping closes: [0,50) from every goroutine, racing to
 				// claim whatever is currently unclaimed.
-				claims[g] = append(claims[g], tab.StageWindow(g, 0, 50, "window_close", int64(id)+2)...)
-				tab.StageSeq(g, "detect", "", int64(id)+3)
+				shardMu.Lock()
+				claims[g] = append(claims[g], tab.StageWindow(g, 0, 50, "window_close", clock.Add(1))...)
+				shardMu.Unlock()
+				tab.StageSeq(g, "detect", "", clock.Add(1))
 			}
 		}(g)
 	}

@@ -31,8 +31,8 @@ import (
 	"itscs/internal/csrecon"
 	"itscs/internal/fault"
 	"itscs/internal/mat"
-	"itscs/internal/metrics"
 	"itscs/internal/mcs"
+	"itscs/internal/metrics"
 	"itscs/internal/obs"
 	"itscs/internal/wal"
 )
@@ -414,6 +414,10 @@ func (e *Engine) ingest(r mcs.Report, replay bool) error {
 		e.c.rejected.Add(1)
 		return err
 	}
+	// A stamped report's trace opens with its wal_commit stage when the
+	// record is durable, timed as the append returns; a replayed record was
+	// committed before the crash, and its stage says so.
+	var commit []obs.TraceStage
 	if e.cfg.Log != nil && !replay {
 		// Write-ahead: the log sees the report before the shard does. A
 		// record logged but rejected below (duplicate, late) just repeats
@@ -423,9 +427,14 @@ func (e *Engine) ingest(r mcs.Report, replay bool) error {
 			e.c.rejected.Add(1)
 			return fmt.Errorf("pipeline: wal append: %w", err)
 		}
+		if r.Stamped() {
+			commit = []obs.TraceStage{{Name: "wal_commit", AtUnixMicro: e.cfg.Clock.Now().UnixMicro()}}
+		}
+	} else if replay && r.Stamped() {
+		commit = []obs.TraceStage{{Name: "wal_commit", AtUnixMicro: e.cfg.Clock.Now().UnixMicro(), Detail: "replay"}}
 	}
 	closedBefore := e.c.windowsClosed.Load()
-	jobs, err := sh.ingest(r, e.cfg, &e.c)
+	jobs, err := sh.ingest(r, e.cfg, &e.c, commit...)
 	for _, j := range jobs {
 		e.enqueue(j)
 	}
@@ -441,17 +450,6 @@ func (e *Engine) ingest(r mcs.Report, replay bool) error {
 	e.c.ingested.Add(1)
 	if r.Stamped() {
 		e.c.stamped.Add(1)
-		// Open (or on replay, re-find) the report's end-to-end trace. The
-		// ingest stage carries the door's stamp time, not ours; the engine
-		// never stamps, so replay re-delivers the original timeline.
-		sh.traces.Begin(r.TraceID, r.Fleet, r.Participant, r.Slot, r.Origin.String(), r.IngestUnixMicro)
-		if e.cfg.Log != nil || replay {
-			detail := ""
-			if replay {
-				detail = "replay"
-			}
-			sh.traces.Stage(r.TraceID, "wal_commit", detail, e.cfg.Clock.Now().UnixMicro())
-		}
 	} else {
 		e.c.unstamped.Add(1)
 	}
@@ -942,8 +940,11 @@ func (e *Engine) noteDropped(j job) {
 // ingest stores one report, first closing every window the slot has passed.
 // It returns the closed windows ready for dispatch together with the
 // report's own acceptance error, if any: a late or duplicate report still
-// advances the stream's watermark.
-func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters) ([]job, error) {
+// advances the stream's watermark. An accepted stamped report opens its
+// trace here, with the ingest stage and then the given stages, before the
+// shard lock is released: the next window close to cover the slot then
+// finds the trace whole.
+func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.TraceStage) ([]job, error) {
 	w, h := cfg.WindowSlots, cfg.HopSlots
 	capSlots := w + h
 	sh.mu.Lock()
@@ -984,6 +985,11 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters) ([]job, error) {
 	sh.vy.Set(r.Participant, col, r.VY)
 	sh.ex.Set(r.Participant, col, 1)
 	sh.ts.Set(r.Participant, col, float64(r.IngestUnixMicro))
+	if r.Stamped() {
+		// The ingest stage carries the door's stamp time, not ours; the
+		// engine never stamps, so replay re-delivers the original timeline.
+		sh.traces.Begin(r.TraceID, r.Fleet, r.Participant, r.Slot, r.Origin.String(), r.IngestUnixMicro, stages...)
+	}
 	return jobs, nil
 }
 
