@@ -190,24 +190,26 @@ func sweepFixture(b *testing.B, n, t, rank int) (*problem, *mat.Dense, *mat.Dens
 	return prob, l, r
 }
 
-// BenchmarkASDSweep measures one full L+R ASD sweep at paper scale
-// (158×240, the SUVnet evaluation dimensions) and fleet scale (1000×960)
-// across worker budgets. ReportAllocs backs the zero-allocation claim: at
+// BenchmarkASDSweep measures one full L+R ASD sweep at the streaming
+// window shape (16 participants × 48 slots at rank 4, below the parallel
+// cutoff), paper scale (158×240, the SUVnet evaluation dimensions) and
+// fleet scale (1000×960) across worker budgets. ReportAllocs backs the zero-allocation claim: at
 // workers=1 the steady-state sweep must report 0 B/op.
 func BenchmarkASDSweep(b *testing.B) {
 	scales := []struct {
-		name    string
-		n, t    int
-		workers []int
+		name       string
+		n, t, rank int
+		workers    []int
 	}{
-		{"paper158x240", 158, 240, []int{1, 2, 4, 8}},
-		{"fleet1000x960", 1000, 960, []int{1, 2, 4, 8}},
+		{"stream16x48", 16, 48, 4, []int{1}},
+		{"paper158x240", 158, 240, 16, []int{1, 2, 4, 8}},
+		{"fleet1000x960", 1000, 960, 16, []int{1, 2, 4, 8}},
 	}
 	for _, sc := range scales {
 		if sc.n >= 1000 && testing.Short() {
 			continue
 		}
-		prob, l, r := sweepFixture(b, sc.n, sc.t, 16)
+		prob, l, r := sweepFixture(b, sc.n, sc.t, sc.rank)
 		for _, workers := range sc.workers {
 			b.Run(fmt.Sprintf("%s/workers%d", sc.name, workers), func(b *testing.B) {
 				defer mat.SetParallelism(mat.SetParallelism(workers))

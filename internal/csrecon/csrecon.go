@@ -250,9 +250,9 @@ type problem struct {
 	// sMasked = s∘b: the trusted observations.
 	sMasked *mat.Dense
 	// useStability records whether the 𝕋' term is active (false for
-	// VariantBasic or single-column input). The operator itself is applied
-	// via the O(n·t) kernels applyDiff/applyDiffAdjoint rather than a
-	// materialized matrix.
+	// VariantBasic or single-column input). The operator is never
+	// materialized: the fused kernels apply 𝕋' and 𝕋'ᵀ to one row at a
+	// time in O(t).
 	useStability bool
 	// target is τ·V̄ restricted to the transition columns (n×(t−1));
 	// all zeros for VariantTemporal.
@@ -267,22 +267,29 @@ type problem struct {
 	ws *workspace
 }
 
-// workspace holds every intermediate matrix the ASD sweeps need, sized
-// once for the problem's n×t and the factorization rank. Buffers are
-// reused across sweeps; the residual buffers (m, e1, g) are invalidated by
-// each residuals call and the line-search buffers (dm, p1, p3) by each
-// lineStats call.
+// workspace holds every intermediate the fused ASD kernels need, sized
+// once for the problem's n×t and the factorization rank r. Buffers are
+// reused across sweeps; e1, g and rt are invalidated by each residuals
+// call, dm and dt by each lineStats call.
 type workspace struct {
 	rank int
-	// m = L·Rᵀ, e1 = (LRᵀ−S)∘B, dm = D·Rᵀ (or L·Dᵀ), p1 = dm∘B: all n×t.
-	m, e1, dm, p1 *mat.Dense
+	// e1 = (LRᵀ−S)∘B and dm = D·Rᵀ (or L·Dᵀ): both n×t.
+	e1, dm *mat.Dense
 	// gl = ∇_L f (n×r), gr = ∇_R f (t×r).
 	gl, gr *mat.Dense
+	// rt = Rᵀ (written by residuals) and dt = Dᵀ (the R-step direction,
+	// written by lineStats): the rank-wide factors transposed to r×t, so
+	// every product's inner loop runs over t rather than over the rank.
+	rt, dt []float64
+	// fitT accumulates (E1ᵀ·L)ᵀ for gradR, r×t.
+	fitT []float64
 	// Stability-term scratch, nil when the 𝕋' term is inactive:
-	// g = LRᵀ·𝕋'−target and p3 = dm·𝕋' (n×(t−1)), adj = G·𝕋'ᵀ (n×t),
-	// tl (n×r) and tr (t×r) hold the λ₂ gradient contributions.
-	g, p3, adj *mat.Dense
-	tl, tr     *mat.Dense
+	// g = LRᵀ·𝕋'−target (n×(t−1)), stabT accumulates ((G·𝕋'ᵀ)ᵀ·L)ᵀ for
+	// gradR (r×t), and row (t+r) holds one row of G·𝕋'ᵀ and its products
+	// with R for the sequential gradient passes.
+	g     *mat.Dense
+	stabT []float64
+	row   []float64
 }
 
 // ensure returns the workspace for factorization rank r.Cols(), allocating
@@ -296,19 +303,18 @@ func (p *problem) ensure(r *mat.Dense) *workspace {
 	n, t := p.s.Dims()
 	ws := &workspace{
 		rank: rank,
-		m:    mat.New(n, t),
 		e1:   mat.New(n, t),
 		dm:   mat.New(n, t),
-		p1:   mat.New(n, t),
 		gl:   mat.New(n, rank),
 		gr:   mat.New(t, rank),
+		rt:   make([]float64, rank*t),
+		dt:   make([]float64, rank*t),
+		fitT: make([]float64, rank*t),
 	}
 	if p.useStability {
 		ws.g = mat.New(n, t-1)
-		ws.p3 = mat.New(n, t-1)
-		ws.adj = mat.New(n, t)
-		ws.tl = mat.New(n, rank)
-		ws.tr = mat.New(t, rank)
+		ws.stabT = make([]float64, rank*t)
+		ws.row = make([]float64, t+rank)
 	}
 	p.ws = ws
 	return ws
@@ -349,61 +355,6 @@ func newProblem(s, b, avgV *mat.Dense, opt Options, n, t int) (*problem, error) 
 		}
 	}
 	return p, nil
-}
-
-// applyDiff computes M·𝕋' in O(n·t), where 𝕋' is Eq. (24)'s operator with
-// the first column dropped: column j of the result is the transition
-// m(i,j+1) − m(i,j), aligned with +τ·V̄(i,j+1). The sign is irrelevant for
-// the pure temporal penalty but must match the velocity target in the full
-// variant.
-func applyDiff(m *mat.Dense) *mat.Dense {
-	n, t := m.Dims()
-	out := mat.New(n, t-1)
-	applyDiffInto(out, m)
-	return out
-}
-
-// applyDiffInto is the allocation-free form of applyDiff; out must be
-// pre-sized to n×(t−1).
-func applyDiffInto(out, m *mat.Dense) {
-	n, t := m.Dims()
-	for i := 0; i < n; i++ {
-		src := m.RowView(i)
-		dst := out.RowView(i)
-		for j := 0; j < t-1; j++ {
-			dst[j] = src[j+1] - src[j]
-		}
-	}
-}
-
-// applyDiffAdjoint computes G·𝕋'ᵀ in O(n·t):
-// (G·𝕋'ᵀ)(i,j) = g(i,j−1) − g(i,j) with out-of-range terms zero.
-func applyDiffAdjoint(g *mat.Dense) *mat.Dense {
-	n, tm1 := g.Dims()
-	out := mat.New(n, tm1+1)
-	applyDiffAdjointInto(out, g)
-	return out
-}
-
-// applyDiffAdjointInto is the allocation-free form of applyDiffAdjoint;
-// out must be pre-sized to n×(t) for a n×(t−1) input.
-func applyDiffAdjointInto(out, g *mat.Dense) {
-	n, tm1 := g.Dims()
-	t := tm1 + 1
-	for i := 0; i < n; i++ {
-		src := g.RowView(i)
-		dst := out.RowView(i)
-		for j := 0; j < t; j++ {
-			var v float64
-			if j-1 >= 0 && j-1 < tm1 {
-				v += src[j-1]
-			}
-			if j < tm1 {
-				v -= src[j]
-			}
-			dst[j] = v
-		}
-	}
 }
 
 // initFactors produces the ASD starting point: nearest-value fill of the
@@ -613,28 +564,194 @@ func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
 	}, nil
 }
 
+// The four per-step kernels below are fused row passes. Each output
+// element sums the same terms in the same order, starting from +0, as the
+// composed matrix-primitive form it replaces (the composed form is kept as
+// the reference in kernels_ref_test.go), so results are bit-identical to
+// it and to themselves at every mat.SetParallelism:
+//
+//   - The products L·Rᵀ and D·Rᵀ (or L·Dᵀ) read the rank-wide factor
+//     transposed (ws.rt or ws.dt, r×t) and accumulate over k into a whole
+//     row, so the inner loop runs over t instead of the rank; E1·R and
+//     (G·𝕋'ᵀ)·R are dot products against the same transposed rows.
+//   - Where the composed form stored an intermediate (m∘B before −S∘B,
+//     2·∇ before +2λ₁·L), the fused form rounds it with an explicit
+//     float64 conversion, which forbids FMA contraction across it.
+//   - The composed products skipped zero left operands. Dropping the skip
+//     is bit-equal for finite factors: a ±0 term leaves a nonzero
+//     accumulator unchanged, and an accumulator that starts at +0 stays
+//     +0 under a ±0 term, so it never becomes −0. For the same reason the
+//     sign of a zero in a row of G·𝕋'ᵀ, which only ever multiplies into
+//     such accumulators, cannot reach an output.
+//
+// Above mat's parallel cutoff the row work (and gradR's column ranges)
+// splits with mat.ParallelRows; each row or column is computed by exactly
+// one worker in the sequential order. The sequential branch builds no
+// closure, so steady-state sweeps stay allocation-free.
+
 // residuals computes E1 = (LRᵀ − S)∘B and, when the stability term is
 // active, G = LRᵀ·𝕋' − target. The returned matrices are workspace
 // buffers, valid until the next residuals call on this problem.
 func (p *problem) residuals(l, r *mat.Dense) (e1, g *mat.Dense, err error) {
 	ws := p.ensure(r)
-	if err := l.MulTInto(ws.m, r); err != nil {
+	if err := p.checkFactors(l, r); err != nil {
 		return nil, nil, err
 	}
-	if err := ws.m.HadamardInto(ws.e1, p.b); err != nil {
-		return nil, nil, err
-	}
-	if err := ws.e1.SubInPlace(p.sMasked); err != nil {
-		return nil, nil, err
-	}
-	if !p.useStability {
-		return ws.e1, nil, nil
-	}
-	applyDiffInto(ws.g, ws.m)
-	if err := ws.g.SubInPlace(p.target); err != nil {
-		return nil, nil, err
+	transposeInto(ws.rt, r)
+	n, t := p.s.Dims()
+	if !mat.ParallelWorthwhile(n, ws.rank*t) {
+		p.residualRows(l, ws, 0, n)
+	} else {
+		mat.ParallelRows(n, ws.rank*t, func(lo, hi int) { p.residualRows(l, ws, lo, hi) })
 	}
 	return ws.e1, ws.g, nil
+}
+
+// checkFactors validates L (n×r) and R (t×r) against the problem shape.
+func (p *problem) checkFactors(l, r *mat.Dense) error {
+	n, t := p.s.Dims()
+	if l.Rows() != n || r.Rows() != t || l.Cols() != r.Cols() {
+		return fmt.Errorf("%w: factors %dx%d and %dx%d for a %dx%d problem",
+			mat.ErrShape, l.Rows(), l.Cols(), r.Rows(), r.Cols(), n, t)
+	}
+	return nil
+}
+
+// residualRows forms rows [lo, hi) of M = L·Rᵀ in place in E1's rows, then
+// rewrites each to E1 = float64(M∘B) − S∘B while emitting G from the
+// unmasked values. Column j of M·𝕋' is the transition m(i,j+1) − m(i,j),
+// aligned with +τ·V̄(i,j+1): the sign is irrelevant for the pure temporal
+// penalty but must match the velocity target in the full variant.
+func (p *problem) residualRows(l *mat.Dense, ws *workspace, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := ws.e1.RowView(i)
+		productRow(row, l.RowView(i), ws.rt)
+		brow, srow := p.b.RowView(i), p.sMasked.RowView(i)
+		if ws.g == nil {
+			for j, m := range row {
+				row[j] = float64(m*brow[j]) - srow[j]
+			}
+			continue
+		}
+		grow, trow := ws.g.RowView(i), p.target.RowView(i)
+		prev := row[0]
+		row[0] = float64(prev*brow[0]) - srow[0]
+		for j := 1; j < len(row); j++ {
+			m := row[j]
+			grow[j-1] = float64(m-prev) - trow[j-1]
+			row[j] = float64(m*brow[j]) - srow[j]
+			prev = m
+		}
+	}
+}
+
+// productRow sets dst = Σ_k a[k]·ft[k·t : (k+1)·t] with t = len(dst): one
+// row of a factor product against a transposed factor. Every element sums
+// its k terms in ascending order from +0, as mat's dot-product kernel
+// does; four terms are added per load and store of dst.
+func productRow(dst, a, ft []float64) {
+	t := len(dst)
+	clear(dst)
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		f0, f1, f2, f3 := ft[k*t:][:t], ft[(k+1)*t:][:t], ft[(k+2)*t:][:t], ft[(k+3)*t:][:t]
+		for j, v := range dst {
+			v += a0 * f0[j]
+			v += a1 * f1[j]
+			v += a2 * f2[j]
+			v += a3 * f3[j]
+			dst[j] = v
+		}
+	}
+	for ; k < len(a); k++ {
+		av, f := a[k], ft[k*t:][:t]
+		for j, fv := range f {
+			dst[j] += av * fv
+		}
+	}
+}
+
+// dotsInto sets out[k] = Σ_j x[j]·ft[k·t+j] with t = len(x): the products
+// of one row with every row of a transposed factor, each summed in
+// ascending j from +0 (as mat's ikj kernel accumulates it), four
+// independent sums per pass over x.
+func dotsInto(out, x, ft []float64) {
+	t := len(x)
+	k := 0
+	for ; k+4 <= len(out); k += 4 {
+		f0, f1, f2, f3 := ft[k*t:][:t], ft[(k+1)*t:][:t], ft[(k+2)*t:][:t], ft[(k+3)*t:][:t]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += xv * f0[j]
+			s1 += xv * f1[j]
+			s2 += xv * f2[j]
+			s3 += xv * f3[j]
+		}
+		out[k], out[k+1], out[k+2], out[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(out); k++ {
+		f := ft[k*t:][:t]
+		var s float64
+		for j, xv := range x {
+			s += xv * f[j]
+		}
+		out[k] = s
+	}
+}
+
+// accumulateRows adds x·a[k] to columns [lo, lo+len(x)) of every row k of
+// the r×t accumulator acc, four rows per pass over x.
+func accumulateRows(acc []float64, t, lo int, x, a []float64) {
+	w := len(x)
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		r0, r1, r2, r3 := acc[k*t+lo:][:w], acc[(k+1)*t+lo:][:w], acc[(k+2)*t+lo:][:w], acc[(k+3)*t+lo:][:w]
+		for j, xv := range x {
+			r0[j] += xv * a0
+			r1[j] += xv * a1
+			r2[j] += xv * a2
+			r3[j] += xv * a3
+		}
+	}
+	for ; k < len(a); k++ {
+		av, rk := a[k], acc[k*t+lo:][:w]
+		for j, xv := range x {
+			rk[j] += xv * av
+		}
+	}
+}
+
+// transposeInto writes the rows×cols matrix m transposed into dst
+// (cols×rows, row-major).
+func transposeInto(dst []float64, m *mat.Dense) {
+	rows, cols := m.Dims()
+	src := m.RawData()
+	for k := 0; k < cols; k++ {
+		out := dst[k*rows:][:rows]
+		for i := range out {
+			out[i] = src[i*cols+k]
+		}
+	}
+}
+
+// adjointRange writes columns [lo, hi) of one row of G·𝕋'ᵀ into dst[:hi−lo]:
+// (G·𝕋'ᵀ)(i,j) = g(i,j−1) − g(i,j), with out-of-range terms zero.
+func adjointRange(dst, grow []float64, lo, hi int) {
+	tm1, off := len(grow), lo
+	dst = dst[:hi-lo]
+	if lo == 0 {
+		dst[0] = 0 - grow[0]
+		lo = 1
+	}
+	if hi == tm1+1 {
+		dst[tm1-off] = grow[tm1-1]
+		hi = tm1
+	}
+	for j := lo; j < hi; j++ {
+		dst[j-off] = grow[j-1] - grow[j]
+	}
 }
 
 // objective evaluates Eq. (23) (or its reduced variants) at (L, R).
@@ -696,50 +813,110 @@ func (p *problem) step(l, r *mat.Dense, updateL bool) (drop float64, err error) 
 }
 
 // gradL computes ∇_L f = 2·E1·R + 2λ₁·L + 2λ₂·G·𝕋'ᵀ·R into the workspace
-// buffer ws.gl, valid until the next gradL call on this problem.
+// buffer ws.gl, valid until the next gradL call on this problem. e1 and g
+// must come from residuals at the same (L, R), which also left Rᵀ in ws.rt.
 func (p *problem) gradL(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
 	ws := p.ensure(r)
-	if err := e1.MulInto(ws.gl, r); err != nil {
+	if err := p.checkFactors(l, r); err != nil {
 		return nil, err
 	}
-	ws.gl.Scale(2)
-	if err := ws.gl.AxpyInPlace(2*p.lambda1, l); err != nil {
-		return nil, err
-	}
-	if g != nil {
-		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.MulInto(ws.tl, r); err != nil { // (G·𝕋'ᵀ)·R : n×r
-			return nil, err
-		}
-		if err := ws.gl.AxpyInPlace(2*p.lambda2, ws.tl); err != nil {
-			return nil, err
-		}
+	n, t := p.s.Dims()
+	if !mat.ParallelWorthwhile(n, ws.rank*t) {
+		p.gradLRows(l, e1, g, ws, ws.row, 0, n)
+	} else {
+		mat.ParallelRows(n, ws.rank*t, func(lo, hi int) {
+			var row []float64
+			if g != nil {
+				row = make([]float64, t+ws.rank)
+			}
+			p.gradLRows(l, e1, g, ws, row, lo, hi)
+		})
 	}
 	return ws.gl, nil
 }
 
+// gradLRows computes rows [lo, hi) of ∇_L f. Each row of G·𝕋'ᵀ is formed
+// once into row[:t] and its products with R land in row[t:].
+func (p *problem) gradLRows(l, e1, g *mat.Dense, ws *workspace, row []float64, lo, hi int) {
+	_, t := p.s.Dims()
+	c1, c2 := 2*p.lambda1, 2*p.lambda2
+	for i := lo; i < hi; i++ {
+		lrow, grad := l.RowView(i), ws.gl.RowView(i)
+		dotsInto(grad, e1.RowView(i), ws.rt) // E1·R, as the composed form stored it
+		var stab []float64
+		if g != nil {
+			adj := row[:t]
+			stab = row[t:]
+			adjointRange(adj, g.RowView(i), 0, t)
+			dotsInto(stab, adj, ws.rt)
+		}
+		for k, v := range grad {
+			v = float64(float64(2*v) + c1*lrow[k])
+			if g != nil {
+				v += c2 * stab[k]
+			}
+			grad[k] = v
+		}
+	}
+}
+
 // gradR computes ∇_R f = 2·E1ᵀ·L + 2λ₁·R + 2λ₂·𝕋'·Gᵀ·L into the workspace
-// buffer ws.gr, valid until the next gradR call on this problem.
+// buffer ws.gr, valid until the next gradR call on this problem. e1 and g
+// must come from residuals at the same (L, R).
 func (p *problem) gradR(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
 	ws := p.ensure(r)
-	if err := e1.TMulInto(ws.gr, l); err != nil { // E1ᵀ·L : t×r
+	if err := p.checkFactors(l, r); err != nil {
 		return nil, err
 	}
-	ws.gr.Scale(2)
-	if err := ws.gr.AxpyInPlace(2*p.lambda1, r); err != nil {
-		return nil, err
-	}
-	if g != nil {
-		// 𝕋'·Gᵀ·L = (G·𝕋'ᵀ)ᵀ·L, with the adjoint applied in O(n·t).
-		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.TMulInto(ws.tr, l); err != nil { // t×r
-			return nil, err
-		}
-		if err := ws.gr.AxpyInPlace(2*p.lambda2, ws.tr); err != nil {
-			return nil, err
-		}
+	n, t := p.s.Dims()
+	// Like mat's Eᵀ·L kernel, the split is over output columns j: every
+	// worker scans all n rows, so each element's i-order is sequential.
+	if !mat.ParallelWorthwhile(t, n*ws.rank) {
+		p.gradRCols(l, r, e1, g, ws, ws.row, 0, t)
+	} else {
+		mat.ParallelRows(t, n*ws.rank, func(lo, hi int) {
+			var adj []float64
+			if g != nil {
+				adj = make([]float64, hi-lo)
+			}
+			p.gradRCols(l, r, e1, g, ws, adj, lo, hi)
+		})
 	}
 	return ws.gr, nil
+}
+
+// gradRCols computes rows [lo, hi) of ∇_R f (columns of the n×t inputs).
+// E1ᵀ·L and (G·𝕋'ᵀ)ᵀ·L accumulate transposed in ws.fitT and ws.stabT, so
+// the inner loop runs over the column range; adj holds the range of one
+// row of G·𝕋'ᵀ at a time.
+func (p *problem) gradRCols(l, r, e1, g *mat.Dense, ws *workspace, adj []float64, lo, hi int) {
+	n, t := p.s.Dims()
+	w := hi - lo
+	for k := 0; k < ws.rank; k++ {
+		clear(ws.fitT[k*t+lo:][:w])
+		if g != nil {
+			clear(ws.stabT[k*t+lo:][:w])
+		}
+	}
+	for i := 0; i < n; i++ {
+		lrow := l.RowView(i)
+		accumulateRows(ws.fitT, t, lo, e1.RowView(i)[lo:hi], lrow)
+		if g != nil {
+			adjointRange(adj, g.RowView(i), lo, hi)
+			accumulateRows(ws.stabT, t, lo, adj[:w], lrow)
+		}
+	}
+	c1, c2 := 2*p.lambda1, 2*p.lambda2
+	for j := lo; j < hi; j++ {
+		rrow, grad := r.RowView(j), ws.gr.RowView(j)
+		for k := range grad {
+			v := float64(float64(2*ws.fitT[k*t+j]) + c1*rrow[k])
+			if g != nil {
+				v += c2 * ws.stabT[k*t+j]
+			}
+			grad[k] = v
+		}
+	}
 }
 
 // lineStats computes the quadratic coefficients of f along −grad:
@@ -748,46 +925,64 @@ func (p *problem) gradR(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
 // For the L step with direction D: P1 = (D·Rᵀ)∘B, P3 = D·Rᵀ·𝕋',
 // num = ⟨E1,P1⟩ + λ₁⟨L,D⟩ + λ₂⟨G,P3⟩, den = ‖P1‖² + λ₁‖D‖² + λ₂‖P3‖²,
 // and symmetrically for the R step with P1 = (L·Dᵀ)∘B, P3 = L·Dᵀ·𝕋'.
+//
+// The product rows land in ws.dm; P1 and P3 are formed on the fly and
+// never stored. Each of the four sums is one sequential row-major chain,
+// so on the parallel path only the products split across workers and the
+// sums follow in a single pass.
 func (p *problem) lineStats(l, r, grad, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
 	ws := p.ensure(r)
-	if updateL {
-		err = grad.MulTInto(ws.dm, r) // D·Rᵀ : n×t
-	} else {
-		err = l.MulTInto(ws.dm, grad) // L·Dᵀ : n×t
-	}
-	if err != nil {
+	if err := p.checkFactors(l, r); err != nil {
 		return 0, 0, err
 	}
-	if err := ws.dm.HadamardInto(ws.p1, p.b); err != nil {
-		return 0, 0, err
+	left, ft, anchor := grad, ws.rt, l // D·Rᵀ, with Rᵀ left by residuals
+	if !updateL {
+		left, ft, anchor = l, ws.dt, r // L·Dᵀ
 	}
-	num, err = e1.Dot(ws.p1)
-	if err != nil {
-		return 0, 0, err
-	}
-	den = ws.p1.FrobeniusNorm2()
-
-	var anchor *mat.Dense
-	if updateL {
-		anchor = l
-	} else {
-		anchor = r
-	}
+	// ⟨anchor, D⟩ first: Dot also validates the direction's shape.
 	dotAnchor, err := anchor.Dot(grad)
 	if err != nil {
 		return 0, 0, err
 	}
-	num += p.lambda1 * dotAnchor
-	den += p.lambda1 * grad.FrobeniusNorm2()
-
-	if g != nil {
-		applyDiffInto(ws.p3, ws.dm)
-		dotG, err := g.Dot(ws.p3)
-		if err != nil {
-			return 0, 0, err
+	if !updateL {
+		transposeInto(ws.dt, grad)
+	}
+	n, t := p.s.Dims()
+	fused := !mat.ParallelWorthwhile(n, ws.rank*t)
+	if !fused {
+		mat.ParallelRows(n, ws.rank*t, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				productRow(ws.dm.RowView(i), left.RowView(i), ft)
+			}
+		})
+	}
+	var fitNum, fitDen, stabNum, stabDen float64
+	for i := 0; i < n; i++ {
+		dm := ws.dm.RowView(i)
+		if fused {
+			productRow(dm, left.RowView(i), ft)
 		}
-		num += p.lambda2 * dotG
-		den += p.lambda2 * ws.p3.FrobeniusNorm2()
+		brow, erow := p.b.RowView(i)[:len(dm)], e1.RowView(i)[:len(dm)]
+		for j, d := range dm {
+			p1 := float64(d * brow[j])
+			fitNum += erow[j] * p1
+			fitDen += p1 * p1
+		}
+		if g == nil {
+			continue
+		}
+		grow := g.RowView(i)[:len(dm)-1]
+		for j, gv := range grow {
+			p3 := float64(dm[j+1] - dm[j])
+			stabNum += gv * p3
+			stabDen += p3 * p3
+		}
+	}
+	num = fitNum + p.lambda1*dotAnchor
+	den = fitDen + p.lambda1*grad.FrobeniusNorm2()
+	if g != nil {
+		num += p.lambda2 * stabNum
+		den += p.lambda2 * stabDen
 	}
 	return num, den, nil
 }

@@ -384,6 +384,23 @@ func TestApplyDiffAdjointMatchesExplicitOperator(t *testing.T) {
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("adjoint kernel disagrees:\n%v\nvs\n%v", got, want)
 	}
+	// The fused kernels' row form, whole and split into column ranges.
+	for _, split := range []int{0, 1, 3, tt} {
+		for i := 0; i < g.Rows(); i++ {
+			row := make([]float64, tt)
+			if split > 0 {
+				adjointRange(row[:split], g.RowView(i), 0, split)
+			}
+			if split < tt {
+				adjointRange(row[split:], g.RowView(i), split, tt)
+			}
+			for j, v := range row {
+				if v != want.At(i, j) {
+					t.Fatalf("adjointRange split %d: (%d,%d) = %v, want %v", split, i, j, v, want.At(i, j))
+				}
+			}
+		}
+	}
 	// ⟨M·𝕋', G⟩ must equal ⟨M, G·𝕋'ᵀ⟩ (adjoint property).
 	m, _ := mat.NewFromRows([][]float64{
 		{0, 2, 1, 5, 3, 3},

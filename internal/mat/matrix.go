@@ -321,30 +321,6 @@ func (m *Dense) SubInPlace(other *Dense) error {
 	return nil
 }
 
-// SubInto computes dst = m - other without allocating. All three matrices
-// must share the same shape; dst may alias either operand.
-func (m *Dense) SubInto(dst, other *Dense) error {
-	if err := sameShape3(dst, m, other, "sub"); err != nil {
-		return err
-	}
-	for i := range m.data {
-		dst.data[i] = m.data[i] - other.data[i]
-	}
-	return nil
-}
-
-// AxpyInto computes dst = m + alpha*other without allocating. All three
-// matrices must share the same shape; dst may alias either operand.
-func (m *Dense) AxpyInto(dst *Dense, alpha float64, other *Dense) error {
-	if err := sameShape3(dst, m, other, "axpy"); err != nil {
-		return err
-	}
-	for i := range m.data {
-		dst.data[i] = m.data[i] + alpha*other.data[i]
-	}
-	return nil
-}
-
 // sameShape3 validates that dst, a and b all share one shape.
 func sameShape3(dst, a, b *Dense, op string) error {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -434,7 +410,7 @@ func (m *Dense) MulInto(dst, other *Dense) error {
 // results are bit-identical at any parallelism level. The sequential
 // branch avoids the closure so the hot path stays allocation-free.
 func mulInto(dst, a, b *Dense) {
-	if !parallelWorthwhile(a.rows, a.cols*b.cols) {
+	if !ParallelWorthwhile(a.rows, a.cols*b.cols) {
 		mulIntoBlock(dst, a, b, 0, a.rows)
 		return
 	}
@@ -494,7 +470,7 @@ func (m *Dense) MulTInto(dst, other *Dense) error {
 // mulTInto is the dot-product kernel for a·bᵀ, row-block parallel over the
 // output rows.
 func mulTInto(dst, a, b *Dense) {
-	if !parallelWorthwhile(a.rows, a.cols*b.rows) {
+	if !ParallelWorthwhile(a.rows, a.cols*b.rows) {
 		mulTIntoBlock(dst, a, b, 0, a.rows)
 		return
 	}
@@ -552,7 +528,7 @@ func (m *Dense) TMulInto(dst, other *Dense) error {
 // accumulation — and therefore the floating-point result — is identical to
 // the sequential loop.
 func tMulInto(dst, a, b *Dense) {
-	if !parallelWorthwhile(a.cols, a.rows*b.cols) {
+	if !ParallelWorthwhile(a.cols, a.rows*b.cols) {
 		tMulIntoBlock(dst, a, b, 0, a.cols)
 		return
 	}

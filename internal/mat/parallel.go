@@ -48,7 +48,7 @@ const minParallelFlops = 1 << 16
 // package preserve their sequential per-element accumulation order, so
 // their results are bit-identical at any parallelism level).
 func ParallelRows(n, flopsPerRow int, fn func(lo, hi int)) {
-	if !parallelWorthwhile(n, flopsPerRow) {
+	if !ParallelWorthwhile(n, flopsPerRow) {
 		fn(0, n)
 		return
 	}
@@ -72,11 +72,11 @@ func ParallelRows(n, flopsPerRow int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// parallelWorthwhile reports whether splitting n rows of flopsPerRow work
-// each across goroutines pays for the fork/join overhead. The in-package
-// kernels check it *before* building their closure so the sequential hot
-// path stays allocation-free (a func literal that captures variables is a
-// heap allocation even if the work ends up running inline).
-func parallelWorthwhile(n, flopsPerRow int) bool {
+// ParallelWorthwhile reports whether ParallelRows would split n rows of
+// flopsPerRow work each across goroutines. Kernels check it *before*
+// building their closure so the sequential hot path stays allocation-free
+// (a func literal that captures variables is a heap allocation even if the
+// work ends up running inline).
+func ParallelWorthwhile(n, flopsPerRow int) bool {
 	return Parallelism() > 1 && n > 1 && n*flopsPerRow >= minParallelFlops
 }
