@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -235,11 +234,7 @@ func newRouter(opt routerOptions) (*router, error) {
 		return nil, fmt.Errorf("http listen: %w", err)
 	}
 	r.httpBound = r.httpLn.Addr()
-	r.http = &http.Server{
-		Handler:           r.mux(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	r.http = obs.NewHTTPServer(r.mux())
 	return r, nil
 }
 
@@ -281,7 +276,7 @@ func (r *router) close() error {
 func (r *router) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		obs.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"uptime_s": time.Since(r.started).Seconds(),
 		})
@@ -294,23 +289,23 @@ func (r *router) mux() *http.ServeMux {
 			// load balancers to look elsewhere.
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{
+		obs.WriteJSON(w, status, map[string]any{
 			"ready_backends": ready,
 			"backends":       len(r.backends),
 		})
 	})
 	mux.HandleFunc("GET /backends", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"backends": r.prober.Snapshot()})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"backends": r.prober.Snapshot()})
 	})
 	mux.HandleFunc("GET /results", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.query.Fleets(req.Context()))
+		obs.WriteJSON(w, http.StatusOK, r.query.Fleets(req.Context()))
 	})
 	mux.HandleFunc("GET /results/{fleet}", func(w http.ResponseWriter, req *http.Request) {
 		resp, err := r.query.Result(req.Context(), req.PathValue("fleet"))
 		relayOwner(w, resp, err)
 	})
 	mux.HandleFunc("GET /reputation", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.query.Reputation(req.Context()))
+		obs.WriteJSON(w, http.StatusOK, r.query.Reputation(req.Context()))
 	})
 	mux.HandleFunc("GET /reputation/{fleet}", func(w http.ResponseWriter, req *http.Request) {
 		resp, err := r.query.ReputationFleet(req.Context(), req.PathValue("fleet"))
@@ -325,11 +320,11 @@ func (r *router) mux() *http.ServeMux {
 		// Scatter-gather rather than owner-proxy: after a ring change (or an
 		// operator misremembering placement) the trace may live on a backend
 		// that no longer owns the fleet, and each answer stays attributed.
-		writeJSON(w, http.StatusOK,
+		obs.WriteJSON(w, http.StatusOK,
 			r.query.TraceFleet(req.Context(), req.PathValue("fleet"), req.URL.RawQuery))
 	})
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.statusPayload(req))
+		obs.WriteJSON(w, http.StatusOK, r.statusPayload(req))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		payload := metricsPayload{
@@ -339,7 +334,7 @@ func (r *router) mux() *http.ServeMux {
 			Reputation: r.query.Reputation(req.Context()),
 		}
 		if obs.WantsJSON(req) {
-			writeJSON(w, http.StatusOK, payload)
+			obs.WriteJSON(w, http.StatusOK, payload)
 			return
 		}
 		w.Header().Set("Content-Type", obs.PromContentType)
@@ -411,9 +406,9 @@ type metricsPayload struct {
 func relayOwner(w http.ResponseWriter, resp *cluster.ProxyResponse, err error) {
 	switch {
 	case errors.Is(err, cluster.ErrNoBackend):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 	case err != nil:
-		writeJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error()})
+		obs.WriteJSON(w, http.StatusBadGateway, map[string]any{"error": err.Error()})
 	default:
 		if resp.ContentType != "" {
 			w.Header().Set("Content-Type", resp.ContentType)
@@ -421,12 +416,4 @@ func relayOwner(w http.ResponseWriter, resp *cluster.ProxyResponse, err error) {
 		w.WriteHeader(resp.Status)
 		_, _ = w.Write(resp.Body)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"runtime"
-	rdebug "runtime/debug"
-	"sort"
 	"time"
 
 	"itscs/internal/metrics"
@@ -22,7 +19,7 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 
 	b.Gauge("itscs_router_build_info",
 		"Build identity of the running router; the value is always 1.",
-		1, buildInfoLabels()...)
+		1, obs.BuildInfoLabels()...)
 	b.Gauge("itscs_router_uptime_seconds", "Seconds since the router started.", uptime.Seconds())
 
 	// Data plane.
@@ -129,7 +126,7 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	b.Counter("itscs_cluster_cold_starts_total", "Processed windows that started CORRECT from scratch.", float64(agg.ColdStarts))
 	b.Gauge("itscs_cluster_queue_depth", "Windows waiting in dispatch queues across the cluster.", float64(agg.QueueDepth))
 	b.Gauge("itscs_cluster_fleets", "Fleet shards materialized across the cluster.", float64(agg.Fleets))
-	for _, phase := range sortedKeys(agg.PhaseLatency) {
+	for _, phase := range obs.SortedKeys(agg.PhaseLatency) {
 		b.Histogram("itscs_cluster_phase_latency_seconds",
 			"Wall-clock latency by pipeline phase, summed across backends.",
 			agg.PhaseLatency[phase], obs.Label{Name: "phase", Value: phase})
@@ -160,27 +157,4 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	}
 	rt.Emit(b, "itscs_router_")
 	return b.Bytes()
-}
-
-// buildInfoLabels extracts the identity labels for itscs_router_build_info.
-func buildInfoLabels() []obs.Label {
-	labels := []obs.Label{{Name: "go_version", Value: runtime.Version()}}
-	if bi, ok := rdebug.ReadBuildInfo(); ok {
-		labels = append(labels, obs.Label{Name: "module", Value: bi.Main.Path})
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				labels = append(labels, obs.Label{Name: "revision", Value: s.Value})
-			}
-		}
-	}
-	return labels
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,33 +1,31 @@
-// Command itscs-serve runs the I(TS,CS) framework as a long-lived
-// streaming service: participants upload location reports over the mcs TCP
-// transport, the pipeline engine slices each fleet's stream into sliding
-// windows and runs DETECT→CORRECT→CHECK on every window as it closes, and
-// an HTTP sidecar exposes health, metrics, traces, and the newest
-// per-fleet result.
+// Command itscs-serve runs one I(TS,CS) backend as a long-lived streaming
+// service. Participants upload location reports over the mcs TCP
+// transport; the pipeline engine slices each fleet's stream into sliding
+// windows and runs DETECT→CORRECT→CHECK on every window as it closes; an
+// HTTP sidecar exposes health, readiness, metrics, status, results, traces
+// and the trust ledger.
 //
-// With -data-dir set the daemon is durable: every accepted report is
-// framed into a write-ahead log before it is acknowledged (fsync policy
-// selectable via -fsync), shard state is checkpointed every
-// -checkpoint-every closed windows, and on startup the newest checkpoint
-// is restored and the log tail replayed, so a crash loses at most what the
-// fsync policy permits.
+// The backend itself is internal/node — the same composition the cluster
+// tests run behind the router. This command only parses flags into a
+// node.Config, logs the startup banner, serves the optional pprof
+// listener, and drains the node on SIGINT/SIGTERM:
 //
-// A participant reputation ledger (on by default, -reputation=false to
-// disable) folds every completed window's verdicts into per-participant
-// trust scores and drives the trusted → suspect → quarantined → probation
-// quarantine state machine. Reports from quarantined or probation
-// participants are admitted and tagged, never dropped; the ledger is
-// queryable under /reputation, serialized into every checkpoint, and
-// rebuilt deterministically by WAL replay. Reports without a routable
-// identity (empty fleet name, negative participant) are refused at the
-// ingest door with a counted invalid_identity rejection.
+//   - With -data-dir the node is durable: every accepted report is
+//     written ahead to a WAL before it is acknowledged (-fsync policy),
+//     shard state and the ledger are checkpointed every -checkpoint-every
+//     closed windows, and startup restores the newest checkpoint and
+//     replays the log tail while /readyz answers 503.
+//   - The reputation ledger (on by default, -reputation=false disables
+//     it) folds every completed window into per-participant trust scores
+//     and tags, never drops, reports from quarantined or probation
+//     participants.
+//   - Reports without a routable identity (empty fleet, negative
+//     participant) are refused at the ingest door and counted.
 //
 // All diagnostics are structured logs (log/slog) on stdout; -log-format
-// selects text or json and -log-level the floor. Slow windows, dropped
-// windows, failed windows, WAL recovery damage and checkpoint failures all
-// surface there — none of them is silent. With -debug-addr set a second
-// listener serves net/http/pprof and build info, kept off the public
-// sidecar so profiling is never exposed by accident.
+// selects text or json and -log-level the floor. With -debug-addr set a
+// second listener serves net/http/pprof and build info, kept off the
+// public sidecar so profiling is never exposed by accident.
 //
 // Usage:
 //
@@ -44,57 +42,28 @@
 //	            [-rep-quarantine-below 0.45] [-rep-probation-above 0.55]
 //	            [-rep-readmit-above 0.75] [-rep-min-weight 3]
 //
-// HTTP endpoints:
-//
-//	GET /healthz         liveness probe (JSON)
-//	GET /readyz          readiness probe: 503 while startup recovery
-//	                     (checkpoint restore + WAL replay) is running,
-//	                     200 once ingest is accepting reports
-//	GET /metrics         Prometheus text exposition; JSON with
-//	                     Accept: application/json or ?format=json
-//	GET /status          operational overview (JSON): readiness, build,
-//	                     engine counters, freshness quantiles per fleet,
-//	                     reputation census, WAL/checkpoint recency
-//	GET /results         fleets with at least one report, sorted
-//	GET /results/{fleet} newest completed window result for the fleet
-//	                     (204 when the fleet exists but no window closed)
-//	GET /trace/{fleet}   recent per-window trace spans plus the retained
-//	                     end-to-end freshness traces, newest first;
-//	                     ?id={trace-id} looks one stamped report's
-//	                     ingest→publish stage record up by trace ID
-//	GET /reputation      the whole trust ledger: per-fleet participant
-//	                     scores, states, and aggregate counters
-//	GET /reputation/{fleet}                one fleet's ledger (404 unknown)
-//	GET /reputation/{fleet}/{participant}  one participant's trust row
-//
-// Debug endpoints (only with -debug-addr):
+// The HTTP endpoints are listed on node.Node.Handler. Debug endpoints
+// (only with -debug-addr):
 //
 //	GET /debug/pprof/...  CPU, heap, goroutine, block, mutex profiles
 //	GET /debug/buildinfo  module, VCS revision, Go version, uptime
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	rdebug "runtime/debug"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"itscs/internal/fault"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/obs"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
@@ -127,7 +96,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	dataDir := fs.String("data-dir", "", "durability directory for the WAL and checkpoints (empty = in-memory only)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
-	checkpointEvery := fs.Int("checkpoint-every", 4, "checkpoint shard state every N closed windows")
+	checkpointEvery := fs.Int("checkpoint-every", node.DefaultCheckpointEvery, "checkpoint shard state every N closed windows")
 	logFormat := fs.String("log-format", obs.LogText, "log output format: text or json")
 	logLevel := fs.String("log-level", "info", "log level floor: debug, info, warn or error")
 	slowWindow := fs.Duration("slow-window", 30*time.Second, "window wall-clock above which processing logs at warn")
@@ -168,31 +137,35 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 	logger.Info("itscs-serve starting", banner...)
 
-	cfg := pipeline.DefaultConfig()
-	cfg.Participants = *participants
-	cfg.WindowSlots = *window
-	cfg.HopSlots = *hop
-	cfg.Workers = *workers
-	cfg.QueueDepth = *queue
-	cfg.MaxFleets = *maxFleets
-	cfg.DisableWarmStart = *coldStart
-	cfg.TraceDepth = *traceDepth
-	cfg.Core.Detect.Tau = *tau
-	cfg.Core.Reconstruct.Tau = *tau
-
-	var dur *durability
+	cfg := node.Config{
+		Engine:          pipeline.DefaultConfig(),
+		IngestAddr:      *ingestAddr,
+		HTTPAddr:        *httpAddr,
+		IdleTimeout:     *idle,
+		DataDir:         *dataDir,
+		CheckpointEvery: *checkpointEvery,
+		Log:             logger,
+		SlowWindow:      *slowWindow,
+	}
+	cfg.Engine.Participants = *participants
+	cfg.Engine.WindowSlots = *window
+	cfg.Engine.HopSlots = *hop
+	cfg.Engine.Workers = *workers
+	cfg.Engine.QueueDepth = *queue
+	cfg.Engine.MaxFleets = *maxFleets
+	cfg.Engine.DisableWarmStart = *coldStart
+	cfg.Engine.TraceDepth = *traceDepth
+	cfg.Engine.Core.Detect.Tau = *tau
+	cfg.Engine.Core.Reconstruct.Tau = *tau
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
 		if err != nil {
 			return err
 		}
-		opt := wal.DefaultOptions()
-		opt.Sync = policy
-		opt.SyncEvery = *fsyncInterval
-		dur = &durability{dir: *dataDir, opt: opt, every: uint64(*checkpointEvery)}
+		cfg.WAL = wal.DefaultOptions()
+		cfg.WAL.Sync = policy
+		cfg.WAL.SyncEvery = *fsyncInterval
 	}
-
-	var repCfg *reputation.Config
 	if *repEnabled {
 		rc := repDefaults
 		rc.Decay = *repDecay
@@ -201,753 +174,71 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		rc.ProbationAbove = *repProbation
 		rc.ReadmitAbove = *repReadmit
 		rc.MinWeight = *repMinWeight
-		repCfg = &rc
+		cfg.Reputation = &rc
 	}
 
-	d, err := newDaemon(cfg, daemonOptions{
-		ingestAddr: *ingestAddr,
-		httpAddr:   *httpAddr,
-		debugAddr:  *debugAddr,
-		idle:       *idle,
-		dur:        dur,
-		rep:        repCfg,
-		log:        logger,
-		slowWindow: *slowWindow,
-	})
+	n, err := node.New(cfg)
 	if err != nil {
 		return err
 	}
-	d.serve()
-	attrs := []any{"ingest", d.ingestAddr.String(), "http", d.httpBound.String()}
-	if d.debugBound != nil {
-		attrs = append(attrs, "debug", d.debugBound.String())
-	}
-	logger.Info("serving", attrs...)
-
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		select {
-		case s := <-sig:
-			logger.Info("draining", "signal", s.String())
-		case err := <-d.fatal:
-			_ = d.close()
+	var debug *http.Server
+	debugFatal := make(chan error, 1)
+	attrs := []any{"ingest", n.IngestAddr().String(), "http", n.HTTPAddr().String()}
+	if *debugAddr != "" {
+		var ln net.Listener
+		if debug, ln, err = listenDebug(*debugAddr, time.Now()); err != nil {
+			_ = n.Kill()
 			return err
 		}
-	} else {
-		select {
-		case <-stop:
-		case err := <-d.fatal:
-			_ = d.close()
-			return err
-		}
-	}
-	return d.close()
-}
-
-// durability bundles the daemon's persistent state: the write-ahead log,
-// the checkpoint directory, and the background checkpointer.
-type durability struct {
-	dir   string
-	opt   wal.Options
-	every uint64 // checkpoint every N closed windows
-
-	log    *wal.Log
-	slg    *slog.Logger
-	ledger *reputation.Ledger // serialized into checkpoints when non-nil
-
-	// kick is signaled by the engine's OnWindowClose hook; the checkpointer
-	// goroutine owns everything below.
-	kick        chan struct{}
-	stop        chan struct{}
-	wg          sync.WaitGroup
-	mu          sync.Mutex
-	lastCkpt    uint64 // windowsClosed at the last checkpoint
-	lastCkptAt  time.Time
-	windowsSeen uint64
-	ckpts       uint64
-	ckptErrs    uint64
-	lastErr     string
-}
-
-func (dur *durability) logger() *slog.Logger {
-	if dur.slg != nil {
-		return dur.slg
-	}
-	return obs.Discard()
-}
-
-// fs returns the durability filesystem seam: whatever the WAL options carry
-// (the fault harness injects there), defaulting to the real OS.
-func (dur *durability) fs() fault.FS {
-	if dur.opt.FS != nil {
-		return dur.opt.FS
-	}
-	return fault.OS()
-}
-
-// recoveryInfo summarizes what startup restored; it is reported once in
-// the log and permanently under /metrics.
-type recoveryInfo struct {
-	CheckpointIndex    uint64  `json:"checkpoint_index"`
-	CheckpointsSkipped int     `json:"checkpoints_skipped_corrupt"`
-	Fleets             int     `json:"fleets"`
-	LogRecords         uint64  `json:"log_records"`
-	ReplayedRecords    uint64  `json:"replayed_records"`
-	ReplayRejected     uint64  `json:"replay_rejected"`
-	DurationS          float64 `json:"duration_s"`
-}
-
-// checkpointStats snapshots the checkpointer's counters for /metrics.
-type checkpointStats struct {
-	Written   uint64 `json:"written"`
-	Errors    uint64 `json:"errors"`
-	LastError string `json:"last_error,omitempty"`
-	// LastUnixMicro is when the newest checkpoint finished (0 before the
-	// first): the recency signal /status pairs with the WAL's, bounding how
-	// much log a restart would replay.
-	LastUnixMicro int64 `json:"last_unix_us,omitempty"`
-}
-
-// daemonOptions collects the wiring newDaemon needs beyond the engine
-// config: addresses, timeouts, durability, and observability.
-type daemonOptions struct {
-	ingestAddr string
-	httpAddr   string
-	debugAddr  string // empty disables the pprof/buildinfo listener
-	idle       time.Duration
-	dur        *durability
-	rep        *reputation.Config // nil disables the trust ledger
-	log        *slog.Logger       // nil silences the daemon
-	slowWindow time.Duration      // 0 means never escalate to warn
-
-	// startupGate, when non-nil, is a test seam: the startup goroutine
-	// waits on it before running recovery, so tests can observe the
-	// not-ready state deterministically.
-	startupGate <-chan struct{}
-}
-
-// daemon wires the engine to its listeners and, when durable, to the WAL
-// and checkpointer.
-//
-// Startup is two-phase: the HTTP sidecar answers immediately (so probers
-// and operators can watch /readyz during a long recovery), while ingest
-// accept and the checkpointer start only after the startup goroutine has
-// restored the newest checkpoint and replayed the log tail — Restore
-// requires an engine that has ingested nothing, so no report may arrive
-// before recovery finishes.
-type daemon struct {
-	engine      *pipeline.Engine
-	log         *slog.Logger
-	ingest      *mcs.Server
-	ingestAddr  net.Addr
-	http        *http.Server
-	httpLn      net.Listener
-	httpBound   net.Addr
-	debug       *http.Server
-	debugLn     net.Listener
-	debugBound  net.Addr
-	started     time.Time
-	fatal       chan error
-	dur         *durability
-	ledger      *reputation.Ledger // nil when -reputation=false
-	runtime     *obs.Runtime
-	startupGate <-chan struct{}
-
-	// invalidIdentity counts reports the ingest door refused for an empty
-	// fleet or negative participant id — before they could reach the
-	// engine as unroutable, unattributable rows.
-	invalidIdentity atomic.Uint64
-
-	ready       atomic.Bool   // flips once, after recovery succeeds
-	startupDone chan struct{} // closed when the startup goroutine exits
-	recMu       sync.Mutex
-	recovery    *recoveryInfo
-}
-
-// recoveryState returns what startup restored, or nil while recovery is
-// still running (or for an in-memory daemon).
-func (d *daemon) recoveryState() *recoveryInfo {
-	d.recMu.Lock()
-	defer d.recMu.Unlock()
-	return d.recovery
-}
-
-func newDaemon(cfg pipeline.Config, opt daemonOptions) (*daemon, error) {
-	logger := opt.log
-	if logger == nil {
-		logger = obs.Discard()
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = &obs.LogObserver{Log: logger, SlowWindow: opt.slowWindow}
-	}
-	var ledger *reputation.Ledger
-	if opt.rep != nil {
-		var err error
-		if ledger, err = reputation.New(*opt.rep); err != nil {
-			return nil, err
-		}
-		cfg.Gate = ledger
-		cfg.OnResult = ledger.Fold
-	}
-	dur := opt.dur
-	if dur != nil {
-		dur.slg = logger
-		dur.opt.Logger = logger
-		dur.ledger = ledger
-		log, err := wal.Open(dur.dir, dur.opt)
-		if err != nil {
-			return nil, err
-		}
-		dur.log = log
-		dur.kick = make(chan struct{}, 1)
-		dur.stop = make(chan struct{})
-		cfg.Log = log
-		cfg.OnWindowClose = func(total uint64) {
-			select {
-			case dur.kick <- struct{}{}:
-			default:
-			}
-		}
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = fault.RealClock()
-	}
-	engine, err := pipeline.New(cfg)
-	if err != nil {
-		if dur != nil {
-			_ = dur.log.Close()
-		}
-		return nil, err
-	}
-	d := &daemon{
-		engine:      engine,
-		log:         logger,
-		started:     time.Now(),
-		fatal:       make(chan error, 3),
-		dur:         dur,
-		ledger:      ledger,
-		runtime:     obs.NewRuntime(),
-		startupGate: opt.startupGate,
-		startupDone: make(chan struct{}),
-	}
-	// The TCP door fronts the engine with the identity check: a report with
-	// no routable identity is refused (and counted) before it can occupy a
-	// default-fleet shard no cluster router would ever query. It is also
-	// the freshness door: every admitted report gets its ingest stamp here,
-	// unless a router upstream already stamped it.
-	d.ingest = mcs.NewServer(&identityGate{next: engine, invalid: &d.invalidIdentity, clock: cfg.Clock})
-	d.ingest.IdleTimeout = opt.idle
-	if d.ingestAddr, err = d.ingest.Listen(opt.ingestAddr); err != nil {
-		d.teardown()
-		return nil, err
-	}
-	if d.httpLn, err = net.Listen("tcp", opt.httpAddr); err != nil {
-		d.teardown()
-		return nil, fmt.Errorf("http listen: %w", err)
-	}
-	d.httpBound = d.httpLn.Addr()
-	d.http = newHTTPServer(d.mux(), defaultReadHeaderTimeout, defaultIdleTimeout)
-	if opt.debugAddr != "" {
-		if d.debugLn, err = net.Listen("tcp", opt.debugAddr); err != nil {
-			d.teardown()
-			return nil, fmt.Errorf("debug listen: %w", err)
-		}
-		d.debugBound = d.debugLn.Addr()
-		// pprof's CPU profile and trace handlers stream for their whole
-		// -seconds argument, so the debug server gets the header timeout
-		// but no idle cap beyond the generous default.
-		d.debug = newHTTPServer(d.debugMux(), defaultReadHeaderTimeout, defaultIdleTimeout)
-	}
-	return d, nil
-}
-
-// identityGate fronts the engine on the TCP ingest path: mcs.Report
-// identity fields are validated before the engine (or the WAL) sees the
-// report, so the refusal is counted and acked instead of admitting an
-// unroutable row.
-type identityGate struct {
-	next    mcs.Ingestor
-	invalid *atomic.Uint64
-	clock   fault.Clock
-}
-
-func (g *identityGate) Ingest(r mcs.Report) error {
-	if err := r.CheckIdentity(); err != nil {
-		g.invalid.Add(1)
-		return err
-	}
-	// Stamp at the door. StampIngest no-ops on a report a router already
-	// stamped, so freshness always measures from first contact.
-	mcs.StampIngest(&r, g.clock.Now(), mcs.OriginDirect)
-	return g.next.Ingest(r)
-}
-
-// teardown releases everything newDaemon acquired before a later step
-// failed, in reverse order of acquisition.
-func (d *daemon) teardown() {
-	if d.httpLn != nil {
-		_ = d.httpLn.Close()
-	}
-	if d.ingestAddr != nil {
-		_ = d.ingest.Close()
-	}
-	d.engine.Close()
-	if d.dur != nil {
-		_ = d.dur.log.Close()
-	}
-}
-
-// Default HTTP server timeouts. ReadHeaderTimeout bounds how long a
-// connection may dribble its request header; IdleTimeout reclaims
-// keep-alive connections that send nothing. Together they stop a
-// slowloris-style client from pinning sockets open indefinitely.
-const (
-	defaultReadHeaderTimeout = 10 * time.Second
-	defaultIdleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer builds an http.Server with the anti-slowloris timeouts
-// applied; tests pass short values to observe the disconnect.
-func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: readHeader,
-		IdleTimeout:       idle,
-	}
-}
-
-// recover_ restores the newest checkpoint into the engine and replays the
-// log tail through it. A missing checkpoint just means replay-from-zero.
-func recover_(engine *pipeline.Engine, dur *durability) (*recoveryInfo, error) {
-	began := time.Now()
-	info := &recoveryInfo{LogRecords: dur.log.AppendedIndex()}
-	ck, skipped, err := wal.LatestCheckpointFS(dur.fs(), dur.dir)
-	info.CheckpointsSkipped = skipped
-	if skipped > 0 {
-		dur.logger().Warn("skipped corrupt checkpoint(s) during recovery",
-			"dir", dur.dir, "skipped", skipped)
-	}
-	switch {
-	case err == nil:
-		if rerr := engine.Restore(ck); rerr != nil {
-			return nil, fmt.Errorf("restore checkpoint: %w", rerr)
-		}
-		if dur.ledger != nil {
-			// A version-1 checkpoint carries no blob; Restore(nil) resets the
-			// ledger and the replayed tail rebuilds what it can.
-			if rerr := dur.ledger.Restore(ck.Reputation); rerr != nil {
-				return nil, fmt.Errorf("restore reputation ledger: %w", rerr)
-			}
-		}
-		info.CheckpointIndex = ck.LogIndex
-		info.Fleets = len(ck.Shards)
-	case errors.Is(err, wal.ErrNoCheckpoint):
-		// Cold directory or checkpoints all corrupt: replay everything.
-		if dur.ledger != nil {
-			if rerr := dur.ledger.Restore(nil); rerr != nil {
-				return nil, fmt.Errorf("reset reputation ledger: %w", rerr)
-			}
-		}
-	default:
-		return nil, err
-	}
-	replayed, err := dur.log.Replay(info.CheckpointIndex, func(_ uint64, r mcs.Report) error {
-		if ierr := engine.Replay(r); ierr != nil {
-			info.ReplayRejected++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replay log: %w", err)
-	}
-	info.ReplayedRecords = replayed
-	info.DurationS = time.Since(began).Seconds()
-	dur.mu.Lock()
-	dur.windowsSeen = 0
-	dur.mu.Unlock()
-	return info, nil
-}
-
-// checkpointer writes a checkpoint every `every` closed windows, prunes
-// old checkpoints, and compacts log segments wholly behind the newest one.
-func (dur *durability) checkpointer(engine *pipeline.Engine) {
-	defer dur.wg.Done()
-	for {
-		select {
-		case <-dur.stop:
-			return
-		case <-dur.kick:
-		}
-		closed := engine.Stats().WindowsClosed
-		dur.mu.Lock()
-		due := closed >= dur.lastCkpt+dur.every
-		dur.mu.Unlock()
-		if !due {
-			continue
-		}
-		if err := dur.checkpointOnce(engine, closed); err != nil {
-			dur.mu.Lock()
-			dur.ckptErrs++
-			dur.lastErr = err.Error()
-			errs := dur.ckptErrs
-			dur.mu.Unlock()
-			dur.logger().Error("checkpoint failed",
-				"err", err, "windows_closed", closed, "consecutive_errors", errs)
-		}
-	}
-}
-
-// checkpointOnce snapshots, persists, prunes, and compacts.
-func (dur *durability) checkpointOnce(engine *pipeline.Engine, closed uint64) error {
-	ck, err := engine.Checkpoint()
-	if err != nil {
-		return err
-	}
-	if dur.ledger != nil {
-		// Checkpoint drained the engine first, so every window the snapshot
-		// covers has already been folded (OnResult fires before the window
-		// counts as processed) and the blob is consistent with the shards.
-		if ck.Reputation, err = dur.ledger.MarshalBinary(); err != nil {
-			return err
-		}
-	}
-	if _, err := wal.WriteCheckpointFS(dur.fs(), dur.dir, ck); err != nil {
-		return err
-	}
-	if _, err := wal.PruneCheckpointsFS(dur.fs(), dur.dir, 2); err != nil {
-		return err
-	}
-	if _, err := dur.log.Compact(ck.LogIndex); err != nil {
-		return err
-	}
-	dur.mu.Lock()
-	dur.lastCkpt = closed
-	dur.lastCkptAt = time.Now()
-	dur.ckpts++
-	dur.lastErr = ""
-	dur.mu.Unlock()
-	return nil
-}
-
-// stats snapshots the checkpointer counters.
-func (dur *durability) stats() checkpointStats {
-	dur.mu.Lock()
-	defer dur.mu.Unlock()
-	s := checkpointStats{Written: dur.ckpts, Errors: dur.ckptErrs, LastError: dur.lastErr}
-	if !dur.lastCkptAt.IsZero() {
-		s.LastUnixMicro = dur.lastCkptAt.UnixMicro()
-	}
-	return s
-}
-
-// serve starts the HTTP listeners immediately — /readyz answers 503 while
-// startup runs — and launches the startup goroutine, which performs
-// recovery (checkpoint restore + log replay) and only then opens the
-// ingest accept loop and the checkpointer. A recovery failure surfaces on
-// d.fatal like a listener failure.
-func (d *daemon) serve() {
-	go func() {
-		if err := d.http.Serve(d.httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			d.fatal <- fmt.Errorf("http: %w", err)
-		}
-	}()
-	if d.debug != nil {
+		attrs = append(attrs, "debug", ln.Addr().String())
 		go func() {
-			if err := d.debug.Serve(d.debugLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				d.fatal <- fmt.Errorf("debug http: %w", err)
+			if err := debug.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				debugFatal <- fmt.Errorf("debug http: %w", err)
 			}
 		}()
 	}
-	go d.startup()
-}
-
-// startup runs the recovery phase and flips the daemon ready.
-func (d *daemon) startup() {
-	defer close(d.startupDone)
-	if d.startupGate != nil {
-		<-d.startupGate
-	}
-	if d.dur != nil {
-		info, err := recover_(d.engine, d.dur)
-		if err != nil {
-			d.fatal <- fmt.Errorf("recovery: %w", err)
-			return
-		}
-		d.recMu.Lock()
-		d.recovery = info
-		d.recMu.Unlock()
-		d.log.Info("recovered durable state",
-			"dir", d.dur.dir,
-			"fleets", info.Fleets,
-			"replayed_records", info.ReplayedRecords,
-			"log_records", info.LogRecords,
-			"replay_rejected", info.ReplayRejected,
-			"checkpoint_index", info.CheckpointIndex,
-			"checkpoints_skipped_corrupt", info.CheckpointsSkipped,
-			"duration_s", info.DurationS)
-		d.dur.wg.Add(1)
-		go d.dur.checkpointer(d.engine)
-	}
-	d.ready.Store(true)
-	go func() {
-		if err := d.ingest.Serve(); err != nil {
-			d.fatal <- fmt.Errorf("ingest: %w", err)
-		}
-	}()
-}
-
-// close waits for the startup goroutine (recovery must not race the
-// drain), shuts the transport down first so no report arrives after the
-// engine stops, then drains the engine (Close flushes every open partial
-// window through detection), writes a final checkpoint, and closes the log.
-func (d *daemon) close() error {
-	<-d.startupDone
-	ready := d.ready.Load()
-	err := d.ingest.Close()
-	if herr := d.http.Close(); err == nil {
-		err = herr
-	}
-	if d.debug != nil {
-		if derr := d.debug.Close(); err == nil {
-			err = derr
-		}
-	}
-	if d.dur != nil {
-		close(d.dur.stop)
-		d.dur.wg.Wait()
-	}
-	if !ready {
-		// Startup failed: the engine may hold a half-restored state. Abort
-		// instead of draining it and leave the log alone — the next start
-		// recovers from what is durable, exactly as after a crash.
-		d.engine.Abort()
-		if d.dur != nil {
-			if lerr := d.dur.log.Close(); err == nil {
-				err = lerr
+	shutdown := func() error {
+		err := n.Close()
+		if debug != nil {
+			if derr := debug.Close(); err == nil {
+				err = derr
 			}
 		}
 		return err
 	}
-	d.engine.Close()
-	if d.dur != nil {
-		// Final checkpoint after the drain: every logged record has been
-		// applied and every open window flushed, so a clean restart
-		// restores this snapshot and replays nothing.
-		if ckErr := d.dur.checkpointOnce(d.engine, d.engine.Stats().WindowsClosed); ckErr != nil {
-			d.log.Error("final checkpoint failed", "err", ckErr)
-			if err == nil {
-				err = ckErr
-			}
-		}
-		if lerr := d.dur.log.Close(); err == nil {
-			err = lerr
-		}
+	n.Serve(n.Handler())
+	logger.Info("serving", attrs...)
+
+	var sig chan os.Signal
+	if stop == nil {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
 	}
-	return err
+	select {
+	case s := <-sig:
+		logger.Info("draining", "signal", s.String())
+	case <-stop:
+	case err := <-n.Fatal():
+		_ = shutdown()
+		return err
+	case err := <-debugFatal:
+		_ = shutdown()
+		return err
+	}
+	return shutdown()
 }
 
-func (d *daemon) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":   "ok",
-			"uptime_s": time.Since(d.started).Seconds(),
-		})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Liveness (/healthz) says "the process runs"; readiness says "the
-		// ingest accepts reports". During startup recovery the daemon is
-		// alive but must not receive traffic — the cluster router's prober
-		// keys off exactly this distinction.
-		if !d.ready.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "recovering",
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":   "ready",
-			"uptime_s": time.Since(d.started).Seconds(),
-		})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		payload := metricsPayload{Stats: d.engine.Stats()}
-		if d.dur != nil {
-			ws := d.dur.log.Stats()
-			payload.WAL = &ws
-			cs := d.dur.stats()
-			payload.Checkpoints = &cs
-		}
-		payload.Recovery = d.recoveryState()
-		payload.InvalidIdentity = d.invalidIdentity.Load()
-		if d.ledger != nil {
-			rs := d.ledger.Stats()
-			payload.Reputation = &rs
-		}
-		if obs.WantsJSON(r) {
-			writeJSON(w, http.StatusOK, payload)
-			return
-		}
-		w.Header().Set("Content-Type", obs.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(renderProm(payload, time.Since(d.started), d.runtime))
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.statusPayload())
-	})
-	mux.HandleFunc("GET /results", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"fleets": d.engine.Fleets()})
-	})
-	mux.HandleFunc("GET /results/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		fleet := r.PathValue("fleet")
-		res, err := d.engine.Latest(fleet)
-		switch {
-		case errors.Is(err, pipeline.ErrNoResult):
-			// The fleet exists but no window has completed: not an error,
-			// just nothing yet. 204 keeps "200 means a result" true.
-			w.WriteHeader(http.StatusNoContent)
-		case err != nil:
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-	})
-	mux.HandleFunc("GET /trace/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		fleet := r.PathValue("fleet")
-		if idStr := r.URL.Query().Get("id"); idStr != "" {
-			// Trace-ID lookup: one stamped report's end-to-end stage record.
-			id, err := obs.ParseTraceID(idStr)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-				return
-			}
-			tr, ok := d.engine.FindTrace(fleet, id)
-			if !ok {
-				writeJSON(w, http.StatusNotFound, map[string]any{
-					"error": fmt.Sprintf("no retained trace %s for fleet %q", idStr, fleet),
-				})
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"fleet": fleet, "traces": []obs.Trace{tr}})
-			return
-		}
-		spans, err := d.engine.Trace(fleet)
-		if err != nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-			return
-		}
-		traces, _ := d.engine.Traces(fleet)
-		writeJSON(w, http.StatusOK, map[string]any{"fleet": fleet, "spans": spans, "traces": traces})
-	})
-	mux.HandleFunc("GET /reputation", func(w http.ResponseWriter, r *http.Request) {
-		if d.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		writeJSON(w, http.StatusOK, d.ledger.Snapshot())
-	})
-	mux.HandleFunc("GET /reputation/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		if d.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		fleet := r.PathValue("fleet")
-		fs, ok := d.ledger.Fleet(fleet)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown fleet: " + fleet})
-			return
-		}
-		writeJSON(w, http.StatusOK, fs)
-	})
-	mux.HandleFunc("GET /reputation/{fleet}/{participant}", func(w http.ResponseWriter, r *http.Request) {
-		if d.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		fleet := r.PathValue("fleet")
-		part, err := strconv.Atoi(r.PathValue("participant"))
-		if err != nil || part < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "participant must be a non-negative integer"})
-			return
-		}
-		ps, ok := d.ledger.Participant(fleet, part)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]any{
-				"error": fmt.Sprintf("no trust row for participant %d of fleet %q", part, fleet),
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, ps)
-	})
-	return mux
-}
-
-// statusPayload assembles the /status operational overview: identity and
-// uptime, engine and freshness summary (quantiles, per-fleet lag), the
-// reputation gate census, and the durability recency signals.
-func (d *daemon) statusPayload() map[string]any {
-	st := d.engine.Stats()
-	byFleet := make(map[string]any, len(st.Freshness))
-	for name, ff := range st.Freshness {
-		byFleet[name] = map[string]any{
-			"watermark_slot":   ff.WatermarkSlot,
-			"window_lag":       ff.NextSeq - 1 - ff.LatestSeq,
-			"age_at_close":     pipeline.SummarizeFreshness(ff.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(ff.IngestToResult),
-		}
+// listenDebug binds the -debug-addr listener and returns a server for it
+// with pprof and build info, never mounted on the public sidecar. pprof's
+// CPU profile and trace handlers stream for their whole -seconds argument,
+// so the server gets the header timeout but no idle cap beyond the
+// generous default.
+func listenDebug(addr string, started time.Time) (*http.Server, net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("debug listen: %w", err)
 	}
-	payload := map[string]any{
-		"status":   "ok",
-		"ready":    d.ready.Load(),
-		"uptime_s": time.Since(d.started).Seconds(),
-		"build":    buildInfo(time.Since(d.started)),
-		"engine": map[string]any{
-			"ingested":          st.Ingested,
-			"rejected":          st.Rejected,
-			"reports_stamped":   st.ReportsStamped,
-			"reports_unstamped": st.ReportsUnstamped,
-			"windows_closed":    st.WindowsClosed,
-			"windows_processed": st.WindowsProcessed,
-			"queue_depth":       st.QueueDepth,
-			"queue_capacity":    st.QueueCapacity,
-			"fleets":            st.Fleets,
-		},
-		"freshness": map[string]any{
-			"age_at_close":     pipeline.SummarizeFreshness(st.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(st.IngestToResult),
-			"by_fleet":         byFleet,
-		},
-	}
-	if d.ledger != nil {
-		rs := d.ledger.Stats()
-		payload["reputation"] = map[string]any{
-			"fleets":         rs.Fleets,
-			"states":         rs.States,
-			"windows_folded": rs.Folded,
-		}
-	}
-	if d.dur != nil {
-		ws := d.dur.log.Stats()
-		cs := d.dur.stats()
-		payload["durability"] = map[string]any{
-			"data_dir":           d.dur.dir,
-			"fsync_policy":       d.dur.opt.Sync.String(),
-			"wal_last_append_us": ws.LastAppendUnixMicro,
-			"wal_last_fsync_us":  ws.LastFsyncUnixMicro,
-			"checkpoints":        cs,
-		}
-		if rec := d.recoveryState(); rec != nil {
-			payload["recovery"] = rec
-		}
-	}
-	return payload
-}
-
-// debugMux serves pprof and build info on the -debug-addr listener only,
-// never on the public sidecar.
-func (d *daemon) debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -955,48 +246,7 @@ func (d *daemon) debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /debug/buildinfo", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, buildInfo(time.Since(d.started)))
+		obs.WriteJSON(w, http.StatusOK, obs.BuildInfo(time.Since(started)))
 	})
-	return mux
-}
-
-// buildInfo assembles the /debug/buildinfo payload: module identity, VCS
-// state when the binary was built from a checkout, toolchain, and uptime.
-func buildInfo(uptime time.Duration) map[string]any {
-	info := map[string]any{
-		"go_version": runtime.Version(),
-		"uptime_s":   uptime.Seconds(),
-	}
-	if bi, ok := rdebug.ReadBuildInfo(); ok {
-		info["module"] = bi.Main.Path
-		if bi.Main.Version != "" {
-			info["version"] = bi.Main.Version
-		}
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision", "vcs.time", "vcs.modified":
-				info[s.Key] = s.Value
-			}
-		}
-	}
-	return info
-}
-
-// metricsPayload embeds the engine stats (flat, as before durability) and
-// adds the WAL, checkpointer, and recovery sections when durable.
-type metricsPayload struct {
-	pipeline.Stats
-	InvalidIdentity uint64                  `json:"reports_invalid_identity"`
-	WAL             *wal.Stats              `json:"wal,omitempty"`
-	Checkpoints     *checkpointStats        `json:"checkpoints,omitempty"`
-	Recovery        *recoveryInfo           `json:"recovery,omitempty"`
-	Reputation      *reputation.LedgerStats `json:"reputation,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return obs.NewHTTPServer(mux), ln, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"itscs/internal/corrupt"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/obs"
 	"itscs/internal/pipeline"
 	"itscs/internal/trace"
@@ -44,14 +45,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 	cfg.WindowSlots = w
 	cfg.HopSlots = h
 	cfg.Workers = 1
-	d, err := newDaemon(cfg, daemonOptions{ingestAddr: "127.0.0.1:0", httpAddr: "127.0.0.1:0", idle: time.Minute})
+	d, err := node.New(node.Config{Engine: cfg, IngestAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", IdleTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.serve()
+	d.Serve(d.Handler())
 	waitReady(t, d)
 	defer func() {
-		if err := d.close(); err != nil {
+		if err := d.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
@@ -87,10 +88,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// event to wait on, not a condition to poll for. The engine stores the
 	// latest result before publishing, so once the subscription fires the
 	// HTTP endpoint is guaranteed to serve it.
-	results, cancel := d.engine.Subscribe(16)
+	results, cancel := d.Engine().Subscribe(16)
 	defer cancel()
 
-	acked, err := mcs.SendReports(context.Background(), d.ingestAddr.String(), reports)
+	acked, err := mcs.SendReports(context.Background(), d.IngestAddr().String(), reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("acked %d of %d reports", acked, len(reports))
 	}
 
-	base := "http://" + d.httpBound.String()
+	base := "http://" + d.HTTPAddr().String()
 
 	select {
 	case <-results:
@@ -198,16 +199,19 @@ func TestDaemonDurableRestart(t *testing.T) {
 		h = 20
 	)
 	dir := t.TempDir()
-	newDur := func() *durability {
-		opt := wal.DefaultOptions()
-		opt.Sync = wal.SyncInterval
-		return &durability{dir: dir, opt: opt, every: 2}
-	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Participants = n
 	cfg.WindowSlots = w
 	cfg.HopSlots = h
 	cfg.Workers = 1
+	newCfg := func() node.Config {
+		opt := wal.DefaultOptions()
+		opt.Sync = wal.SyncInterval
+		return node.Config{
+			Engine: cfg, IngestAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", IdleTimeout: time.Minute,
+			DataDir: dir, WAL: opt, CheckpointEvery: 2,
+		}
+	}
 
 	tcfg := trace.DefaultConfig()
 	tcfg.Participants = n
@@ -241,34 +245,34 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 
 	// First life: stream the first 50 slots, then shut down gracefully.
-	d1, err := newDaemon(cfg, daemonOptions{ingestAddr: "127.0.0.1:0", httpAddr: "127.0.0.1:0", idle: time.Minute, dur: newDur()})
+	d1, err := node.New(newCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1.serve()
+	d1.Serve(d1.Handler())
 	waitReady(t, d1)
 	first := reports(0, 50)
-	if acked, err := mcs.SendReports(context.Background(), d1.ingestAddr.String(), first); err != nil || acked != len(first) {
+	if acked, err := mcs.SendReports(context.Background(), d1.IngestAddr().String(), first); err != nil || acked != len(first) {
 		t.Fatalf("first life acked %d of %d, err %v", acked, len(first), err)
 	}
-	if err := d1.close(); err != nil {
+	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second life: the shutdown checkpoint covers every logged record, so a
 	// clean restart restores the fleet and replays nothing.
-	d2, err := newDaemon(cfg, daemonOptions{ingestAddr: "127.0.0.1:0", httpAddr: "127.0.0.1:0", idle: time.Minute, dur: newDur()})
+	d2, err := node.New(newCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.serve()
+	d2.Serve(d2.Handler())
 	waitReady(t, d2)
 	defer func() {
-		if err := d2.close(); err != nil {
+		if err := d2.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	rec := d2.recoveryState()
+	rec := d2.Recovery()
 	if rec == nil {
 		t.Fatal("restart reported no recovery")
 	}
@@ -279,15 +283,15 @@ func TestDaemonDurableRestart(t *testing.T) {
 	// Subscribe before streaming the second life so the window that spans
 	// the restart — ring state from the checkpoint plus fresh slots — is an
 	// event, not a polling target.
-	results, cancel := d2.engine.Subscribe(16)
+	results, cancel := d2.Engine().Subscribe(16)
 	defer cancel()
 
 	rest := reports(50, tcfg.Slots)
-	if acked, err := mcs.SendReports(context.Background(), d2.ingestAddr.String(), rest); err != nil || acked != len(rest) {
+	if acked, err := mcs.SendReports(context.Background(), d2.IngestAddr().String(), rest); err != nil || acked != len(rest) {
 		t.Fatalf("second life acked %d of %d, err %v", acked, len(rest), err)
 	}
 
-	base := "http://" + d2.httpBound.String()
+	base := "http://" + d2.HTTPAddr().String()
 	select {
 	case <-results:
 	case <-time.After(2 * time.Minute):
@@ -303,8 +307,8 @@ func TestDaemonDurableRestart(t *testing.T) {
 
 	var m struct {
 		pipeline.Stats
-		WAL      *wal.Stats    `json:"wal"`
-		Recovery *recoveryInfo `json:"recovery"`
+		WAL      *wal.Stats     `json:"wal"`
+		Recovery *node.Recovery `json:"recovery"`
 	}
 	if status, err := getJSON(base+"/metrics?format=json", &m); err != nil || status != http.StatusOK {
 		t.Fatalf("metrics: status %d err %v", status, err)
@@ -317,16 +321,12 @@ func TestDaemonDurableRestart(t *testing.T) {
 	}
 }
 
-// waitReady blocks until the daemon's startup phase (recovery included)
+// waitReady blocks until the node's startup phase (recovery included)
 // has completed and ingest is accepting.
-func waitReady(t *testing.T, d *daemon) {
+func waitReady(t *testing.T, d *node.Node) {
 	t.Helper()
-	deadline := time.Now().Add(time.Minute)
-	for !d.ready.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never became ready")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := d.WaitReady(); err != nil {
+		t.Fatalf("node never became ready: %v", err)
 	}
 }
 
@@ -342,17 +342,20 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 	cfg.WindowSlots = 16
 	cfg.HopSlots = 8
 	cfg.Workers = 1
-	d, err := newDaemon(cfg, daemonOptions{
-		ingestAddr:  "127.0.0.1:0",
-		httpAddr:    "127.0.0.1:0",
-		idle:        time.Minute,
-		dur:         &durability{dir: t.TempDir(), opt: opt, every: 2},
-		startupGate: gate,
+	d, err := node.New(node.Config{
+		Engine:          cfg,
+		IngestAddr:      "127.0.0.1:0",
+		HTTPAddr:        "127.0.0.1:0",
+		IdleTimeout:     time.Minute,
+		DataDir:         t.TempDir(),
+		WAL:             opt,
+		CheckpointEvery: 2,
+		StartupGate:     gate,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.serve()
+	d.Serve(d.Handler())
 	released := false
 	release := func() {
 		if !released {
@@ -362,12 +365,12 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 	}
 	defer func() {
 		release()
-		if err := d.close(); err != nil {
+		if err := d.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
 
-	base := "http://" + d.httpBound.String()
+	base := "http://" + d.HTTPAddr().String()
 	var health struct {
 		Status string `json:"status"`
 	}
@@ -387,7 +390,7 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 	if status, err := getJSON(base+"/readyz", &readiness); err != nil || status != http.StatusOK || readiness.Status != "ready" {
 		t.Fatalf("readyz after recovery: status %d body %+v err %v", status, readiness, err)
 	}
-	acked, err := mcs.SendReports(context.Background(), d.ingestAddr.String(),
+	acked, err := mcs.SendReports(context.Background(), d.IngestAddr().String(),
 		[]mcs.Report{{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}})
 	if err != nil || acked != 1 {
 		t.Fatalf("post-ready ingest: acked %d err %v", acked, err)

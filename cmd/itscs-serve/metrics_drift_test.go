@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"itscs/internal/metrics"
+	"itscs/internal/node"
 	"itscs/internal/obs"
 	"itscs/internal/obs/obstest"
 	"itscs/internal/pipeline"
@@ -26,7 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden metric-name li
 // and the golden diff is reviewed like any other contract change.
 func TestMetricsDrift(t *testing.T) {
 	hist := pipeline.HistogramSnapshot{Count: 1, SumMS: 5, Buckets: map[int64]uint64{-1: 1}}
-	payload := metricsPayload{
+	payload := node.Metrics{
 		Stats: pipeline.Stats{
 			WindowsDroppedByFleet: map[string]uint64{"cab": 1},
 			PhaseLatency:          map[string]pipeline.HistogramSnapshot{"run": hist},
@@ -37,14 +38,14 @@ func TestMetricsDrift(t *testing.T) {
 			},
 		},
 		WAL:         &wal.Stats{FsyncLatency: metrics.HistogramSnapshot{Count: 1, SumMS: 1, Buckets: map[int64]uint64{-1: 1}}},
-		Checkpoints: &checkpointStats{Written: 1},
-		Recovery:    &recoveryInfo{},
+		Checkpoints: &node.CheckpointStats{Written: 1},
+		Recovery:    &node.Recovery{},
 		Reputation: &reputation.LedgerStats{
 			States:      map[string]int{},
 			Transitions: []reputation.TransitionCount{{From: "clean", To: "probation", Count: 1}},
 		},
 	}
-	body := renderProm(payload, time.Second, obs.NewRuntime())
+	body := node.RenderProm(payload, time.Second, obs.NewRuntime())
 	if err := obs.LintExposition(body); err != nil {
 		t.Fatalf("exposition failed lint: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/obs"
 	"itscs/internal/obs/obstest"
 	"itscs/internal/pipeline"
@@ -16,31 +17,31 @@ import (
 	"itscs/internal/wal"
 )
 
-// bootDaemon starts a small daemon and registers its shutdown.
-func bootDaemon(t *testing.T, opt daemonOptions) *daemon {
+// bootDaemon starts a small node and registers its shutdown.
+func bootDaemon(t *testing.T, cfg node.Config) *node.Node {
 	t.Helper()
-	cfg := pipeline.DefaultConfig()
-	cfg.Participants = 8
-	cfg.WindowSlots = 16
-	cfg.HopSlots = 8
-	cfg.Workers = 1
-	if opt.ingestAddr == "" {
-		opt.ingestAddr = "127.0.0.1:0"
+	cfg.Engine = pipeline.DefaultConfig()
+	cfg.Engine.Participants = 8
+	cfg.Engine.WindowSlots = 16
+	cfg.Engine.HopSlots = 8
+	cfg.Engine.Workers = 1
+	if cfg.IngestAddr == "" {
+		cfg.IngestAddr = "127.0.0.1:0"
 	}
-	if opt.httpAddr == "" {
-		opt.httpAddr = "127.0.0.1:0"
+	if cfg.HTTPAddr == "" {
+		cfg.HTTPAddr = "127.0.0.1:0"
 	}
-	if opt.idle == 0 {
-		opt.idle = time.Minute
+	if cfg.IdleTimeout == 0 {
+		cfg.IdleTimeout = time.Minute
 	}
-	d, err := newDaemon(cfg, opt)
+	d, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.serve()
+	d.Serve(d.Handler())
 	waitReady(t, d)
 	t.Cleanup(func() {
-		if err := d.close(); err != nil {
+		if err := d.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	})
@@ -56,15 +57,15 @@ func TestMetricsExposition(t *testing.T) {
 	opt := wal.DefaultOptions()
 	opt.Sync = wal.SyncInterval
 	rep := reputation.DefaultConfig()
-	d := bootDaemon(t, daemonOptions{
-		dur: &durability{dir: t.TempDir(), opt: opt, every: 2},
-		rep: &rep,
+	d := bootDaemon(t, node.Config{
+		DataDir: t.TempDir(), WAL: opt, CheckpointEvery: 2,
+		Reputation: &rep,
 	})
-	if err := d.engine.Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
+	if err := d.Engine().Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 
-	base := "http://" + d.httpBound.String()
+	base := "http://" + d.HTTPAddr().String()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +126,8 @@ func TestMetricsExposition(t *testing.T) {
 // daemon — the same checker the router's suite runs, so the two /metrics
 // endpoints cannot drift apart on Content-Type handling.
 func TestMetricsConformance(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{})
-	if err := obstest.CheckMetricsConformance("http://" + d.httpBound.String()); err != nil {
+	d := bootDaemon(t, node.Config{})
+	if err := obstest.CheckMetricsConformance("http://" + d.HTTPAddr().String()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,11 +138,9 @@ func TestMetricsConformance(t *testing.T) {
 func TestStatusEndpoint(t *testing.T) {
 	opt := wal.DefaultOptions()
 	opt.Sync = wal.SyncInterval
-	d := bootDaemon(t, daemonOptions{
-		dur: &durability{dir: t.TempDir(), opt: opt, every: 2},
-	})
-	base := "http://" + d.httpBound.String()
-	if err := d.engine.Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
+	d := bootDaemon(t, node.Config{DataDir: t.TempDir(), WAL: opt, CheckpointEvery: 2})
+	base := "http://" + d.HTTPAddr().String()
+	if err := d.Engine().Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,12 +196,12 @@ func TestStatusEndpoint(t *testing.T) {
 // window for answers 204, clearly distinct from both a result (200) and
 // an unknown fleet (404).
 func TestResultsNoContentBeforeFirstWindow(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{})
-	if err := d.engine.Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
+	d := bootDaemon(t, node.Config{})
+	if err := d.Engine().Ingest(mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 
-	base := "http://" + d.httpBound.String()
+	base := "http://" + d.HTTPAddr().String()
 	resp, err := http.Get(base + "/results/cab")
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +246,14 @@ func TestResultsNoContentBeforeFirstWindow(t *testing.T) {
 // TestDebugListener checks that -debug-addr exposes pprof and build info
 // on its own listener and that the public sidecar does not serve them.
 func TestDebugListener(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{debugAddr: "127.0.0.1:0"})
-	if d.debugBound == nil {
-		t.Fatal("debug listener not bound")
+	d := bootDaemon(t, node.Config{})
+	srv, ln, err := listenDebug("127.0.0.1:0", time.Now())
+	if err != nil {
+		t.Fatal("debug listener not bound: ", err)
 	}
-	debug := "http://" + d.debugBound.String()
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	debug := "http://" + ln.Addr().String()
 
 	var bi map[string]any
 	if status, err := getJSON(debug+"/debug/buildinfo", &bi); err != nil || status != http.StatusOK {
@@ -272,7 +274,7 @@ func TestDebugListener(t *testing.T) {
 	}
 
 	// The public sidecar must not leak the profiler.
-	resp, err = http.Get("http://" + d.httpBound.String() + "/debug/pprof/goroutine")
+	resp, err = http.Get("http://" + d.HTTPAddr().String() + "/debug/pprof/goroutine")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,21 +289,22 @@ func TestDebugListener(t *testing.T) {
 // values must actually disconnect a client that stalls mid-header and an
 // idle keep-alive connection.
 func TestHTTPServerTimeouts(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{})
-	if d.http.ReadHeaderTimeout != defaultReadHeaderTimeout {
-		t.Errorf("ReadHeaderTimeout = %v, want %v", d.http.ReadHeaderTimeout, defaultReadHeaderTimeout)
+	d := bootDaemon(t, node.Config{})
+	if srv := d.HTTPServer(); srv.ReadHeaderTimeout != obs.ReadHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, obs.ReadHeaderTimeout)
 	}
-	if d.http.IdleTimeout != defaultIdleTimeout {
-		t.Errorf("IdleTimeout = %v, want %v", d.http.IdleTimeout, defaultIdleTimeout)
+	if srv := d.HTTPServer(); srv.IdleTimeout != obs.IdleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, obs.IdleTimeout)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := obs.NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	}), 150*time.Millisecond, 150*time.Millisecond)
+	}))
+	srv.ReadHeaderTimeout, srv.IdleTimeout = 150*time.Millisecond, 150*time.Millisecond
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 

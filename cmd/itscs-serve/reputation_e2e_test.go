@@ -9,6 +9,7 @@ import (
 
 	"itscs/internal/corrupt"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
 	"itscs/internal/trace"
@@ -88,16 +89,17 @@ func TestReputationEndpointsE2E(t *testing.T) {
 		faultyFrom = 22
 	)
 	rep := reputation.DefaultConfig()
-	d2, err := newDaemon(repDaemonConfig(n, w, h), daemonOptions{
-		ingestAddr: "127.0.0.1:0", httpAddr: "127.0.0.1:0", idle: time.Minute, rep: &rep,
+	d2, err := node.New(node.Config{
+		Engine:     repDaemonConfig(n, w, h),
+		IngestAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", IdleTimeout: time.Minute, Reputation: &rep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.serve()
+	d2.Serve(d2.Handler())
 	waitReady(t, d2)
 	defer func() {
-		if err := d2.close(); err != nil {
+		if err := d2.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
@@ -111,15 +113,15 @@ func TestReputationEndpointsE2E(t *testing.T) {
 		for hi < len(reports) && reports[hi].Slot < end {
 			hi++
 		}
-		acked, err := mcs.SendReports(context.Background(), d2.ingestAddr.String(), reports[lo:hi])
+		acked, err := mcs.SendReports(context.Background(), d2.IngestAddr().String(), reports[lo:hi])
 		if err != nil || acked != hi-lo {
 			t.Fatalf("hop %d: acked %d of %d, err %v", k, acked, hi-lo, err)
 		}
-		waitWindows(t, d2.engine, uint64(k))
+		waitWindows(t, d2.Engine(), uint64(k))
 		lo = hi
 	}
 
-	base := "http://" + d2.httpBound.String()
+	base := "http://" + d2.HTTPAddr().String()
 	var snap reputation.Snapshot
 	if status, err := getJSON(base+"/reputation", &snap); err != nil || status != http.StatusOK {
 		t.Fatalf("/reputation: status %d err %v", status, err)
@@ -176,7 +178,7 @@ func TestReputationEndpointsE2E(t *testing.T) {
 	}
 
 	// The gate conservation law holds on the live counters.
-	st := d2.engine.Stats()
+	st := d2.Engine().Stats()
 	if st.AdmittedClean+st.TaggedQuarantined+st.TaggedProbation != st.Ingested {
 		t.Errorf("gate counters do not conserve: clean %d + quarantined %d + probation %d != ingested %d",
 			st.AdmittedClean, st.TaggedQuarantined, st.TaggedProbation, st.Ingested)
@@ -191,8 +193,8 @@ func TestReputationEndpointsE2E(t *testing.T) {
 // TestReputationDisabled pins the -reputation=false shape: every
 // /reputation route 404s with an explanatory error.
 func TestReputationDisabled(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{})
-	base := "http://" + d.httpBound.String()
+	d := bootDaemon(t, node.Config{})
+	base := "http://" + d.HTTPAddr().String()
 	var errBody struct {
 		Error string `json:"error"`
 	}
@@ -210,13 +212,13 @@ func TestReputationDisabled(t *testing.T) {
 // identity through the TCP transport: they are nacked, counted, and never
 // reach the engine.
 func TestInvalidIdentityRefusedAtDoor(t *testing.T) {
-	d := bootDaemon(t, daemonOptions{})
+	d := bootDaemon(t, node.Config{})
 	good := mcs.Report{Fleet: "cab", Participant: 0, Slot: 0, X: 1, Y: 2}
 	bad := []mcs.Report{
 		{Fleet: "", Participant: 0, Slot: 1, X: 1, Y: 2},
 		{Fleet: "cab", Participant: -1, Slot: 2, X: 1, Y: 2},
 	}
-	acked, err := mcs.SendReports(context.Background(), d.ingestAddr.String(),
+	acked, err := mcs.SendReports(context.Background(), d.IngestAddr().String(),
 		append([]mcs.Report{good}, bad...))
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +226,10 @@ func TestInvalidIdentityRefusedAtDoor(t *testing.T) {
 	if acked != 1 {
 		t.Fatalf("acked %d, want only the valid report", acked)
 	}
-	if got := d.invalidIdentity.Load(); got != uint64(len(bad)) {
+	if got := d.InvalidIdentity(); got != uint64(len(bad)) {
 		t.Fatalf("invalid_identity = %d, want %d", got, len(bad))
 	}
-	if st := d.engine.Stats(); st.Ingested != 1 {
+	if st := d.Engine().Stats(); st.Ingested != 1 {
 		t.Fatalf("engine ingested %d, want 1 — an invalid identity leaked through", st.Ingested)
 	}
 
@@ -235,7 +237,7 @@ func TestInvalidIdentityRefusedAtDoor(t *testing.T) {
 	var m struct {
 		InvalidIdentity uint64 `json:"reports_invalid_identity"`
 	}
-	base := "http://" + d.httpBound.String()
+	base := "http://" + d.HTTPAddr().String()
 	if status, err := getJSON(base+"/metrics?format=json", &m); err != nil || status != http.StatusOK {
 		t.Fatalf("metrics: status %d err %v", status, err)
 	}
@@ -254,51 +256,52 @@ func TestDaemonRestartPreservesLedger(t *testing.T) {
 		faultyFrom = 10
 	)
 	dir := t.TempDir()
-	newOpts := func() daemonOptions {
+	newCfg := func() node.Config {
 		opt := wal.DefaultOptions()
 		opt.Sync = wal.SyncInterval
 		rep := reputation.DefaultConfig()
-		return daemonOptions{
-			ingestAddr: "127.0.0.1:0", httpAddr: "127.0.0.1:0", idle: time.Minute,
-			dur: &durability{dir: dir, opt: opt, every: 2},
-			rep: &rep,
+		return node.Config{
+			Engine:     repDaemonConfig(n, w, h),
+			IngestAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", IdleTimeout: time.Minute,
+			DataDir: dir, WAL: opt, CheckpointEvery: 2,
+			Reputation: &rep,
 		}
 	}
 
-	d1, err := newDaemon(repDaemonConfig(n, w, h), newOpts())
+	d1, err := node.New(newCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1.serve()
+	d1.Serve(d1.Handler())
 	waitReady(t, d1)
 	reports := faultyFleetReports(t, "cab", n, slots, faultyFrom)
-	if acked, err := mcs.SendReports(context.Background(), d1.ingestAddr.String(), reports); err != nil || acked != len(reports) {
+	if acked, err := mcs.SendReports(context.Background(), d1.IngestAddr().String(), reports); err != nil || acked != len(reports) {
 		t.Fatalf("acked %d of %d, err %v", acked, len(reports), err)
 	}
-	waitWindows(t, d1.engine, uint64((slots-w)/h))
-	if err := d1.close(); err != nil {
+	waitWindows(t, d1.Engine(), uint64((slots-w)/h))
+	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := d1.ledger.MarshalBinary()
+	want, err := d1.Ledger().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.ledger.Stats().Folded == 0 {
+	if d1.Ledger().Stats().Folded == 0 {
 		t.Fatal("first life folded nothing — the comparison would be vacuous")
 	}
 
-	d2, err := newDaemon(repDaemonConfig(n, w, h), newOpts())
+	d2, err := node.New(newCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.serve()
+	d2.Serve(d2.Handler())
 	waitReady(t, d2)
 	defer func() {
-		if err := d2.close(); err != nil {
+		if err := d2.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	got, err := d2.ledger.MarshalBinary()
+	got, err := d2.Ledger().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

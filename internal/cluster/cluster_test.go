@@ -2,8 +2,10 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -39,6 +41,37 @@ func specs(backends []*clustertest.Backend) []cluster.Backend {
 		out[i] = b.Spec()
 	}
 	return out
+}
+
+// TestBackendRefusesInvalidIdentityAtDoor sends a report with an empty
+// fleet straight to a backend's TCP door, bypassing the router: the
+// backend is the daemon's node, so its identity gate nacks the report and
+// counts the refusal under /metrics.
+func TestBackendRefusesInvalidIdentityAtDoor(t *testing.T) {
+	b := startBackends(t, 1)[0]
+	acked, err := mcs.SendReports(context.Background(), b.IngestAddr(),
+		[]mcs.Report{{Fleet: "", Participant: 0, Slot: 0, X: 1, Y: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked != 0 {
+		t.Fatalf("acked %d, want the empty-fleet report refused with an err ack", acked)
+	}
+	resp, err := http.Get("http://" + b.HTTPAddr() + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		InvalidIdentity uint64 `json:"reports_invalid_identity"`
+		Ingested        uint64 `json:"ingested"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.InvalidIdentity != 1 || m.Ingested != 0 {
+		t.Fatalf("metrics reports_invalid_identity %d ingested %d, want 1 and 0", m.InvalidIdentity, m.Ingested)
+	}
 }
 
 // TestProberLifecycle drives admit → eject → readmit through /readyz

@@ -1,27 +1,22 @@
-// Package clustertest runs miniature itscs-serve backends in-process for
-// cluster tests: the real pipeline engine behind the real mcs TCP ingest
-// and an HTTP sidecar with the daemon's read surface (/healthz, /readyz,
-// /results, /results/{fleet}, /metrics, /reputation...). Tests get the
-// daemon's observable contract — including a gateable /readyz — without
-// forking binaries, and can kill a backend abruptly or restart it on the
-// same addresses. With DataDir set the backend is durable the way the
-// daemon is: acked reports go through the WAL, Checkpoint persists shard
-// state plus the reputation ledger, and Start recovers both before the
-// listeners open.
+// Package clustertest runs in-process itscs-serve backends for cluster
+// tests. Each Backend is a thin adapter over node.Node, the composition
+// the daemon itself runs — identity-gated and stamping ingest door, HTTP
+// surface (Prometheus /metrics included), reputation ledger, WAL,
+// two-phase startup recovery and automatic checkpoints every
+// node.DefaultCheckpointEvery closed windows — so router and chaos tests
+// exercise the daemon's behaviour without forking binaries. Tests can kill
+// a backend abruptly or restart it on the same addresses, and can hold its
+// /readyz at 503 with a test-only override mounted in front of the node's
+// handler.
 package clustertest
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
 	"net/http"
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"itscs/internal/cluster"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/obs"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
@@ -43,338 +38,78 @@ type Options struct {
 	// admission gate and window-fold observer, exposed under /reputation.
 	Reputation *reputation.Config
 	// DataDir, when non-empty, makes the backend durable: acked reports are
-	// WAL-framed, Checkpoint/Close persist state, and Start recovers it.
+	// WAL-framed, state is checkpointed automatically and by Checkpoint and
+	// Close, and Start recovers it.
 	DataDir string
 	// WAL overrides the log options when durable; nil uses DefaultOptions
 	// with SyncAlways, so a Kill loses nothing that was acked.
 	WAL *wal.Options
 }
 
-// Backend is one in-process mini itscs-serve.
+// Backend is one in-process itscs-serve node.
 type Backend struct {
-	engine *pipeline.Engine
-	ledger *reputation.Ledger
-	log    *wal.Log
-	dir    string
-	ingest *mcs.Server
-	http   *http.Server
-	httpLn net.Listener
-
-	ingestAddr net.Addr
-	httpAddr   net.Addr
-	ready      atomic.Bool
-
-	mu     sync.Mutex
-	closed bool
-	serve  sync.WaitGroup
+	*node.Node
+	unready atomic.Bool
 }
 
-// Start boots a backend: engine, TCP ingest, HTTP sidecar. A durable
-// backend first recovers the newest checkpoint (shards and ledger) and
-// replays the log tail, exactly like the daemon, before listening.
+// Start boots a backend and returns once startup recovery has finished
+// and ingest accepts reports.
 func Start(opt Options) (*Backend, error) {
-	if opt.IngestAddr == "" {
-		opt.IngestAddr = "127.0.0.1:0"
+	cfg := node.Config{
+		Engine:          opt.Config,
+		IngestAddr:      opt.IngestAddr,
+		HTTPAddr:        opt.HTTPAddr,
+		IdleTimeout:     mcs.DefaultIdleTimeout,
+		Reputation:      opt.Reputation,
+		DataDir:         opt.DataDir,
+		CheckpointEvery: node.DefaultCheckpointEvery,
 	}
-	if opt.HTTPAddr == "" {
-		opt.HTTPAddr = "127.0.0.1:0"
+	if cfg.IngestAddr == "" {
+		cfg.IngestAddr = "127.0.0.1:0"
 	}
-	cfg := opt.Config
-	b := &Backend{dir: opt.DataDir}
-	if opt.Reputation != nil {
-		ledger, err := reputation.New(*opt.Reputation)
-		if err != nil {
-			return nil, err
-		}
-		b.ledger = ledger
-		cfg.Gate = ledger
-		cfg.OnResult = ledger.Fold
+	if cfg.HTTPAddr == "" {
+		cfg.HTTPAddr = "127.0.0.1:0"
 	}
-	if opt.DataDir != "" {
-		wopt := wal.DefaultOptions()
-		wopt.Sync = wal.SyncAlways
-		if opt.WAL != nil {
-			wopt = *opt.WAL
-		}
-		log, err := wal.Open(opt.DataDir, wopt)
-		if err != nil {
-			return nil, err
-		}
-		b.log = log
-		cfg.Log = log
+	if opt.WAL != nil {
+		cfg.WAL = *opt.WAL
+	} else {
+		cfg.WAL = wal.DefaultOptions()
+		cfg.WAL.Sync = wal.SyncAlways
 	}
-	engine, err := pipeline.New(cfg)
+	n, err := node.New(cfg)
 	if err != nil {
-		if b.log != nil {
-			_ = b.log.Close()
-		}
 		return nil, err
 	}
-	b.engine = engine
-	if b.log != nil {
-		if err := b.recover(); err != nil {
-			engine.Abort()
-			_ = b.log.Close()
-			return nil, err
-		}
-	}
-	b.ingest = mcs.NewServer(engine)
-	b.ready.Store(!opt.StartUnready)
-	if b.ingestAddr, err = b.ingest.Listen(opt.IngestAddr); err != nil {
-		engine.Close()
-		if b.log != nil {
-			_ = b.log.Close()
-		}
+	b := &Backend{Node: n}
+	b.unready.Store(opt.StartUnready)
+	n.Serve(b.readyOverride(n.Handler()))
+	if err := n.WaitReady(); err != nil {
+		_ = n.Kill()
 		return nil, err
 	}
-	if b.httpLn, err = net.Listen("tcp", opt.HTTPAddr); err != nil {
-		_ = b.ingest.Close()
-		engine.Close()
-		if b.log != nil {
-			_ = b.log.Close()
-		}
-		return nil, fmt.Errorf("clustertest: http listen: %w", err)
-	}
-	b.httpAddr = b.httpLn.Addr()
-	b.http = &http.Server{Handler: b.mux()}
-	b.serve.Add(2)
-	go func() {
-		defer b.serve.Done()
-		_ = b.ingest.Serve()
-	}()
-	go func() {
-		defer b.serve.Done()
-		_ = b.http.Serve(b.httpLn)
-	}()
 	return b, nil
 }
 
-// recover restores the newest checkpoint into the engine and ledger and
-// replays the log tail, mirroring the daemon's startup.
-func (b *Backend) recover() error {
-	var fromIndex uint64
-	ck, _, err := wal.LatestCheckpoint(b.dir)
-	switch {
-	case err == nil:
-		if rerr := b.engine.Restore(ck); rerr != nil {
-			return fmt.Errorf("clustertest: restore checkpoint: %w", rerr)
+// readyOverride answers /readyz with 503 while the backend is held
+// unready and passes everything else to the node.
+func (b *Backend) readyOverride(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" && b.unready.Load() {
+			obs.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "recovering"})
+			return
 		}
-		if b.ledger != nil {
-			if rerr := b.ledger.Restore(ck.Reputation); rerr != nil {
-				return fmt.Errorf("clustertest: restore ledger: %w", rerr)
-			}
-		}
-		fromIndex = ck.LogIndex
-	case errors.Is(err, wal.ErrNoCheckpoint):
-		if b.ledger != nil {
-			if rerr := b.ledger.Restore(nil); rerr != nil {
-				return rerr
-			}
-		}
-	default:
-		return err
-	}
-	_, err = b.log.Replay(fromIndex, func(_ uint64, r mcs.Report) error {
-		_ = b.engine.Replay(r) // rejects (late, duplicate) are expected on overlap
-		return nil
+		next.ServeHTTP(w, r)
 	})
-	return err
 }
 
-// Checkpoint persists the engine's shard state plus the ledger blob and
-// compacts the log behind it. Only valid on a durable backend.
-func (b *Backend) Checkpoint() error {
-	if b.log == nil {
-		return errors.New("clustertest: backend is not durable")
-	}
-	ck, err := b.engine.Checkpoint()
-	if err != nil {
-		return err
-	}
-	if b.ledger != nil {
-		if ck.Reputation, err = b.ledger.MarshalBinary(); err != nil {
-			return err
-		}
-	}
-	if _, err := wal.WriteCheckpoint(b.dir, ck); err != nil {
-		return err
-	}
-	if _, err := wal.PruneCheckpoints(b.dir, 2); err != nil {
-		return err
-	}
-	_, err = b.log.Compact(ck.LogIndex)
-	return err
-}
-
-// Engine exposes the backend's pipeline engine for direct assertions.
-func (b *Backend) Engine() *pipeline.Engine { return b.engine }
-
-// Ledger exposes the backend's trust ledger (nil unless Options.Reputation
-// was set).
-func (b *Backend) Ledger() *reputation.Ledger { return b.ledger }
+// SetReady moves /readyz between the node's own answer and 503.
+func (b *Backend) SetReady(ready bool) { b.unready.Store(!ready) }
 
 // IngestAddr and HTTPAddr return the bound listener addresses.
-func (b *Backend) IngestAddr() string { return b.ingestAddr.String() }
-func (b *Backend) HTTPAddr() string   { return b.httpAddr.String() }
+func (b *Backend) IngestAddr() string { return b.Node.IngestAddr().String() }
+func (b *Backend) HTTPAddr() string   { return b.Node.HTTPAddr().String() }
 
 // Spec describes the backend the way the router's -backends flag would.
 func (b *Backend) Spec() cluster.Backend {
 	return cluster.Backend{Name: b.IngestAddr(), Ingest: b.IngestAddr(), HTTP: b.HTTPAddr()}
-}
-
-// SetReady moves /readyz between 200 and 503.
-func (b *Backend) SetReady(ready bool) { b.ready.Store(ready) }
-
-// Close shuts the backend down gracefully: the transport first so no
-// report arrives after the engine stops, then the engine (draining every
-// open window through detection). A durable backend writes a final
-// checkpoint so a restart replays nothing.
-func (b *Backend) Close() error { return b.stop(true) }
-
-// Kill shuts the backend down abruptly — listeners torn down, engine
-// aborted with queued windows discarded, no final checkpoint — the
-// observable shape of a crashed process. Under SyncAlways everything acked
-// is already on disk, so a restart recovers exactly the acked prefix.
-func (b *Backend) Kill() error { return b.stop(false) }
-
-func (b *Backend) stop(graceful bool) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	b.mu.Unlock()
-	err := b.ingest.Close()
-	if herr := b.http.Close(); err == nil && !errors.Is(herr, http.ErrServerClosed) {
-		err = herr
-	}
-	if graceful {
-		b.engine.Close()
-		if b.log != nil {
-			if ckErr := b.Checkpoint(); err == nil {
-				err = ckErr
-			}
-		}
-	} else {
-		b.engine.Abort()
-	}
-	if b.log != nil {
-		if lerr := b.log.Close(); err == nil {
-			err = lerr
-		}
-	}
-	b.serve.Wait()
-	return err
-}
-
-func (b *Backend) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !b.ready.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "recovering"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-	})
-	mux.HandleFunc("GET /results", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"fleets": b.engine.Fleets()})
-	})
-	mux.HandleFunc("GET /results/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		res, err := b.engine.Latest(r.PathValue("fleet"))
-		switch {
-		case errors.Is(err, pipeline.ErrNoResult):
-			w.WriteHeader(http.StatusNoContent)
-		case err != nil:
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, b.engine.Stats())
-	})
-	mux.HandleFunc("GET /trace/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		fleet := r.PathValue("fleet")
-		if idStr := r.URL.Query().Get("id"); idStr != "" {
-			id, err := obs.ParseTraceID(idStr)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-				return
-			}
-			tr, ok := b.engine.FindTrace(fleet, id)
-			if !ok {
-				writeJSON(w, http.StatusNotFound, map[string]any{"error": "no such trace"})
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"fleet": fleet, "traces": []obs.Trace{tr}})
-			return
-		}
-		traces, err := b.engine.Traces(fleet)
-		if err != nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-			return
-		}
-		spans, _ := b.engine.Trace(fleet)
-		writeJSON(w, http.StatusOK, map[string]any{"fleet": fleet, "traces": traces, "spans": spans})
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		st := b.engine.Stats()
-		freshness := map[string]any{
-			"age_at_close":     pipeline.SummarizeFreshness(st.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(st.IngestToResult),
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":    "ok",
-			"ready":     b.ready.Load(),
-			"engine":    st,
-			"freshness": freshness,
-		})
-	})
-	mux.HandleFunc("GET /reputation", func(w http.ResponseWriter, r *http.Request) {
-		if b.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		writeJSON(w, http.StatusOK, b.ledger.Snapshot())
-	})
-	mux.HandleFunc("GET /reputation/{fleet}", func(w http.ResponseWriter, r *http.Request) {
-		if b.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		fs, ok := b.ledger.Fleet(r.PathValue("fleet"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown fleet: " + r.PathValue("fleet")})
-			return
-		}
-		writeJSON(w, http.StatusOK, fs)
-	})
-	mux.HandleFunc("GET /reputation/{fleet}/{participant}", func(w http.ResponseWriter, r *http.Request) {
-		if b.ledger == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "reputation ledger disabled"})
-			return
-		}
-		part, err := strconv.Atoi(r.PathValue("participant"))
-		if err != nil || part < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "participant must be a non-negative integer"})
-			return
-		}
-		ps, ok := b.ledger.Participant(r.PathValue("fleet"), part)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "no trust row"})
-			return
-		}
-		writeJSON(w, http.StatusOK, ps)
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -1,9 +1,6 @@
-package main
+package node
 
 import (
-	"runtime"
-	rdebug "runtime/debug"
-	"sort"
 	"time"
 
 	"itscs/internal/metrics"
@@ -11,18 +8,18 @@ import (
 	"itscs/internal/reputation"
 )
 
-// renderProm flattens the daemon's whole metrics payload into Prometheus
+// RenderProm flattens a node's whole metrics payload into Prometheus
 // text exposition format 0.0.4. Every counter in pipeline.Stats, the WAL
 // and checkpointer state, the recovery summary, the freshness histograms,
 // the Go runtime self-metrics, and the per-phase latency histograms appear;
 // maps are emitted in sorted key order so consecutive scrapes are
 // byte-stable for identical state.
-func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte {
+func RenderProm(p Metrics, uptime time.Duration, rt *obs.Runtime) []byte {
 	b := obs.NewProm()
 
 	b.Gauge("itscs_build_info",
 		"Build identity of the running binary; the value is always 1.",
-		1, buildInfoLabels()...)
+		1, obs.BuildInfoLabels()...)
 	b.Gauge("itscs_uptime_seconds", "Seconds since the daemon started.", uptime.Seconds())
 
 	// Ingest counters.
@@ -51,7 +48,7 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	b.Counter("itscs_windows_dropped_total", "Windows evicted from the full dispatch queue (drop-oldest).", float64(p.WindowsDropped))
 	b.Counter("itscs_windows_processed_total", "Windows that ran the detection loop to completion.", float64(p.WindowsProcessed))
 	b.Counter("itscs_windows_failed_total", "Windows whose detection loop returned an error.", float64(p.WindowsFailed))
-	for _, fleet := range sortedKeys(p.WindowsDroppedByFleet) {
+	for _, fleet := range obs.SortedKeys(p.WindowsDroppedByFleet) {
 		b.Counter("itscs_fleet_windows_dropped_total",
 			"Windows dropped under backpressure, by fleet.",
 			float64(p.WindowsDroppedByFleet[fleet]), obs.Label{Name: "fleet", Value: fleet})
@@ -66,7 +63,7 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	b.Gauge("itscs_fleets", "Fleet shards currently materialized.", float64(p.Fleets))
 
 	// Per-phase latency histograms share one metric name with a phase label.
-	for _, phase := range sortedKeys(p.PhaseLatency) {
+	for _, phase := range obs.SortedKeys(p.PhaseLatency) {
 		b.Histogram("itscs_phase_latency_seconds",
 			"Wall-clock latency by pipeline phase: detect, correct, check, run (whole loop), wait (queue residence).",
 			p.PhaseLatency[phase], obs.Label{Name: "phase", Value: phase})
@@ -81,7 +78,7 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	b.HistogramBounds("itscs_freshness_ingest_to_result_seconds",
 		"Ingest-to-result latency of each stamped report (detection completion minus ingest stamp).",
 		metrics.AgeBuckets, p.IngestToResult)
-	for _, fleet := range sortedKeys(p.Freshness) {
+	for _, fleet := range obs.SortedKeys(p.Freshness) {
 		ff := p.Freshness[fleet]
 		lbl := obs.Label{Name: "fleet", Value: fleet}
 		b.HistogramBounds("itscs_fleet_freshness_age_at_close_seconds",
@@ -156,27 +153,4 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 	}
 	rt.Emit(b, "itscs_")
 	return b.Bytes()
-}
-
-// buildInfoLabels extracts the identity labels for itscs_build_info.
-func buildInfoLabels() []obs.Label {
-	labels := []obs.Label{{Name: "go_version", Value: runtime.Version()}}
-	if bi, ok := rdebug.ReadBuildInfo(); ok {
-		labels = append(labels, obs.Label{Name: "module", Value: bi.Main.Path})
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				labels = append(labels, obs.Label{Name: "revision", Value: s.Value})
-			}
-		}
-	}
-	return labels
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

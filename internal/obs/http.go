@@ -4,7 +4,22 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"time"
 )
+
+// HTTP server timeouts shared by both daemons. ReadHeaderTimeout bounds how
+// long a connection may dribble its request header; IdleTimeout reclaims
+// keep-alive connections that send nothing. Together they stop a
+// slowloris-style client from pinning sockets open indefinitely.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with the shared timeouts.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // WantsJSON reports whether a request for a dual-format endpoint asked for
 // the JSON form: either ?format=json or any Accept header value naming

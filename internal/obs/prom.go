@@ -45,20 +45,19 @@ func (p *Prom) Gauge(name, help string, value float64, labels ...Label) {
 	p.sample(name, labels, value)
 }
 
-// Histogram renders a metrics.Histogram snapshot as a native Prometheus
-// histogram. The snapshot's bucket bounds are milliseconds; the exposition
-// follows the Prometheus convention of seconds, so a 64 ms bound renders as
-// le="0.064". Buckets are cumulative and always include the full fixed
-// scheme plus le="+Inf", so scrapes are shape-stable even when empty.
+// Histogram renders a snapshot taken over metrics.HistBuckets as a native
+// Prometheus histogram. The snapshot's bucket bounds are milliseconds; the
+// exposition follows the Prometheus convention of seconds, so a 64 ms bound
+// renders as le="0.064". Buckets are cumulative and always include the full
+// fixed scheme plus le="+Inf", so scrapes are shape-stable even when empty.
 func (p *Prom) Histogram(name, help string, s metrics.HistogramSnapshot, labels ...Label) {
-	p.HistogramBounds(name, help, metrics.HistBuckets[:], s, labels...)
+	p.HistogramBounds(name, help, metrics.HistBuckets, s, labels...)
 }
 
 // HistogramBounds renders a histogram snapshot over an explicit
-// millisecond bucket scheme (metrics.BoundedHistogram snapshots pair with
-// the bounds they were built over, e.g. metrics.AgeBuckets for the
-// freshness histograms). Unit conversion and shape stability match
-// Histogram.
+// millisecond bucket scheme (a snapshot pairs with the bounds its
+// histogram was built over, e.g. metrics.AgeBuckets for the freshness
+// histograms). Unit conversion and shape stability match Histogram.
 func (p *Prom) HistogramBounds(name, help string, boundsMS []int64, s metrics.HistogramSnapshot, labels ...Label) {
 	p.header(name, help, "histogram")
 	var cum uint64

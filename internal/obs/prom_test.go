@@ -39,7 +39,7 @@ func TestPromCountersAndGauges(t *testing.T) {
 }
 
 func TestPromHistogram(t *testing.T) {
-	var h metrics.Histogram
+	h := metrics.NewHistogram(metrics.HistBuckets)
 	h.Observe(500 * time.Microsecond) // le 1 ms bucket
 	h.Observe(3 * time.Millisecond)   // le 4 ms bucket
 	h.Observe(90 * time.Second)       // overflow

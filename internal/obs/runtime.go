@@ -4,7 +4,9 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
+	"time"
 )
 
 // gcPauseBoundsS are the GC pause histogram bounds in seconds: sub-100 µs
@@ -76,23 +78,39 @@ func (rt *Runtime) Emit(p *Prom, prefix string) {
 		gcPauseBoundsS, counts, sumS, n)
 }
 
+// buildSettings reads the binary's build metadata: the main module's path
+// and version plus the VCS settings (vcs.revision, vcs.time,
+// vcs.modified). ok is false when the binary carries no build info.
+func buildSettings() (module, version string, vcs map[string]string, ok bool) {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "", "", nil, false
+	}
+	vcs = map[string]string{}
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision", "vcs.time", "vcs.modified":
+			vcs[s.Key] = s.Value
+		}
+	}
+	return bi.Main.Path, bi.Main.Version, vcs, true
+}
+
 // BuildInfoAttrs returns the module path, version, Go toolchain and VCS
 // revision as slog attrs, for the startup banner both daemons emit. Values
 // default to "unknown" when the binary was built without module or VCS
 // metadata, so the banner's shape is stable.
 func BuildInfoAttrs() []slog.Attr {
 	module, version, revision := "unknown", "unknown", "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Main.Path != "" {
-			module = bi.Main.Path
+	if m, v, vcs, ok := buildSettings(); ok {
+		if m != "" {
+			module = m
 		}
-		if bi.Main.Version != "" {
-			version = bi.Main.Version
+		if v != "" {
+			version = v
 		}
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				revision = s.Value
-			}
+		if r, ok := vcs["vcs.revision"]; ok {
+			revision = r
 		}
 	}
 	return []slog.Attr{
@@ -101,4 +119,48 @@ func BuildInfoAttrs() []slog.Attr {
 		slog.String("revision", revision),
 		slog.String("go", runtime.Version()),
 	}
+}
+
+// BuildInfoLabels returns the identity labels of a *_build_info gauge:
+// go_version always, module and revision when the binary carries them.
+func BuildInfoLabels() []Label {
+	labels := []Label{{Name: "go_version", Value: runtime.Version()}}
+	if module, _, vcs, ok := buildSettings(); ok {
+		labels = append(labels, Label{Name: "module", Value: module})
+		if r, ok := vcs["vcs.revision"]; ok {
+			labels = append(labels, Label{Name: "revision", Value: r})
+		}
+	}
+	return labels
+}
+
+// BuildInfo returns the JSON build identity served under /status and
+// /debug/buildinfo: toolchain and uptime, plus the module, its version and
+// the VCS state when the binary was built from a checkout.
+func BuildInfo(uptime time.Duration) map[string]any {
+	info := map[string]any{
+		"go_version": runtime.Version(),
+		"uptime_s":   uptime.Seconds(),
+	}
+	if module, version, vcs, ok := buildSettings(); ok {
+		info["module"] = module
+		if version != "" {
+			info["version"] = version
+		}
+		for k, v := range vcs {
+			info[k] = v
+		}
+	}
+	return info
+}
+
+// SortedKeys returns m's keys in ascending order, so expositions built from
+// maps are byte-stable across scrapes.
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

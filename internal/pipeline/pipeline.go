@@ -301,8 +301,8 @@ type shard struct {
 
 	// ageAtClose and ingestToResult are the fleet-local freshness
 	// histograms (the engine-wide pair lives in counters).
-	ageAtClose     *metrics.BoundedHistogram
-	ingestToResult *metrics.BoundedHistogram
+	ageAtClose     *metrics.Histogram
+	ingestToResult *metrics.Histogram
 }
 
 // Engine is the streaming detection engine. It implements mcs.Ingestor, so
@@ -331,7 +331,7 @@ type Engine struct {
 
 	c    counters
 	hist struct {
-		detect, correct, check, run, wait histogram
+		detect, correct, check, run, wait *metrics.Histogram
 	}
 }
 
@@ -362,8 +362,10 @@ func New(cfg Config) (*Engine, error) {
 		queue:  make(chan job, cfg.QueueDepth),
 		subs:   make(map[int]chan *WindowResult),
 	}
-	e.c.ageAtClose = metrics.NewBoundedHistogram(metrics.AgeBuckets)
-	e.c.ingestToResult = metrics.NewBoundedHistogram(metrics.AgeBuckets)
+	e.c.ageAtClose = metrics.NewHistogram(metrics.AgeBuckets)
+	e.c.ingestToResult = metrics.NewHistogram(metrics.AgeBuckets)
+	phase := func() *metrics.Histogram { return metrics.NewHistogram(metrics.HistBuckets) }
+	e.hist.detect, e.hist.correct, e.hist.check, e.hist.run, e.hist.wait = phase(), phase(), phase(), phase(), phase()
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -641,7 +643,7 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 	for i := range ck.Shards {
 		sc := &ck.Shards[i]
 		for name, m := range map[string]*mat.Dense{
-			"SX": sc.SX, "SY": sc.SY, "VX": sc.VX, "VY": sc.VY, "EX": sc.EX,
+			"SX": sc.SX, "SY": sc.SY, "VX": sc.VX, "VY": sc.VY, "EX": sc.EX, "TS": sc.TS,
 		} {
 			if m == nil {
 				return fmt.Errorf("%w: shard %q missing ring %s", ErrNotRestorable, sc.Fleet, name)
@@ -649,14 +651,6 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 			if mr, mc := m.Dims(); mr != n || mc != capSlots {
 				return fmt.Errorf("%w: shard %q ring %s is %dx%d, want %dx%d",
 					ErrNotRestorable, sc.Fleet, name, mr, mc, n, capSlots)
-			}
-		}
-		// TS is absent from pre-v3 checkpoints; a nil stamp ring restores as
-		// all-unstamped rather than failing recovery of otherwise-good state.
-		if sc.TS != nil {
-			if mr, mc := sc.TS.Dims(); mr != n || mc != capSlots {
-				return fmt.Errorf("%w: shard %q ring TS is %dx%d, want %dx%d",
-					ErrNotRestorable, sc.Fleet, mr, mc, n, capSlots)
 			}
 		}
 	}
@@ -689,11 +683,8 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 			ts:             sc.TS,
 			spans:          obs.NewRing(e.cfg.TraceDepth),
 			traces:         obs.NewTraceTable(e.cfg.TraceDepth),
-			ageAtClose:     metrics.NewBoundedHistogram(metrics.AgeBuckets),
-			ingestToResult: metrics.NewBoundedHistogram(metrics.AgeBuckets),
-		}
-		if sh.ts == nil {
-			sh.ts = mat.New(n, capSlots)
+			ageAtClose:     metrics.NewHistogram(metrics.AgeBuckets),
+			ingestToResult: metrics.NewHistogram(metrics.AgeBuckets),
 		}
 		if sc.WarmLX != nil {
 			sh.warm = &core.WarmState{
@@ -888,8 +879,8 @@ func (e *Engine) shard(fleet string) (*shard, error) {
 		ts:             mat.New(n, capSlots),
 		spans:          obs.NewRing(e.cfg.TraceDepth),
 		traces:         obs.NewTraceTable(e.cfg.TraceDepth),
-		ageAtClose:     metrics.NewBoundedHistogram(metrics.AgeBuckets),
-		ingestToResult: metrics.NewBoundedHistogram(metrics.AgeBuckets),
+		ageAtClose:     metrics.NewHistogram(metrics.AgeBuckets),
+		ingestToResult: metrics.NewHistogram(metrics.AgeBuckets),
 	}
 	e.shards[fleet] = sh
 	return sh, nil

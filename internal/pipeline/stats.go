@@ -6,10 +6,6 @@ import (
 	"itscs/internal/metrics"
 )
 
-// histogram and HistogramSnapshot alias the shared instrumentation types so
-// the engine and the WAL report latencies with one bucket scheme.
-type histogram = metrics.Histogram
-
 // HistogramSnapshot is a point-in-time copy of a latency histogram.
 type HistogramSnapshot = metrics.HistogramSnapshot
 
@@ -41,9 +37,9 @@ type counters struct {
 
 	// ageAtClose observes report age at window close, ingestToResult the
 	// full ingest→result latency; both over metrics.AgeBuckets. Nil in
-	// hand-built shard tests — BoundedHistogram tolerates a nil receiver.
-	ageAtClose     *metrics.BoundedHistogram
-	ingestToResult *metrics.BoundedHistogram
+	// hand-built shard tests — Histogram tolerates a nil receiver.
+	ageAtClose     *metrics.Histogram
+	ingestToResult *metrics.Histogram
 }
 
 // Stats is a point-in-time snapshot of the engine's instrumentation; it

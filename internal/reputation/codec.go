@@ -121,9 +121,9 @@ func (r *blobReader) u64() (uint64, error) {
 // Restore replaces the ledger's state with the blob's. The configuration is
 // not serialized: the blob restores onto a ledger built with the same
 // Config, which the daemon guarantees by deriving both from its flags. An
-// empty or nil blob resets the ledger (the state a version-1 checkpoint,
-// written before the reputation section existed, restores to — folds then
-// rebuild from the replayed WAL tail onward).
+// empty or nil blob resets the ledger (a cold start, or a checkpoint
+// written without a ledger — folds then rebuild from the replayed WAL
+// tail onward).
 func (l *Ledger) Restore(blob []byte) error {
 	if len(blob) == 0 {
 		l.mu.Lock()

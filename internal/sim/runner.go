@@ -8,6 +8,7 @@ import (
 	"itscs/internal/corrupt"
 	"itscs/internal/fault"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
 	"itscs/internal/wal"
@@ -116,9 +117,10 @@ func (r *runner) run() error {
 }
 
 // openLife opens (or reopens) the log, rebuilds the engine from the newest
-// checkpoint plus a log-tail replay, and checks the no-acked-loss
-// invariant. Injected faults during the reopen are the storm continuing
-// through the reboot; the machine just boots again.
+// checkpoint plus a log-tail replay (node.Recover, the daemon's startup
+// sequence), and checks the no-acked-loss invariant. Injected faults
+// during the reopen are the storm continuing through the reboot; the
+// machine just boots again.
 func (r *runner) openLife() error {
 	var log *wal.Log
 	var err error
@@ -154,41 +156,16 @@ func (r *runner) openLife() error {
 		log.Close()
 		return err
 	}
-	from := uint64(0)
-	ck, _, err := wal.LatestCheckpointFS(r.fsys, r.dir)
-	switch {
-	case err == nil:
-		if rerr := engine.Restore(ck); rerr != nil {
-			engine.Abort()
-			log.Close()
-			return fmt.Errorf("restore checkpoint (life %d): %w", r.lives, rerr)
-		}
-		if ledger != nil {
-			if rerr := ledger.Restore(ck.Reputation); rerr != nil {
-				engine.Abort()
-				log.Close()
-				return fmt.Errorf("restore ledger (life %d): %w", r.lives, rerr)
-			}
-		}
-		from = ck.LogIndex
-	case errors.Is(err, wal.ErrNoCheckpoint):
-		// Cold start: replay the whole log.
-	default:
+	// The daemon's own recovery sequence, under the storm's filesystem.
+	// Duplicate and late replay rejections are expected: records below the
+	// checkpoint's horizon replay as no-ops.
+	info, err := node.Recover(r.fsys, r.dir, log, engine, ledger)
+	if err != nil {
 		engine.Abort()
 		log.Close()
-		return fmt.Errorf("latest checkpoint (life %d): %w", r.lives, err)
+		return fmt.Errorf("recover (life %d): %w", r.lives, err)
 	}
-	if _, err := log.Replay(from, func(_ uint64, rep mcs.Report) error {
-		r.attempts++
-		// Duplicate and late rejections are expected: records below the
-		// checkpoint's horizon replay as no-ops.
-		_ = engine.Replay(rep)
-		return nil
-	}); err != nil {
-		engine.Abort()
-		log.Close()
-		return fmt.Errorf("replay log (life %d): %w", r.lives, err)
-	}
+	r.attempts += info.ReplayedRecords
 	r.log, r.engine, r.ledger = log, engine, ledger
 	r.results, r.cancel = engine.Subscribe(256)
 	r.collected = 0
@@ -211,8 +188,11 @@ func (r *runner) crash() error {
 
 // maybeCheckpoint writes a checkpoint when enough windows have closed. The
 // dispatch queue is drained first so the newest warm factors are always in
-// the snapshot; injected persistence failures are absorbed and counted, as
-// the daemon absorbs them.
+// the snapshot. It is the one step the sim does not share with the daemon
+// (node.Checkpoint): injected persistence failures are counted and
+// absorbed, and a failed prune still goes on to compact, where the daemon
+// stops at the first failure. Sharing the daemon's step would change the
+// operations the injector sees, and so every seeded storm.
 func (r *runner) maybeCheckpoint() error {
 	st := r.engine.Stats()
 	if st.WindowsClosed-r.lastCkpt < r.sc.CheckpointEvery {

@@ -21,10 +21,7 @@ import (
 // Checkpoint file layout ("checkpoint-<hex LogIndex>.ckpt"):
 //
 //	8 bytes  magic "ITSCSCKP"
-//	u32      version (3; version-1 files end after the shards and load
-//	         with a nil Reputation blob, version-2 files lack the TS ring
-//	         and load with a nil TS — the engine then rebuilds a zero
-//	         stamp ring and freshness restarts unstamped)
+//	u32      version (3; any other version is refused)
 //	body     (CRC32C-protected):
 //	  u64    LogIndex — replay origin: every record with index below this
 //	         is reflected in the shard snapshots
@@ -35,9 +32,9 @@ import (
 //	    u64        Seq (sequence the open window will get)
 //	    u64        WarmSeq+1 (0 encodes "no warm state yet")
 //	    5×matrix   SX SY VX VY EX rings (mat binary framing)
-//	    matrix     (version ≥ 3) TS ingest-stamp ring (unix micros)
+//	    matrix     TS ingest-stamp ring (unix micros)
 //	    u8         warm-present flag, then 4×matrix L/R factors per axis
-//	  u32+bytes  (version ≥ 2) opaque reputation-ledger blob; the WAL
+//	  u32+bytes  opaque reputation-ledger blob; the WAL
 //	             layer never interprets it, it just carries the bytes so
 //	             the trust ledger shares the shards' crash consistency
 //	u32      CRC32C of the body
@@ -47,16 +44,10 @@ import (
 // set or the new one, never a half file under the real name.
 
 const (
-	ckptPrefix = "checkpoint-"
-	ckptSuffix = ".ckpt"
-	ckptMagic  = "ITSCSCKP"
-	// ckptVersionV1 files predate the reputation section; ckptVersionV2
-	// files predate the TS ingest-stamp ring. Both still load, degraded as
-	// the layout comment describes. ckptVersion is what new files are
-	// written as.
-	ckptVersionV1 = 1
-	ckptVersionV2 = 2
-	ckptVersion   = 3
+	ckptPrefix  = "checkpoint-"
+	ckptSuffix  = ".ckpt"
+	ckptMagic   = "ITSCSCKP"
+	ckptVersion = 3
 	// maxReputationBlob bounds the reputation section's claimed size before
 	// allocation, like maxShards and maxFleetNameLen bound theirs.
 	maxReputationBlob = 1 << 26
@@ -80,7 +71,7 @@ type ShardCheckpoint struct {
 
 	// TS is the ingest-stamp ring (unix microseconds as float64, exact
 	// below 2⁵³): the same shape as EX, zero where a cell is unstamped.
-	// Nil when loaded from a pre-v3 file; the engine restores a zero ring.
+	// A nil TS is written as an all-zero ring.
 	TS *mat.Dense
 
 	// WarmLX/WarmRX and WarmLY/WarmRY are the per-axis L·Rᵀ factors; all
@@ -102,9 +93,8 @@ type Checkpoint struct {
 	// Reputation is the trust ledger's serialized state, carried opaquely
 	// (the WAL layer neither produces nor interprets it — the daemon fills
 	// it from reputation.Ledger.MarshalBinary after Engine.Checkpoint and
-	// restores it after Engine.Restore). Nil for version-1 files and for
-	// engines running without a ledger; restoring nil resets the ledger,
-	// which then rebuilds from the replayed WAL tail onward.
+	// restores it after Engine.Restore). Nil for engines running without a
+	// ledger.
 	Reputation []byte
 }
 
@@ -165,17 +155,10 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 }
 
 func writeCheckpointTo(w io.Writer, ck *Checkpoint) error {
-	return writeCheckpointVersioned(w, ck, ckptVersion)
-}
-
-// writeCheckpointVersioned writes ck in an explicit format version.
-// Production always writes ckptVersion; the older layouts exist so the
-// compatibility tests can produce genuine v1/v2 files.
-func writeCheckpointVersioned(w io.Writer, ck *Checkpoint, version uint32) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	hdr := make([]byte, 0, len(ckptMagic)+4)
 	hdr = append(hdr, ckptMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, version)
+	hdr = binary.LittleEndian.AppendUint32(hdr, ckptVersion)
 	if _, err := bw.Write(hdr); err != nil {
 		return fmt.Errorf("wal: checkpoint write: %w", err)
 	}
@@ -220,17 +203,15 @@ func writeCheckpointVersioned(w io.Writer, ck *Checkpoint, version uint32) error
 				return fmt.Errorf("wal: checkpoint matrix: %w", err)
 			}
 		}
-		if version >= ckptVersion {
-			ts := sc.TS
-			if ts == nil {
-				// A shard snapshotted without stamps still writes a full ring
-				// so the v3 layout stays positionally fixed.
-				rows, cols := sc.EX.Dims()
-				ts = mat.New(rows, cols)
-			}
-			if err := mat.WriteBinary(cw, ts); err != nil {
-				return fmt.Errorf("wal: checkpoint stamp matrix: %w", err)
-			}
+		ts := sc.TS
+		if ts == nil {
+			// A shard snapshotted without stamps still writes a full ring
+			// so the layout stays positionally fixed.
+			rows, cols := sc.EX.Dims()
+			ts = mat.New(rows, cols)
+		}
+		if err := mat.WriteBinary(cw, ts); err != nil {
+			return fmt.Errorf("wal: checkpoint stamp matrix: %w", err)
 		}
 		warm := sc.WarmLX != nil
 		flag := byte(0)
@@ -248,16 +229,14 @@ func writeCheckpointVersioned(w io.Writer, ck *Checkpoint, version uint32) error
 			}
 		}
 	}
-	if version >= ckptVersionV2 {
-		if len(ck.Reputation) > maxReputationBlob {
-			return fmt.Errorf("wal: reputation blob %d bytes exceeds limit", len(ck.Reputation))
-		}
-		if err := writeU32(uint32(len(ck.Reputation))); err != nil {
-			return fmt.Errorf("wal: checkpoint write: %w", err)
-		}
-		if _, err := cw.Write(ck.Reputation); err != nil {
-			return fmt.Errorf("wal: checkpoint write: %w", err)
-		}
+	if len(ck.Reputation) > maxReputationBlob {
+		return fmt.Errorf("wal: reputation blob %d bytes exceeds limit", len(ck.Reputation))
+	}
+	if err := writeU32(uint32(len(ck.Reputation))); err != nil {
+		return fmt.Errorf("wal: checkpoint write: %w", err)
+	}
+	if _, err := cw.Write(ck.Reputation); err != nil {
+		return fmt.Errorf("wal: checkpoint write: %w", err)
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], cw.crc.Sum32())
@@ -310,8 +289,8 @@ func readCheckpointFrom(r io.Reader, path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: bad checkpoint magic in %s", path)
 	}
 	version := binary.LittleEndian.Uint32(hdr[len(ckptMagic):])
-	if version < ckptVersionV1 || version > ckptVersion {
-		return nil, fmt.Errorf("wal: checkpoint version %d unsupported", version)
+	if version != ckptVersion {
+		return nil, fmt.Errorf("wal: checkpoint version %d unsupported (want %d) in %s", version, ckptVersion, path)
 	}
 	cr := &crcReader{r: br, crc: crc32.New(castagnoli)}
 	var err error
@@ -377,10 +356,8 @@ func readCheckpointFrom(r io.Reader, path string) (*Checkpoint, error) {
 				return nil, fmt.Errorf("wal: checkpoint matrix: %w", err)
 			}
 		}
-		if version >= ckptVersion {
-			if sc.TS, err = mat.ReadBinary(cr); err != nil {
-				return nil, fmt.Errorf("wal: checkpoint stamp matrix: %w", err)
-			}
+		if sc.TS, err = mat.ReadBinary(cr); err != nil {
+			return nil, fmt.Errorf("wal: checkpoint stamp matrix: %w", err)
 		}
 		var flag [1]byte
 		if _, err := io.ReadFull(cr, flag[:]); err != nil {
@@ -398,19 +375,17 @@ func readCheckpointFrom(r io.Reader, path string) (*Checkpoint, error) {
 		}
 		ck.Shards = append(ck.Shards, sc)
 	}
-	if version >= ckptVersionV2 {
-		blobLen, err := readU32()
-		if err != nil {
+	blobLen, err := readU32()
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint reputation: %w", err)
+	}
+	if blobLen > maxReputationBlob {
+		return nil, fmt.Errorf("wal: implausible reputation blob length %d", blobLen)
+	}
+	if blobLen > 0 {
+		ck.Reputation = make([]byte, blobLen)
+		if _, err := io.ReadFull(cr, ck.Reputation); err != nil {
 			return nil, fmt.Errorf("wal: checkpoint reputation: %w", err)
-		}
-		if blobLen > maxReputationBlob {
-			return nil, fmt.Errorf("wal: implausible reputation blob length %d", blobLen)
-		}
-		if blobLen > 0 {
-			ck.Reputation = make([]byte, blobLen)
-			if _, err := io.ReadFull(cr, ck.Reputation); err != nil {
-				return nil, fmt.Errorf("wal: checkpoint reputation: %w", err)
-			}
 		}
 	}
 	sum := cr.crc.Sum32()

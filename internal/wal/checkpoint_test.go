@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"itscs/internal/fault"
@@ -149,65 +152,51 @@ func TestCheckpointReputationRoundTrip(t *testing.T) {
 	}
 }
 
-// writeVersioned produces a genuine old-format checkpoint file through the
-// versioned writer, for the compatibility tests.
-func writeVersioned(t *testing.T, dir string, ck *Checkpoint, version uint32) string {
+// checkVersionRefused patches the header of a good checkpoint to version
+// and checks the file is refused with an error naming the version, and
+// that LatestCheckpoint skips and counts it like any other unreadable one.
+func checkVersionRefused(t *testing.T, version uint32) {
 	t.Helper()
-	path := CheckpointPath(dir, ck.LogIndex)
-	f, err := os.Create(path)
+	dir := t.TempDir()
+	path, err := WriteCheckpoint(dir, fixtureCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpointVersioned(f, ck, version); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCheckpointV1Compat writes a genuine version-1 file — the format
-// before the reputation and stamp-ring sections existed — and checks it
-// still loads, with a nil blob and a nil TS ring.
-func TestCheckpointV1Compat(t *testing.T) {
-	ck := fixtureCheckpoint()
-	ck.Reputation = []byte("dropped-by-v1") // v1 has no section to carry it
-	path := writeVersioned(t, t.TempDir(), ck, ckptVersionV1)
-	back, err := ReadCheckpoint(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("version-1 checkpoint no longer loads: %v", err)
+		t.Fatal(err)
 	}
-	if back.Reputation != nil {
-		t.Fatalf("version-1 checkpoint grew a reputation blob: %v", back.Reputation)
+	binary.LittleEndian.PutUint32(raw[len(ckptMagic):], version)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if back.LogIndex != ck.LogIndex || len(back.Shards) != len(ck.Shards) {
-		t.Fatalf("version-1 body mismatch: %+v", back)
+	_, err = ReadCheckpoint(path)
+	if err == nil {
+		t.Fatalf("version-%d checkpoint loaded", version)
 	}
-	for i := range back.Shards {
-		if back.Shards[i].TS != nil {
-			t.Fatalf("version-1 shard %d grew a TS ring", i)
-		}
+	if want := fmt.Sprintf("checkpoint version %d unsupported", version); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the version (want %q)", err, want)
+	}
+	if _, skipped, err := LatestCheckpoint(dir); !errors.Is(err, ErrNoCheckpoint) || skipped != 1 {
+		t.Fatalf("LatestCheckpoint = skipped %d, err %v; want 1 skipped and ErrNoCheckpoint", skipped, err)
 	}
 }
 
-// TestCheckpointV2Compat writes a genuine version-2 file — reputation blob
-// but no stamp rings — and checks the blob survives while TS stays nil.
-func TestCheckpointV2Compat(t *testing.T) {
-	ck := fixtureCheckpoint()
-	ck.Reputation = []byte("ITSCSREP-v2-ledger")
-	path := writeVersioned(t, t.TempDir(), ck, ckptVersionV2)
-	back, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("version-2 checkpoint no longer loads: %v", err)
-	}
-	if string(back.Reputation) != string(ck.Reputation) {
-		t.Fatalf("version-2 reputation blob = %q, want %q", back.Reputation, ck.Reputation)
-	}
-	for i := range back.Shards {
-		if back.Shards[i].TS != nil {
-			t.Fatalf("version-2 shard %d grew a TS ring", i)
-		}
+// TestCheckpointV1Compat: the version-1 layout (no reputation or
+// stamp-ring sections) is retired, so its header is refused.
+func TestCheckpointV1Compat(t *testing.T) { checkVersionRefused(t, 1) }
+
+// TestCheckpointV2Compat: the version-2 layout (reputation blob, no
+// stamp rings) is retired, so its header is refused.
+func TestCheckpointV2Compat(t *testing.T) { checkVersionRefused(t, 2) }
+
+// TestCheckpointRefusesOtherVersions: versions that never existed, below
+// and above the current one, are refused the same way.
+func TestCheckpointRefusesOtherVersions(t *testing.T) {
+	for _, version := range []uint32{0, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			checkVersionRefused(t, version)
+		})
 	}
 }
 

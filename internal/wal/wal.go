@@ -201,7 +201,7 @@ type Log struct {
 		replaySkips  atomic.Uint64
 		lastAppendUS atomic.Int64
 		lastFsyncUS  atomic.Int64
-		fsyncLatency metrics.Histogram
+		fsyncLatency *metrics.Histogram
 	}
 }
 
@@ -280,6 +280,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		reqs: make(chan appendReq, 256),
 		done: make(chan struct{}),
 	}
+	l.st.fsyncLatency = metrics.NewHistogram(metrics.HistBuckets)
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
