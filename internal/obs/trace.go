@@ -129,10 +129,10 @@ func (t *TraceTable) compact() {
 // StageWindow links a window close to every retained trace whose slot
 // falls in [startSlot, endSlot) and that no earlier window has claimed,
 // setting WindowSeq and appending the named stage. It returns the linked
-// trace IDs (callers pick an exemplar for the window span). Only the first
-// claiming window links: with overlapping hops a slot belongs to several
-// windows, but freshness is defined against the first close that could
-// have detected on the report.
+// trace IDs in Begin order, so the first is the oldest (callers take it as
+// the window span's exemplar). Only the first claiming window links: with
+// overlapping hops a slot belongs to several windows, but freshness is
+// defined against the first close that could have detected on the report.
 func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, name string, atUnixMicro int64) []uint64 {
 	if t == nil || t.cap == 0 {
 		return nil
@@ -140,8 +140,9 @@ func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, name string, atUni
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var linked []uint64
-	for id, tr := range t.byID {
-		if tr.WindowSeq >= 0 || tr.Slot < startSlot || tr.Slot >= endSlot {
+	for _, id := range t.order[t.head:] {
+		tr, ok := t.byID[id]
+		if !ok || tr.WindowSeq >= 0 || tr.Slot < startSlot || tr.Slot >= endSlot {
 			continue
 		}
 		tr.WindowSeq = seq

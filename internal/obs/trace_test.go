@@ -83,6 +83,30 @@ func TestTraceTableLifecycle(t *testing.T) {
 	}
 }
 
+// TestStageWindowLinksInBeginOrder pins the window exemplar: StageWindow
+// returns the linked IDs in Begin order, so linked[0] is the oldest trace
+// the window claims, whatever the map's iteration order. IDs are begun out
+// of numeric order, after a table's worth of traces has been evicted.
+func TestStageWindowLinksInBeginOrder(t *testing.T) {
+	const depth = 16
+	for run := 0; run < 20; run++ {
+		tab := NewTraceTable(depth)
+		for i := 0; i < 2*depth; i++ {
+			tab.Begin(uint64(1000+i), "cab", 0, 100+i, "direct", 1)
+		}
+		var want []uint64
+		for i := 0; i < depth; i++ {
+			id := uint64((i*7)%depth + 1) // 1, 8, 15, 6, ...: a permutation of 1..16
+			tab.Begin(id, "cab", i, i, "direct", 2)
+			want = append(want, id)
+		}
+		got := tab.StageWindow(0, 0, depth, "window_close", 3)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: linked %v, want Begin order %v", run, got, want)
+		}
+	}
+}
+
 func TestTraceTableEviction(t *testing.T) {
 	tab := NewTraceTable(4)
 	for id := uint64(1); id <= 10; id++ {

@@ -482,21 +482,16 @@ func (e *Engine) Flush(fleet string) error {
 	if e.closed {
 		return ErrClosed
 	}
-	e.shardMu.Lock()
-	sh := e.shards[fleet]
-	e.shardMu.Unlock()
+	sh := e.lookup(fleet)
 	if sh == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownFleet, fleet)
 	}
 	sh.mu.Lock()
 	j, ok := sh.closeWindow(e.cfg, &e.c)
 	sh.mu.Unlock()
-	e.c.windowsClosed.Add(1)
-	if !ok {
-		e.c.windowsEmpty.Add(1)
-		return nil
+	if ok {
+		e.enqueue(j)
 	}
-	e.enqueue(j)
 	return nil
 }
 
@@ -533,11 +528,8 @@ func (e *Engine) shutdown(drain bool) {
 			sh.mu.Lock()
 			j, ok := sh.closeWindow(e.cfg, &e.c)
 			sh.mu.Unlock()
-			e.c.windowsClosed.Add(1)
 			if ok {
 				e.enqueue(j)
-			} else {
-				e.c.windowsEmpty.Add(1)
 			}
 		}
 	} else {
@@ -562,6 +554,13 @@ func (e *Engine) shutdown(drain bool) {
 		close(ch)
 	}
 	e.subMu.Unlock()
+}
+
+// lookup returns the fleet's shard, or nil for a fleet never seen.
+func (e *Engine) lookup(fleet string) *shard {
+	e.shardMu.Lock()
+	defer e.shardMu.Unlock()
+	return e.shards[fleet]
 }
 
 // allShards snapshots the shard list.
@@ -731,9 +730,7 @@ func (e *Engine) Subscribe(buffer int) (<-chan *WindowResult, func()) {
 // ErrNoResult for a known fleet with no completed window yet; the result is
 // non-nil exactly when the error is nil.
 func (e *Engine) Latest(fleet string) (*WindowResult, error) {
-	e.shardMu.Lock()
-	sh := e.shards[fleet]
-	e.shardMu.Unlock()
+	sh := e.lookup(fleet)
 	if sh == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFleet, fleet)
 	}
@@ -749,9 +746,7 @@ func (e *Engine) Latest(fleet string) (*WindowResult, error) {
 // to Config.TraceDepth). An empty slice means the fleet exists but no
 // window has completed recently; an unknown fleet is an error.
 func (e *Engine) Trace(fleet string) ([]obs.Span, error) {
-	e.shardMu.Lock()
-	sh := e.shards[fleet]
-	e.shardMu.Unlock()
+	sh := e.lookup(fleet)
 	if sh == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFleet, fleet)
 	}
@@ -762,9 +757,7 @@ func (e *Engine) Trace(fleet string) ([]obs.Span, error) {
 // first (up to Config.TraceDepth). Only stamped reports are traced, so a
 // fleet fed exclusively by unstamped sources returns an empty slice.
 func (e *Engine) Traces(fleet string) ([]obs.Trace, error) {
-	e.shardMu.Lock()
-	sh := e.shards[fleet]
-	e.shardMu.Unlock()
+	sh := e.lookup(fleet)
 	if sh == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFleet, fleet)
 	}
@@ -773,9 +766,7 @@ func (e *Engine) Traces(fleet string) ([]obs.Trace, error) {
 
 // FindTrace looks up one retained trace by fleet and trace ID.
 func (e *Engine) FindTrace(fleet string, id uint64) (obs.Trace, bool) {
-	e.shardMu.Lock()
-	sh := e.shards[fleet]
-	e.shardMu.Unlock()
+	sh := e.lookup(fleet)
 	if sh == nil {
 		return obs.Trace{}, false
 	}
@@ -957,12 +948,8 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.Tra
 			c.windowsSkipped.Add(uint64(k))
 			break
 		}
-		j, ok := sh.closeWindow(cfg, c)
-		c.windowsClosed.Add(1)
-		if ok {
+		if j, ok := sh.closeWindow(cfg, c); ok {
 			jobs = append(jobs, j)
-		} else {
-			c.windowsEmpty.Add(1)
 		}
 	}
 	col := r.Slot % capSlots
@@ -985,7 +972,8 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.Tra
 }
 
 // closeWindow snapshots the open window into a fresh core.Input, slides the
-// ring forward one hop, and reports whether the window held any
+// ring forward one hop, counts the close (and, when the window held no
+// observations, the empty close), and reports whether the window held any
 // observations. Every stamped cell's age (close time − ingest stamp) is
 // observed into the shard and engine freshness histograms, and the window
 // claims its still-unclaimed traces. Callers hold sh.mu.
@@ -1022,9 +1010,7 @@ func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
 				dts[t] = st
 				age := time.Duration(closedUS-int64(st)) * time.Microsecond
 				sh.ageAtClose.Observe(age)
-				if c != nil {
-					c.ageAtClose.Observe(age)
-				}
+				c.ageAtClose.Observe(age)
 			}
 		}
 	}
@@ -1048,7 +1034,9 @@ func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
 	sh.zeroCols(sh.start, h, capSlots)
 	sh.start += h
 	sh.seq++
+	c.windowsClosed.Add(1)
 	if observed == 0 {
+		c.windowsEmpty.Add(1)
 		return job{}, false
 	}
 	return j, true

@@ -3,8 +3,11 @@ package wal
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"itscs/internal/fault"
 	"itscs/internal/mat"
 	"itscs/internal/mcs"
 )
@@ -109,6 +112,82 @@ func FuzzReadCheckpoint(f *testing.F) {
 				back.Shards[i].WarmSeq != ck.Shards[i].WarmSeq {
 				t.Fatalf("round trip changed shard %d", i)
 			}
+		}
+	})
+}
+
+// FuzzReadSegment writes a valid segment header followed by arbitrary
+// bytes as the log's only segment, then opens and replays it. Open must
+// succeed on any tail (it truncates whatever does not frame), every
+// committed index must come back either replayed or counted as skipped,
+// and a second Open must find nothing left to truncate.
+func FuzzReadSegment(f *testing.F) {
+	dir := f.TempDir()
+	l, err := Open(dir, DefaultOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []mcs.Report{
+		{Fleet: "cab", Participant: 0, Slot: 6, X: 1, Y: 2, VX: 0.5},
+		{Fleet: "cab", Participant: 1, Slot: 7, X: 3, Y: 4,
+			IngestUnixMicro: 1_700_000_000_000_000, Origin: mcs.OriginRouter, TraceID: 0xfeed},
+		{Fleet: "bus", Participant: 2, Slot: 7, X: -1, Y: -2, VY: -0.25},
+	} {
+		if err := l.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	segs, err := listSegments(fault.OS(), dir)
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("segments %v: %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	hdr, body := seg[:segHdrLen], seg[segHdrLen:]
+	f.Add(body)
+	f.Add(body[:len(body)-3]) // torn payload
+	f.Add(body[:frameHdr-2])  // torn frame header
+	flipped := append([]byte{}, body...)
+	flipped[len(flipped)-1] ^= 0x40
+	f.Add(flipped) // checksum must catch this
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, filepath.Base(segs[0]))
+		if err := os.WriteFile(path, append(append([]byte{}, hdr...), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, DefaultOptions())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		replayed, err := l.Replay(0, func(uint64, mcs.Report) error { return nil })
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		idx := l.AppendedIndex()
+		if st := l.Stats(); replayed+st.ReplaySkipped != idx {
+			t.Fatalf("replayed %d + skipped %d != AppendedIndex %d", replayed, st.ReplaySkipped, idx)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(dir, DefaultOptions())
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		defer l2.Close()
+		if st := l2.Stats(); st.TruncatedBytes != 0 {
+			t.Fatalf("second Open truncated %d bytes", st.TruncatedBytes)
+		}
+		if got := l2.AppendedIndex(); got != idx {
+			t.Fatalf("second Open AppendedIndex = %d, want %d", got, idx)
 		}
 	})
 }

@@ -15,13 +15,15 @@
 // a single committer goroutine that batches concurrent writers into one
 // write (group commit) and applies the configured fsync policy: SyncAlways
 // makes every Append durable before it returns, SyncInterval bounds data
-// loss to a time window, SyncNever leaves flushing to the OS. Recovery
-// truncates a torn tail off the final segment and skips (and counts) the
-// damaged remainder of any earlier segment rather than refusing to start.
-// Compact drops segments wholly behind the newest checkpoint.
+// loss to a time window, SyncNever leaves flushing to the OS. Open and
+// Replay share one buffered segment reader: Open checks each header and
+// truncates the final segment's torn tail, and Replay skips (and counts,
+// once) the damaged remainder of any segment it reads rather than refusing
+// to start. Compact drops segments wholly behind the newest checkpoint.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -223,10 +225,11 @@ type Stats struct {
 	Segments  int    `json:"segments"`
 	Rotations uint64 `json:"rotations"`
 	Compacted uint64 `json:"compacted_segments"`
-	// CorruptSegments counts segments whose damaged remainder recovery or
-	// replay skipped; TruncatedBytes is the torn tail cut off the final
-	// segment at open; ReplaySkipped counts records lost inside damaged
-	// regions during replay.
+	// CorruptSegments counts segments quarantined at open for an
+	// unreadable header plus segments whose damaged remainder replay
+	// skipped; TruncatedBytes is the torn tail cut off the final segment at
+	// open; ReplaySkipped counts records lost inside damaged regions during
+	// replay.
 	CorruptSegments uint64 `json:"corrupt_segments"`
 	TruncatedBytes  uint64 `json:"truncated_bytes"`
 	Replayed        uint64 `json:"replayed_records"`
@@ -267,8 +270,9 @@ func (l *Log) Stats() Stats {
 }
 
 // Open opens (or creates) the log in dir, recovering from whatever a crash
-// left behind: the final segment's torn tail is truncated, and a damaged
-// region inside an earlier segment marks it corrupt without aborting.
+// left behind: a segment with an unreadable header is quarantined, and the
+// final segment's torn tail is truncated. It reads no frame of an earlier
+// segment; Replay finds and counts damage there.
 func Open(dir string, opt Options) (*Log, error) {
 	opt.fillDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -332,11 +336,12 @@ func segCreation(path string) uint64 {
 }
 
 // scan inventories the existing segments, repairs the tail, and opens the
-// active segment for appending. Segments with an unreadable header are
-// quarantined (renamed aside); a damaged interior segment is kept for
-// whatever Replay can still read out of it, because the next segment's
-// header re-anchors the index sequence; the final segment is truncated to
-// its last whole frame (the torn tail a crash mid-write leaves behind).
+// active segment for appending. Every header is checked, and a segment
+// whose header does not read is quarantined (renamed aside). Frames are
+// walked only in the last segment, to truncate the torn tail a crash
+// mid-write leaves and to find the next index: closed segments were
+// fsynced before rotation and each next header re-anchors the index, so
+// damage inside them is left for Replay to find and count.
 func (l *Log) scan() error {
 	paths, err := listSegments(l.opt.FS, l.dir)
 	if err != nil {
@@ -345,53 +350,49 @@ func (l *Log) scan() error {
 	if len(paths) == 0 {
 		return l.createSegment(0, 0)
 	}
-	type scanned struct {
-		path     string
-		first    uint64
-		valid    uint64
-		validEnd int64
-		err      error
-	}
-	var infos []scanned
+	var tail *segmentReader
 	for _, p := range paths {
-		first, valid, validEnd, serr := scanSegment(l.opt.FS, p)
-		if first == ^uint64(0) {
+		r, err := openSegment(l.opt.FS, p)
+		if err != nil {
 			l.st.corruptSegs.Add(1)
 			l.logger().Warn("wal: quarantining segment with unreadable header",
-				"segment", p, "err", serr)
+				"segment", p, "err", err)
 			if rerr := l.opt.FS.Rename(p, p+".corrupt"); rerr != nil {
 				return fmt.Errorf("wal: quarantine %s: %w", p, rerr)
 			}
 			continue
 		}
-		infos = append(infos, scanned{path: p, first: first, valid: valid, validEnd: validEnd, err: serr})
+		if tail != nil {
+			tail.f.Close()
+		}
+		tail = r
+		l.segs = append(l.segs, segInfo{path: p, first: r.first})
 	}
-	if len(infos) == 0 {
+	if tail == nil {
 		return l.createSegment(segCreation(paths[len(paths)-1])+1, 0)
 	}
-	for _, in := range infos[:len(infos)-1] {
-		if in.err != nil {
-			l.st.corruptSegs.Add(1)
-			l.logger().Warn("wal: interior segment damaged; replay will skip its remainder",
-				"segment", in.path, "first_index", in.first, "valid_records", in.valid, "err", in.err)
+	next := tail.first
+	for {
+		if _, err = tail.next(); err != nil {
+			break
 		}
-		l.segs = append(l.segs, segInfo{path: in.path, first: in.first})
+		next++
 	}
-	last := infos[len(infos)-1]
-	if last.err != nil {
+	tail.f.Close()
+	path := l.segs[len(l.segs)-1].path
+	if err != io.EOF {
 		var torn int64
-		if fi, statErr := l.opt.FS.Stat(last.path); statErr == nil && fi.Size() > last.validEnd {
-			torn = fi.Size() - last.validEnd
+		if fi, statErr := l.opt.FS.Stat(path); statErr == nil && fi.Size() > tail.off {
+			torn = fi.Size() - tail.off
 			l.st.truncatedB.Add(uint64(torn))
 		}
-		if terr := l.opt.FS.Truncate(last.path, last.validEnd); terr != nil {
-			return fmt.Errorf("wal: truncate torn tail of %s: %w", last.path, terr)
+		if terr := l.opt.FS.Truncate(path, tail.off); terr != nil {
+			return fmt.Errorf("wal: truncate torn tail of %s: %w", path, terr)
 		}
 		l.logger().Warn("wal: truncated torn tail of final segment",
-			"segment", last.path, "truncated_bytes", torn, "err", last.err)
+			"segment", path, "truncated_bytes", torn, "err", err)
 	}
-	l.segs = append(l.segs, segInfo{path: last.path, first: last.first})
-	return l.openActive(last.path, last.first+last.valid)
+	return l.openActive(path, next)
 }
 
 // openActive opens path for appending and seeds the committer state.
@@ -446,55 +447,74 @@ func (l *Log) createSegment(created, firstIdx uint64) error {
 	return nil
 }
 
-// scanSegment walks a segment's frames. It returns the header's first
-// index (^0 if the header itself is unreadable), the count of valid
-// records, the file offset just past the last valid frame, and the error
-// that stopped the scan (nil for a clean segment).
-func scanSegment(fsys fault.FS, path string) (first uint64, valid uint64, validEnd int64, err error) {
+// errBadHeader marks a segment whose header is short, foreign, or of an
+// unknown version.
+var errBadHeader = errors.New("wal: unreadable segment header")
+
+// segmentReader is the log's one read path, shared by Open and Replay: it
+// reads a segment's frames in order through a buffer.
+type segmentReader struct {
+	f       fault.File
+	br      *bufio.Reader
+	first   uint64 // global index of the segment's first record
+	off     int64  // file offset just past the last whole frame
+	fh      [frameHdr]byte
+	payload []byte
+}
+
+// openSegment opens path and validates its header. A header that cannot
+// be read or does not match wraps errBadHeader; a failed open returns the
+// filesystem's error as is.
+func openSegment(fsys fault.FS, path string) (*segmentReader, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return ^uint64(0), 0, 0, err
+		return nil, err
 	}
-	defer f.Close()
-	hdr := make([]byte, segHdrLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return ^uint64(0), 0, 0, fmt.Errorf("wal: segment header: %w", err)
+	r := &segmentReader{f: f, br: bufio.NewReaderSize(f, 1<<16), off: int64(segHdrLen)}
+	var hdr [segHdrLen]byte
+	_, err = io.ReadFull(r.br, hdr[:])
+	switch v := binary.LittleEndian.Uint32(hdr[len(segMagic):]); {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", errBadHeader, err)
+	case string(hdr[:len(segMagic)]) != segMagic:
+		err = fmt.Errorf("%w: bad magic in %s", errBadHeader, path)
+	case v != segVersion:
+		err = fmt.Errorf("%w: version %d unsupported", errBadHeader, v)
+	default:
+		r.first = binary.LittleEndian.Uint64(hdr[len(segMagic)+4:])
+		return r, nil
 	}
-	if string(hdr[:len(segMagic)]) != segMagic {
-		return ^uint64(0), 0, 0, fmt.Errorf("wal: bad segment magic in %s", path)
+	f.Close()
+	return nil, err
+}
+
+// next returns the next frame's checksummed payload, valid until the
+// following call: io.EOF at a clean end of the segment, a descriptive
+// error for a torn or damaged frame.
+func (r *segmentReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(r.br, r.fh[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wal: torn frame header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[len(segMagic):]); v != segVersion {
-		return ^uint64(0), 0, 0, fmt.Errorf("wal: segment version %d unsupported", v)
+	plen := binary.LittleEndian.Uint32(r.fh[:])
+	want := binary.LittleEndian.Uint32(r.fh[4:])
+	if plen == 0 || plen > maxPayload {
+		return nil, fmt.Errorf("wal: implausible frame length %d", plen)
 	}
-	first = binary.LittleEndian.Uint64(hdr[len(segMagic)+4:])
-	validEnd = int64(segHdrLen)
-	fh := make([]byte, frameHdr)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, fh); err != nil {
-			if errors.Is(err, io.EOF) {
-				return first, valid, validEnd, nil
-			}
-			return first, valid, validEnd, fmt.Errorf("wal: torn frame header: %w", err)
-		}
-		plen := binary.LittleEndian.Uint32(fh)
-		want := binary.LittleEndian.Uint32(fh[4:])
-		if plen == 0 || plen > maxPayload {
-			return first, valid, validEnd, fmt.Errorf("wal: implausible frame length %d", plen)
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return first, valid, validEnd, fmt.Errorf("wal: torn frame payload: %w", err)
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return first, valid, validEnd, fmt.Errorf("wal: frame checksum mismatch")
-		}
-		valid++
-		validEnd += int64(frameHdr) + int64(plen)
+	if cap(r.payload) < int(plen) {
+		r.payload = make([]byte, plen)
 	}
+	r.payload = r.payload[:plen]
+	if _, err := io.ReadFull(r.br, r.payload); err != nil {
+		return nil, fmt.Errorf("wal: torn frame payload: %w", err)
+	}
+	if crc32.Checksum(r.payload, castagnoli) != want {
+		return nil, errors.New("wal: frame checksum mismatch")
+	}
+	r.off += int64(frameHdr) + int64(plen)
+	return r.payload, nil
 }
 
 // Append encodes the report as one frame and hands it to the committer,
@@ -721,11 +741,13 @@ func (l *Log) Replay(from uint64, fn func(idx uint64, r mcs.Report) error) (repl
 	l.segMu.Lock()
 	segs := append([]segInfo(nil), l.segs...)
 	l.segMu.Unlock()
-	end := l.AppendedIndex()
+	last := l.AppendedIndex()
 	for i, seg := range segs {
-		// A segment is skippable when the next one starts at or below
-		// `from`; the final segment always gets scanned.
-		if i+1 < len(segs) && segs[i+1].first <= from {
+		end := last
+		if i+1 < len(segs) {
+			end = segs[i+1].first
+		}
+		if end <= from {
 			continue
 		}
 		n, serr := l.replaySegment(seg, from, end, fn)
@@ -738,88 +760,55 @@ func (l *Log) Replay(from uint64, fn func(idx uint64, r mcs.Report) error) (repl
 	return replayed, nil
 }
 
-// replaySegment scans one segment, invoking fn for records in [from, end).
-func (l *Log) replaySegment(seg segInfo, from, end uint64, fn func(uint64, mcs.Report) error) (uint64, error) {
-	f, err := l.opt.FS.Open(seg.path)
-	if err != nil {
-		// The file may have been compacted away between snapshot and open.
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("wal: replay open: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(int64(segHdrLen), io.SeekStart); err != nil {
-		return 0, fmt.Errorf("wal: replay seek: %w", err)
-	}
-	var replayed uint64
+// replaySegment invokes fn for the segment's records in [from, end), end
+// being where the next segment begins. The first bad frame, or a header
+// that no longer reads, loses the rest of the segment: it is logged once,
+// the segment counts as corrupt, and every index up to end counts as
+// skipped.
+func (l *Log) replaySegment(seg segInfo, from, end uint64, fn func(uint64, mcs.Report) error) (replayed uint64, err error) {
 	idx := seg.first
-	fh := make([]byte, frameHdr)
-	var payload []byte
-	for idx < end {
-		if _, err := io.ReadFull(f, fh); err != nil {
-			if errors.Is(err, io.EOF) {
-				return replayed, nil
+	r, err := openSegment(l.opt.FS, seg.path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		// Compacted away between the snapshot and this open.
+		return 0, nil
+	case err == nil:
+		defer r.f.Close()
+		for ; idx < end; idx++ {
+			var payload []byte
+			if payload, err = r.next(); err != nil {
+				break
 			}
-			l.skipDamaged(seg, idx, end)
-			return replayed, nil
-		}
-		plen := binary.LittleEndian.Uint32(fh)
-		want := binary.LittleEndian.Uint32(fh[4:])
-		if plen == 0 || plen > maxPayload {
-			l.skipDamaged(seg, idx, end)
-			return replayed, nil
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			l.skipDamaged(seg, idx, end)
-			return replayed, nil
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			l.skipDamaged(seg, idx, end)
-			return replayed, nil
-		}
-		if idx >= from {
-			r, n, derr := mcs.DecodeBinary(payload)
+			if idx < from {
+				continue
+			}
+			rep, n, derr := mcs.DecodeBinary(payload)
 			if derr != nil || n != len(payload) {
 				// The frame survived its CRC but the payload does not parse:
 				// count it and keep walking frames.
 				l.st.replaySkips.Add(1)
-			} else if err := fn(idx, r); err != nil {
-				return replayed, err
-			} else {
-				replayed++
+				continue
 			}
+			if ferr := fn(idx, rep); ferr != nil {
+				return replayed, ferr
+			}
+			replayed++
 		}
-		idx++
+	case !errors.Is(err, errBadHeader):
+		return 0, fmt.Errorf("wal: replay open: %w", err)
 	}
-	return replayed, nil
-}
-
-// skipDamaged accounts for the records lost in a segment's damaged
-// remainder: everything from idx to the next segment's first index (or the
-// committed end for the final segment).
-func (l *Log) skipDamaged(seg segInfo, idx, end uint64) {
-	l.st.corruptSegs.Add(1)
-	segEnd := end
-	l.segMu.Lock()
-	for i, s := range l.segs {
-		if s.path == seg.path && i+1 < len(l.segs) {
-			segEnd = l.segs[i+1].first
-			break
-		}
+	if err == nil || err == io.EOF {
+		return replayed, nil
 	}
-	l.segMu.Unlock()
 	var lost uint64
-	if segEnd > idx {
-		lost = segEnd - idx
-		l.st.replaySkips.Add(lost)
+	if end > idx {
+		lost = end - idx
 	}
+	l.st.corruptSegs.Add(1)
+	l.st.replaySkips.Add(lost)
 	l.logger().Warn("wal: skipping damaged region during replay",
-		"segment", seg.path, "from_index", idx, "records_lost", lost)
+		"segment", seg.path, "from_index", idx, "records_lost", lost, "err", err)
+	return replayed, nil
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are durable.

@@ -320,9 +320,6 @@ func TestCorruptInteriorSegmentSkippedAndCounted(t *testing.T) {
 
 	l2 := openTestLog(t, dir, opt)
 	defer l2.Close()
-	if st := l2.Stats(); st.CorruptSegments == 0 {
-		t.Error("corrupt segment not counted at open")
-	}
 	got := collect(t, l2, 0)
 	if len(got) >= n || len(got) == 0 {
 		t.Fatalf("replay after interior corruption = %d records, want (0,%d)", len(got), n)
@@ -334,8 +331,13 @@ func TestCorruptInteriorSegmentSkippedAndCounted(t *testing.T) {
 			t.Fatalf("slot order broken across gap: %d then %d", got[i-1].Slot, got[i].Slot)
 		}
 	}
-	if st := l2.Stats(); st.ReplaySkipped == 0 {
-		t.Error("damaged records not counted as skipped")
+	// The damage is found and counted once, by the replay that reads it.
+	st := l2.Stats()
+	if st.CorruptSegments != 1 {
+		t.Errorf("CorruptSegments = %d, want 1", st.CorruptSegments)
+	}
+	if want := uint64(n - len(got)); st.ReplaySkipped != want {
+		t.Errorf("ReplaySkipped = %d, want %d (records not replayed)", st.ReplaySkipped, want)
 	}
 	// The tail after the corrupt segment still appends and replays.
 	if err := l2.Append(testReport(9, 999)); err != nil {
@@ -344,6 +346,95 @@ func TestCorruptInteriorSegmentSkippedAndCounted(t *testing.T) {
 	after := collect(t, l2, l2.AppendedIndex()-1)
 	if len(after) != 1 || after[0] != testReport(9, 999) {
 		t.Fatalf("tail after corruption = %+v", after)
+	}
+}
+
+func TestCorruptSegmentBelowReplayOriginNotCounted(t *testing.T) {
+	opt := DefaultOptions()
+	opt.SegmentBytes = 256
+	dir := t.TempDir()
+	l := openTestLog(t, dir, opt)
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := l.Append(testReport(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(fault.OS(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("need >= 3 segments, got %d", len(segs))
+	}
+	// Damage the second segment, then replay from where the third begins:
+	// the damaged records all lie below the replay origin.
+	data, err := os.ReadFile(segs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := openSegment(fault.OS(), segs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := r.first
+	r.f.Close()
+
+	l2 := openTestLog(t, dir, opt)
+	defer l2.Close()
+	if st := l2.Stats(); st.CorruptSegments != 0 {
+		t.Errorf("CorruptSegments after Open = %d, want 0 (Open reads no closed segment's frames)", st.CorruptSegments)
+	}
+	got := collect(t, l2, from)
+	if len(got) != n-int(from) {
+		t.Fatalf("Replay(%d) = %d records, want %d", from, len(got), n-int(from))
+	}
+	for i, r := range got {
+		if want := testReport(0, int(from)+i); r != want {
+			t.Fatalf("record %d = %+v, want %+v", i, r, want)
+		}
+	}
+	if st := l2.Stats(); st.CorruptSegments != 0 || st.ReplaySkipped != 0 {
+		t.Errorf("CorruptSegments = %d, ReplaySkipped = %d after replay above the damage, want 0 and 0",
+			st.CorruptSegments, st.ReplaySkipped)
+	}
+}
+
+// TestHeaderDamagedAfterOpenCountedAtReplay covers a segment whose header
+// stops reading between Open and Replay: Replay treats it as damage from
+// the segment's first index, counts it, and goes on with the next segment.
+func TestHeaderDamagedAfterOpenCountedAtReplay(t *testing.T) {
+	opt := DefaultOptions()
+	opt.SegmentBytes = 256
+	dir := t.TempDir()
+	l := openTestLog(t, dir, opt)
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := l.Append(testReport(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer l.Close()
+	l.segMu.Lock()
+	victim, next := l.segs[1], l.segs[2].first
+	l.segMu.Unlock()
+	if err := os.WriteFile(victim.path, []byte("not a wal segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lost := next - victim.first
+	if got := collect(t, l, 0); len(got) != n-int(lost) {
+		t.Fatalf("replay = %d records, want %d", len(got), n-int(lost))
+	}
+	if st := l.Stats(); st.CorruptSegments != 1 || st.ReplaySkipped != lost {
+		t.Errorf("CorruptSegments = %d, ReplaySkipped = %d; want 1 and %d",
+			st.CorruptSegments, st.ReplaySkipped, lost)
 	}
 }
 
