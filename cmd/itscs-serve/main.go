@@ -32,7 +32,7 @@
 //	itscs-serve [-ingest 127.0.0.1:7070] [-http 127.0.0.1:8080]
 //	            [-participants 158] [-window 240] [-hop 60] [-tau 30s]
 //	            [-workers 2] [-queue 16] [-max-fleets 64]
-//	            [-idle-timeout 2m] [-cold-start]
+//	            [-idle-timeout 2m]
 //	            [-data-dir /var/lib/itscs] [-fsync always|interval|never]
 //	            [-fsync-interval 100ms] [-checkpoint-every 4]
 //	            [-log-format text|json] [-log-level info]
@@ -92,7 +92,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	queue := fs.Int("queue", 16, "dispatch queue depth (drop-oldest beyond)")
 	maxFleets := fs.Int("max-fleets", 64, "maximum live fleet shards")
 	idle := fs.Duration("idle-timeout", mcs.DefaultIdleTimeout, "ingest connection idle limit (0 disables)")
-	coldStart := fs.Bool("cold-start", false, "disable cross-window warm starts")
 	dataDir := fs.String("data-dir", "", "durability directory for the WAL and checkpoints (empty = in-memory only)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
@@ -153,7 +152,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	cfg.Engine.Workers = *workers
 	cfg.Engine.QueueDepth = *queue
 	cfg.Engine.MaxFleets = *maxFleets
-	cfg.Engine.DisableWarmStart = *coldStart
 	cfg.Engine.TraceDepth = *traceDepth
 	cfg.Engine.Core.Detect.Tau = *tau
 	cfg.Engine.Core.Reconstruct.Tau = *tau

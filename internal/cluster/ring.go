@@ -25,12 +25,12 @@ const lookupProbes = 16
 // member contributes vnodes points placed by a deterministic FNV-based
 // hash, so the same member list always produces the same placement — a
 // router restart, or a second router in front of the same backends, routes
-// every fleet identically. Adding or removing one member moves only fleets
-// to or from that member (~1/N of the keyspace); everything else stays
-// put, which is what keeps per-fleet window state pinned through topology
-// edits. (Removing points only lengthens probe distances, so a key whose
-// winning point survives keeps it; adding points only shortens them, so a
-// key moves only when the new member's point wins.)
+// every fleet identically. A member list with one member more or fewer
+// moves only fleets to or from that member (~1/N of the keyspace);
+// everything else stays put, which is what keeps per-fleet window state
+// pinned through topology edits. (Removing points only lengthens probe
+// distances, so a key whose winning point survives keeps it; adding points
+// only shortens them, so a key moves only when the new member's point wins.)
 //
 // All methods are safe for concurrent use; lookups take a read lock only.
 type Ring struct {
@@ -67,36 +67,6 @@ func (r *Ring) Add(member string) {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(member, i), member: member})
 	}
 	sortPoints(r.points)
-}
-
-// Remove deletes a member and its points; removing an absent member is a
-// no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members lists the current members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.members))
-	for name := range r.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Owner maps a fleet ID to the member owning it. Each of lookupProbes

@@ -11,8 +11,121 @@ import (
 )
 
 // This file keeps the composed form of one ASD step — the per-step kernels
-// built from whole-matrix mat primitives, one full pass per primitive — as
+// built from whole-matrix primitives, one full pass per primitive — as
 // the reference the fused row passes in csrecon.go must match bit for bit.
+// The products and element-wise ops below exist only for this reference.
+// Each keeps the loop order the fused passes reproduce; the reference runs
+// at one worker, so every product is one sequential pass.
+
+// sameDims errors unless m is r×c.
+func sameDims(m *mat.Dense, r, c int) error {
+	if mr, mc := m.Dims(); mr != r || mc != c {
+		return fmt.Errorf("%w: %dx%d, want %dx%d", mat.ErrShape, mr, mc, r, c)
+	}
+	return nil
+}
+
+// mulInto computes dst = a·b in ikj order, skipping zero terms of a.
+func mulInto(dst, a, b *mat.Dense) error {
+	n, k := a.Dims()
+	_, m := b.Dims()
+	if err := sameDims(b, k, m); err != nil {
+		return err
+	}
+	if err := sameDims(dst, n, m); err != nil {
+		return err
+	}
+	ad, bd, dd := a.RawData(), b.RawData(), dst.RawData()
+	for i := 0; i < n; i++ {
+		arow := ad[i*k : (i+1)*k]
+		drow := dd[i*m : (i+1)*m]
+		for j := range drow {
+			drow[j] = 0
+		}
+		for kk, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := bd[kk*m:][:len(drow)]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+	return nil
+}
+
+// mulTInto computes dst = a·bᵀ with mat's dot-product kernel.
+func mulTInto(dst, a, b *mat.Dense) error {
+	p, err := a.MulT(b)
+	if err != nil {
+		return err
+	}
+	if err := sameDims(dst, p.Rows(), p.Cols()); err != nil {
+		return err
+	}
+	copy(dst.RawData(), p.RawData())
+	return nil
+}
+
+// tMulInto computes dst = aᵀ·b, accumulating over the rows of a and b in
+// order and skipping zero terms of a.
+func tMulInto(dst, a, b *mat.Dense) error {
+	k, n := a.Dims()
+	_, m := b.Dims()
+	if err := sameDims(b, k, m); err != nil {
+		return err
+	}
+	if err := sameDims(dst, n, m); err != nil {
+		return err
+	}
+	ad, bd, dd := a.RawData(), b.RawData(), dst.RawData()
+	for i := range dd {
+		dd[i] = 0
+	}
+	for kk := 0; kk < k; kk++ {
+		arow := ad[kk*n : (kk+1)*n]
+		brow := bd[kk*m : (kk+1)*m]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			drow := dd[i*m:][:len(brow)]
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+	return nil
+}
+
+// hadamardInto computes dst = a ∘ b; dst may alias an operand.
+func hadamardInto(dst, a, b *mat.Dense) error {
+	r, c := a.Dims()
+	if err := sameDims(b, r, c); err != nil {
+		return err
+	}
+	if err := sameDims(dst, r, c); err != nil {
+		return err
+	}
+	ad, bd, dd := a.RawData(), b.RawData(), dst.RawData()
+	for i := range dd {
+		dd[i] = ad[i] * bd[i]
+	}
+	return nil
+}
+
+// subInPlace computes m −= other element-wise.
+func subInPlace(m, other *mat.Dense) error {
+	if err := sameDims(other, m.Rows(), m.Cols()); err != nil {
+		return err
+	}
+	md, od := m.RawData(), other.RawData()
+	for i := range md {
+		md[i] -= od[i]
+	}
+	return nil
+}
 
 // applyDiff computes M·𝕋' in O(n·t), where 𝕋' is Eq. (24)'s operator with
 // the first column dropped: column j of the result is the transition
@@ -97,27 +210,27 @@ func newRefWorkspace(p *problem, rank int) *refWorkspace {
 }
 
 func (ws *refWorkspace) residuals(p *problem, l, r *mat.Dense) (e1, g *mat.Dense, err error) {
-	if err := l.MulTInto(ws.m, r); err != nil {
+	if err := mulTInto(ws.m, l, r); err != nil {
 		return nil, nil, err
 	}
-	if err := ws.m.HadamardInto(ws.e1, p.b); err != nil {
+	if err := hadamardInto(ws.e1, ws.m, p.b); err != nil {
 		return nil, nil, err
 	}
-	if err := ws.e1.SubInPlace(p.sMasked); err != nil {
+	if err := subInPlace(ws.e1, p.sMasked); err != nil {
 		return nil, nil, err
 	}
 	if !p.useStability {
 		return ws.e1, nil, nil
 	}
 	applyDiffInto(ws.g, ws.m)
-	if err := ws.g.SubInPlace(p.target); err != nil {
+	if err := subInPlace(ws.g, p.target); err != nil {
 		return nil, nil, err
 	}
 	return ws.e1, ws.g, nil
 }
 
 func (ws *refWorkspace) gradL(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, error) {
-	if err := e1.MulInto(ws.gl, r); err != nil {
+	if err := mulInto(ws.gl, e1, r); err != nil {
 		return nil, err
 	}
 	ws.gl.Scale(2)
@@ -126,7 +239,7 @@ func (ws *refWorkspace) gradL(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, e
 	}
 	if g != nil {
 		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.MulInto(ws.tl, r); err != nil {
+		if err := mulInto(ws.tl, ws.adj, r); err != nil {
 			return nil, err
 		}
 		if err := ws.gl.AxpyInPlace(2*p.lambda2, ws.tl); err != nil {
@@ -137,7 +250,7 @@ func (ws *refWorkspace) gradL(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, e
 }
 
 func (ws *refWorkspace) gradR(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, error) {
-	if err := e1.TMulInto(ws.gr, l); err != nil {
+	if err := tMulInto(ws.gr, e1, l); err != nil {
 		return nil, err
 	}
 	ws.gr.Scale(2)
@@ -146,7 +259,7 @@ func (ws *refWorkspace) gradR(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, e
 	}
 	if g != nil {
 		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.TMulInto(ws.tr, l); err != nil {
+		if err := tMulInto(ws.tr, ws.adj, l); err != nil {
 			return nil, err
 		}
 		if err := ws.gr.AxpyInPlace(2*p.lambda2, ws.tr); err != nil {
@@ -158,14 +271,14 @@ func (ws *refWorkspace) gradR(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, e
 
 func (ws *refWorkspace) lineStats(p *problem, l, r, grad, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
 	if updateL {
-		err = grad.MulTInto(ws.dm, r)
+		err = mulTInto(ws.dm, grad, r)
 	} else {
-		err = l.MulTInto(ws.dm, grad)
+		err = mulTInto(ws.dm, l, grad)
 	}
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := ws.dm.HadamardInto(ws.p1, p.b); err != nil {
+	if err := hadamardInto(ws.p1, ws.dm, p.b); err != nil {
 		return 0, 0, err
 	}
 	num, err = e1.Dot(ws.p1)

@@ -4,18 +4,13 @@
 // The paper works with GPS coordinates projected onto a local planar frame
 // (errors are reported in meters, and the study region spans 110 × 140 km).
 // This package mirrors that: all positions are meters east/north of a region
-// origin, with helpers to convert to and from WGS-84-style lat/lon using an
-// equirectangular projection, which is accurate to well under the paper's
-// ~200 m reconstruction error at city scale.
+// origin.
 package geo
 
 import (
 	"fmt"
 	"math"
 )
-
-// earthRadiusMeters is the mean Earth radius used by the local projection.
-const earthRadiusMeters = 6371000.0
 
 // Point is a planar position in meters within a Region's local frame.
 type Point struct {
@@ -36,12 +31,6 @@ type Vec struct {
 	VX float64
 	VY float64
 }
-
-// Speed returns the scalar speed in meters/second.
-func (v Vec) Speed() float64 { return math.Hypot(v.VX, v.VY) }
-
-// Scale returns the vector scaled by s.
-func (v Vec) Scale(s float64) Vec { return Vec{VX: v.VX * s, VY: v.VY * s} }
 
 // Region is a rectangular study area with a geographic anchor.
 type Region struct {
@@ -64,40 +53,6 @@ func ShanghaiLike() Region {
 	}
 }
 
-// Contains reports whether p lies within the region (inclusive of edges).
-func (r Region) Contains(p Point) bool {
-	return p.X >= 0 && p.X <= r.WidthMeters && p.Y >= 0 && p.Y <= r.HeightMeters
-}
-
-// Clamp returns p moved to the nearest point inside the region.
-func (r Region) Clamp(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, 0), r.WidthMeters),
-		Y: math.Min(math.Max(p.Y, 0), r.HeightMeters),
-	}
-}
-
-// Center returns the region's central point.
-func (r Region) Center() Point {
-	return Point{X: r.WidthMeters / 2, Y: r.HeightMeters / 2}
-}
-
-// ToLatLon converts a local point to latitude/longitude degrees using an
-// equirectangular projection around the origin latitude.
-func (r Region) ToLatLon(p Point) (lat, lon float64) {
-	lat = r.OriginLat + (p.Y/earthRadiusMeters)*(180/math.Pi)
-	lon = r.OriginLon + (p.X/(earthRadiusMeters*math.Cos(r.OriginLat*math.Pi/180)))*(180/math.Pi)
-	return lat, lon
-}
-
-// FromLatLon converts latitude/longitude degrees to a local point.
-func (r Region) FromLatLon(lat, lon float64) Point {
-	return Point{
-		X: (lon - r.OriginLon) * (math.Pi / 180) * earthRadiusMeters * math.Cos(r.OriginLat*math.Pi/180),
-		Y: (lat - r.OriginLat) * (math.Pi / 180) * earthRadiusMeters,
-	}
-}
-
 // Validate reports configuration errors.
 func (r Region) Validate() error {
 	if r.WidthMeters <= 0 || r.HeightMeters <= 0 {
@@ -114,6 +69,3 @@ func (r Region) Validate() error {
 
 // KmH converts kilometers/hour to meters/second.
 func KmH(kmh float64) float64 { return kmh / 3.6 }
-
-// ToKmH converts meters/second to kilometers/hour.
-func ToKmH(ms float64) float64 { return ms * 3.6 }

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -15,18 +14,6 @@ func benchMatrix(r, c int) *Dense {
 	return m
 }
 
-func BenchmarkMul158x240(b *testing.B) {
-	a := benchMatrix(158, 240)
-	bb := benchMatrix(240, 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Mul(bb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMulT158x240(b *testing.B) {
 	l := benchMatrix(158, 40)
 	r := benchMatrix(240, 40)
@@ -35,43 +22,6 @@ func BenchmarkMulT158x240(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := l.MulT(r); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelsFleetScale measures the three factor-product kernels at
-// fleet scale (1000 participants × 960 slots, rank 40) across worker
-// budgets, via the allocation-free Into forms. Row-block scaling should be
-// near linear up to the core count.
-func BenchmarkKernelsFleetScale(b *testing.B) {
-	if testing.Short() {
-		b.Skip("fleet-scale kernels skipped in short mode")
-	}
-	const n, t, rank = 1000, 960, 40
-	l := benchMatrix(n, rank)
-	r := benchMatrix(t, rank)
-	e := benchMatrix(n, t)
-	kernels := []struct {
-		name string
-		dst  *Dense
-		run  func(dst *Dense) error
-	}{
-		{"MulT_nxt", New(n, t), func(dst *Dense) error { return l.MulTInto(dst, r) }},    // L·Rᵀ
-		{"Mul_nxr", New(n, rank), func(dst *Dense) error { return e.MulInto(dst, r) }},   // E·R
-		{"TMul_txr", New(t, rank), func(dst *Dense) error { return e.TMulInto(dst, l) }}, // Eᵀ·L
-	}
-	for _, k := range kernels {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers%d", k.name, workers), func(b *testing.B) {
-				defer SetParallelism(SetParallelism(workers))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := k.run(k.dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

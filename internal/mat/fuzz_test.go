@@ -62,7 +62,7 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	small, _ := NewFromSlice(2, 3, []float64{1, -2.5, math.NaN(), math.Inf(1), -0.0, 1e308})
+	small, _ := NewFromRows([][]float64{{1, -2.5, math.NaN()}, {math.Inf(1), -0.0, 1e308}})
 	seed(small)
 	seed(New(0, 0))
 	seed(New(1, 0))

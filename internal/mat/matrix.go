@@ -1,7 +1,8 @@
 // Package mat provides the dense linear-algebra substrate used throughout
 // the I(TS,CS) reproduction: a row-major dense matrix of float64 with the
-// arithmetic, norms, and factorizations (QR, one-sided Jacobi SVD) that the
-// compressive-sensing reconstruction and the evaluation harness require.
+// element-wise ops, the L·Rᵀ product, norms and the one-sided Jacobi SVD
+// that the compressive-sensing reconstruction and the evaluation harness
+// require, plus the row-block worker pool its callers split passes with.
 //
 // The package is deliberately self-contained (standard library only) and
 // tuned for the paper's scale — hundreds of rows and columns — where simple
@@ -47,17 +48,6 @@ func New(r, c int) *Dense {
 		c = 0
 	}
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// NewFromSlice returns an r×c matrix that copies the provided row-major data.
-// It returns ErrShape if len(data) != r*c.
-func NewFromSlice(r, c int, data []float64) (*Dense, error) {
-	if len(data) != r*c {
-		return nil, fmt.Errorf("%w: %d values for %dx%d", ErrShape, len(data), r, c)
-	}
-	m := New(r, c)
-	copy(m.data, data)
-	return m, nil
 }
 
 // NewFromRows builds a matrix from a slice of equally sized rows.
@@ -163,70 +153,12 @@ func (m *Dense) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies vals into row i. It returns ErrShape on length mismatch.
-func (m *Dense) SetRow(i int, vals []float64) error {
-	if i < 0 || i >= m.rows {
-		return fmt.Errorf("%w: row %d of %d", ErrIndex, i, m.rows)
-	}
-	if len(vals) != m.cols {
-		return fmt.Errorf("%w: %d values for %d columns", ErrShape, len(vals), m.cols)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], vals)
-	return nil
-}
-
-// SetCol copies vals into column j. It returns ErrShape on length mismatch.
-func (m *Dense) SetCol(j int, vals []float64) error {
-	if j < 0 || j >= m.cols {
-		return fmt.Errorf("%w: col %d of %d", ErrIndex, j, m.cols)
-	}
-	if len(vals) != m.rows {
-		return fmt.Errorf("%w: %d values for %d rows", ErrShape, len(vals), m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = vals[i]
-	}
-	return nil
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := New(m.rows, m.cols)
 	copy(out.data, m.data)
 	return out
 }
-
-// CopyFrom overwrites m with the contents of src.
-// It returns ErrShape when dimensions differ.
-func (m *Dense) CopyFrom(src *Dense) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("%w: copy %dx%d into %dx%d", ErrShape, src.rows, src.cols, m.rows, m.cols)
-	}
-	copy(m.data, src.data)
-	return nil
-}
-
-// Fill sets every element of m to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
-// Zero sets every element of m to 0.
-func (m *Dense) Zero() { m.Fill(0) }
 
 // Apply replaces every element with f(i, j, value).
 func (m *Dense) Apply(f func(i, j int, v float64) float64) {
@@ -268,70 +200,6 @@ func (m *Dense) Scale(s float64) *Dense {
 	return m
 }
 
-// Scaled returns a new matrix equal to s*m.
-func (m *Dense) Scaled(s float64) *Dense {
-	out := m.Clone()
-	out.Scale(s)
-	return out
-}
-
-// AddMat returns m + other as a new matrix.
-func (m *Dense) AddMat(other *Dense) (*Dense, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + other.data[i]
-	}
-	return out, nil
-}
-
-// SubMat returns m - other as a new matrix.
-func (m *Dense) SubMat(other *Dense) (*Dense, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - other.data[i]
-	}
-	return out, nil
-}
-
-// AddInPlace adds other into m element-wise.
-func (m *Dense) AddInPlace(other *Dense) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	for i := range m.data {
-		m.data[i] += other.data[i]
-	}
-	return nil
-}
-
-// SubInPlace subtracts other from m element-wise.
-func (m *Dense) SubInPlace(other *Dense) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	for i := range m.data {
-		m.data[i] -= other.data[i]
-	}
-	return nil
-}
-
-// sameShape3 validates that dst, a and b all share one shape.
-func sameShape3(dst, a, b *Dense, op string) error {
-	if a.rows != b.rows || a.cols != b.cols {
-		return fmt.Errorf("%w: %s %dx%d and %dx%d", ErrShape, op, a.rows, a.cols, b.rows, b.cols)
-	}
-	if dst.rows != a.rows || dst.cols != a.cols {
-		return fmt.Errorf("%w: %s dst %dx%d, want %dx%d", ErrShape, op, dst.rows, dst.cols, a.rows, a.cols)
-	}
-	return nil
-}
-
 // AxpyInPlace computes m += alpha*other element-wise.
 func (m *Dense) AxpyInPlace(alpha float64, other *Dense) error {
 	if m.rows != other.rows || m.cols != other.cols {
@@ -355,92 +223,6 @@ func (m *Dense) Hadamard(other *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// HadamardInPlace multiplies m element-wise by other.
-func (m *Dense) HadamardInPlace(other *Dense) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("%w: hadamard %dx%d and %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	for i := range m.data {
-		m.data[i] *= other.data[i]
-	}
-	return nil
-}
-
-// HadamardInto computes dst = m ∘ other without allocating. All three
-// matrices must share the same shape; dst may alias either operand.
-func (m *Dense) HadamardInto(dst, other *Dense) error {
-	if err := sameShape3(dst, m, other, "hadamard"); err != nil {
-		return err
-	}
-	for i := range m.data {
-		dst.data[i] = m.data[i] * other.data[i]
-	}
-	return nil
-}
-
-// Mul returns the matrix product m·other.
-func (m *Dense) Mul(other *Dense) (*Dense, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := New(m.rows, other.cols)
-	mulInto(out, m, other)
-	return out, nil
-}
-
-// MulInto computes dst = m·other without allocating; dst must be
-// pre-sized to m.rows × other.cols and distinct from both operands.
-func (m *Dense) MulInto(dst, other *Dense) error {
-	if m.cols != other.rows {
-		return fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	if dst.rows != m.rows || dst.cols != other.cols {
-		return fmt.Errorf("%w: dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, m.rows, other.cols)
-	}
-	if dst == m || dst == other {
-		return fmt.Errorf("%w: dst must not alias an operand", ErrShape)
-	}
-	mulInto(dst, m, other)
-	return nil
-}
-
-// mulInto is the ikj-order kernel: cache friendly for row-major storage.
-// Output rows are independent, so the work is split into row blocks; the
-// per-element accumulation order matches the sequential loop exactly, so
-// results are bit-identical at any parallelism level. The sequential
-// branch avoids the closure so the hot path stays allocation-free.
-func mulInto(dst, a, b *Dense) {
-	if !ParallelWorthwhile(a.rows, a.cols*b.cols) {
-		mulIntoBlock(dst, a, b, 0, a.rows)
-		return
-	}
-	ParallelRows(a.rows, a.cols*b.cols, func(lo, hi int) {
-		mulIntoBlock(dst, a, b, lo, hi)
-	})
-}
-
-func mulIntoBlock(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		drow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			// Re-slice to len(drow) so the compiler can prove drow[j] is
-			// in bounds (b.cols == dst.cols is the caller's contract, but
-			// invisible here).
-			brow := b.data[k*b.cols:][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MulT returns m·otherᵀ without materializing the transpose.
 func (m *Dense) MulT(other *Dense) (*Dense, error) {
 	if m.cols != other.cols {
@@ -449,22 +231,6 @@ func (m *Dense) MulT(other *Dense) (*Dense, error) {
 	out := New(m.rows, other.rows)
 	mulTInto(out, m, other)
 	return out, nil
-}
-
-// MulTInto computes dst = m·otherᵀ without allocating; dst must be
-// pre-sized to m.rows × other.rows and distinct from both operands.
-func (m *Dense) MulTInto(dst, other *Dense) error {
-	if m.cols != other.cols {
-		return fmt.Errorf("%w: mulT %dx%d by (%dx%d)ᵀ", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	if dst.rows != m.rows || dst.cols != other.rows {
-		return fmt.Errorf("%w: dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, m.rows, other.rows)
-	}
-	if dst == m || dst == other {
-		return fmt.Errorf("%w: dst must not alias an operand", ErrShape)
-	}
-	mulTInto(dst, m, other)
-	return nil
 }
 
 // mulTInto is the dot-product kernel for a·bᵀ, row-block parallel over the
@@ -493,72 +259,6 @@ func mulTIntoBlock(dst, a, b *Dense, lo, hi int) {
 				sum += av * brow[k]
 			}
 			drow[j] = sum
-		}
-	}
-}
-
-// TMul returns mᵀ·other without materializing the transpose.
-func (m *Dense) TMul(other *Dense) (*Dense, error) {
-	if m.rows != other.rows {
-		return nil, fmt.Errorf("%w: tmul (%dx%d)ᵀ by %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := New(m.cols, other.cols)
-	tMulInto(out, m, other)
-	return out, nil
-}
-
-// TMulInto computes dst = mᵀ·other without allocating; dst must be
-// pre-sized to m.cols × other.cols and distinct from both operands.
-func (m *Dense) TMulInto(dst, other *Dense) error {
-	if m.rows != other.rows {
-		return fmt.Errorf("%w: tmul (%dx%d)ᵀ by %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	if dst.rows != m.cols || dst.cols != other.cols {
-		return fmt.Errorf("%w: dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, m.cols, other.cols)
-	}
-	if dst == m || dst == other {
-		return fmt.Errorf("%w: dst must not alias an operand", ErrShape)
-	}
-	tMulInto(dst, m, other)
-	return nil
-}
-
-// tMulInto accumulates aᵀ·b. The output is partitioned by rows (columns of
-// a); every block scans all rows of a and b, so the k-order of the
-// accumulation — and therefore the floating-point result — is identical to
-// the sequential loop.
-func tMulInto(dst, a, b *Dense) {
-	if !ParallelWorthwhile(a.cols, a.rows*b.cols) {
-		tMulIntoBlock(dst, a, b, 0, a.cols)
-		return
-	}
-	ParallelRows(a.cols, a.rows*b.cols, func(lo, hi int) {
-		tMulIntoBlock(dst, a, b, lo, hi)
-	})
-}
-
-func tMulIntoBlock(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	for k := 0; k < a.rows; k++ {
-		arow := a.data[k*a.cols : (k+1)*a.cols]
-		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			// Re-slice to len(brow) so the compiler can prove drow[j] is
-			// in bounds (dst.cols == b.cols is the caller's contract, but
-			// invisible here).
-			drow := dst.data[i*dst.cols:][:len(brow)]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
 		}
 	}
 }
@@ -621,14 +321,6 @@ func (m *Dense) Sum() float64 {
 		sum += v
 	}
 	return sum
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty matrices).
-func (m *Dense) Mean() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.data))
 }
 
 // CountIf returns how many elements satisfy pred.

@@ -137,44 +137,6 @@ func applyRotation(m *Dense, p, q int, c, s float64) {
 	}
 }
 
-// TruncatedSVD returns the rank-r truncation (U_r, S_r, V_r) of m's SVD.
-// If r exceeds min(rows, cols) it is clamped.
-func TruncatedSVD(m *Dense, r int) (*SVDResult, error) {
-	full, err := SVD(m)
-	if err != nil {
-		return nil, err
-	}
-	k := len(full.S)
-	if r > k {
-		r = k
-	}
-	if r < 1 {
-		return nil, fmt.Errorf("%w: truncation rank %d", ErrShape, r)
-	}
-	u, err := full.U.Slice(0, full.U.rows, 0, r)
-	if err != nil {
-		return nil, err
-	}
-	v, err := full.V.Slice(0, full.V.rows, 0, r)
-	if err != nil {
-		return nil, err
-	}
-	s := make([]float64, r)
-	copy(s, full.S[:r])
-	return &SVDResult{U: u, S: s, V: v}, nil
-}
-
-// Reconstruct multiplies the factors back into U·diag(S)·Vᵀ.
-func (r *SVDResult) Reconstruct() (*Dense, error) {
-	us := r.U.Clone()
-	for i := 0; i < us.rows; i++ {
-		for j := 0; j < us.cols; j++ {
-			us.data[i*us.cols+j] *= r.S[j]
-		}
-	}
-	return us.MulT(r.V)
-}
-
 // EnergyCDF returns, for each prefix length i, the cumulative fraction
 // Σ_{k≤i} σ_k / Σ σ_k. Used for the Fig. 4(a) low-rank analysis.
 func (r *SVDResult) EnergyCDF() []float64 {
@@ -204,33 +166,4 @@ func (r *SVDResult) RankForEnergy(frac float64) int {
 		}
 	}
 	return len(cdf)
-}
-
-// EffectiveRank estimates numerical rank: the number of singular values
-// above relTol times the largest.
-func (r *SVDResult) EffectiveRank(relTol float64) int {
-	if len(r.S) == 0 || r.S[0] == 0 {
-		return 0
-	}
-	threshold := relTol * r.S[0]
-	n := 0
-	for _, s := range r.S {
-		if s > threshold {
-			n++
-		}
-	}
-	return n
-}
-
-// NuclearNorm returns Σ σ_i of m.
-func NuclearNorm(m *Dense) (float64, error) {
-	res, err := SVD(m)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, s := range res.S {
-		sum += s
-	}
-	return sum, nil
 }

@@ -60,7 +60,7 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 
 func TestCheckFiniteRejectsNonFinite(t *testing.T) {
 	bad := []Report{
-		{X: math.NaN()},
+		{Participant: 3, Slot: 5, X: math.NaN()},
 		{Y: math.Inf(1)},
 		{VX: math.Inf(-1)},
 		{VY: math.NaN()},
@@ -70,19 +70,11 @@ func TestCheckFiniteRejectsNonFinite(t *testing.T) {
 			t.Errorf("report %d: err = %v, want ErrNonFinite", i, err)
 		}
 	}
+	if err := bad[0].CheckFinite(); !strings.Contains(err.Error(), "participant 3 slot 5") {
+		t.Errorf("error should identify the report: %v", err)
+	}
 	ok := Report{X: 1e308, Y: -1e308, VX: 0, VY: math.Copysign(0, -1)}
 	if err := ok.CheckFinite(); err != nil {
 		t.Errorf("finite report rejected: %v", err)
-	}
-}
-
-func TestValidateRejectsNonFinite(t *testing.T) {
-	r := Report{Fleet: "cab", Participant: 0, Slot: 0, X: math.NaN()}
-	err := r.Validate(10, 10)
-	if !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("Validate err = %v, want ErrNonFinite", err)
-	}
-	if !strings.Contains(err.Error(), "participant 0") {
-		t.Errorf("error should identify the report: %v", err)
 	}
 }

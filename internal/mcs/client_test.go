@@ -20,10 +20,7 @@ func fastClientOptions() ClientOptions {
 }
 
 func TestClientDeliversAndCounts(t *testing.T) {
-	c, err := NewCollector(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(4, 8)
 	addr := startServer(t, c)
 	cl := NewClient(addr, fastClientOptions())
 	defer cl.Close()
@@ -52,7 +49,7 @@ func TestClientDeliversAndCounts(t *testing.T) {
 	if st.Enqueued != st.Acked+st.Rejected+st.Dropped {
 		t.Fatalf("counters do not conserve: %+v", st)
 	}
-	if got := c.Snapshot().Accepted; got != 4 {
+	if got, _ := c.counts(); got != 4 {
 		t.Fatalf("server accepted %d, want 4", got)
 	}
 }
@@ -61,10 +58,7 @@ func TestClientDeliversAndCounts(t *testing.T) {
 // backend that dies mid-stream and comes back on the same address receives
 // the rest of the stream with no report lost.
 func TestClientReconnectsAcrossServerRestart(t *testing.T) {
-	c1, err := NewCollector(2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := newSink(2, 100)
 	srv1 := NewServer(c1)
 	addr, err := srv1.Listen("127.0.0.1:0")
 	if err != nil {
@@ -102,10 +96,7 @@ func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 	}
 
 	// Restart on the same address; the client must find it and drain.
-	c2, err := NewCollector(2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := newSink(2, 100)
 	srv2 := NewServer(c2)
 	if _, err := srv2.Listen(addr.String()); err != nil {
 		t.Fatal(err)
@@ -131,7 +122,7 @@ func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 	if st.Dials < 2 {
 		t.Errorf("dials = %d, want at least 2 (one per server life)", st.Dials)
 	}
-	if got := c2.Snapshot().Accepted; got != 10 {
+	if got, _ := c2.counts(); got != 10 {
 		t.Fatalf("second life accepted %d, want 10", got)
 	}
 }
@@ -140,10 +131,7 @@ func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 // the fault harness: the client must reconnect and re-send the unacked
 // report, and the server's duplicate rejection absorbs any double delivery.
 func TestClientRetriesAfterMidStreamCut(t *testing.T) {
-	c, err := NewCollector(2, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 200)
 	addr := startServer(t, c)
 
 	opt := fastClientOptions()
@@ -182,7 +170,7 @@ func TestClientRetriesAfterMidStreamCut(t *testing.T) {
 		t.Errorf("stats = %+v, want at least one reconnect and retry", st)
 	}
 	// Every slot must have landed exactly once regardless of retries.
-	if got := c.Snapshot().Accepted; got != n {
+	if got, _ := c.counts(); got != n {
 		t.Fatalf("server accepted %d, want %d", got, n)
 	}
 }

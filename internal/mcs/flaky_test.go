@@ -14,10 +14,7 @@ import (
 // partial frame is discarded, the handler exits cleanly, and no goroutine or
 // connection slot leaks.
 func TestServeConnMidFrameCut(t *testing.T) {
-	c, err := NewCollector(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(4, 8)
 	srv := NewServer(c)
 	client, server := net.Pipe()
 	done := make(chan struct{})
@@ -49,7 +46,7 @@ func TestServeConnMidFrameCut(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("handler did not exit after the transport was cut")
 	}
-	if got := c.Snapshot().Accepted; got != 1 {
+	if got, _ := c.counts(); got != 1 {
 		t.Fatalf("accepted %d reports, want exactly the one delivered before the cut", got)
 	}
 	if err := srv.Close(); err != nil {
@@ -60,10 +57,7 @@ func TestServeConnMidFrameCut(t *testing.T) {
 // TestServeConnIdleStall checks the idle timeout reaps a client that goes
 // silent mid-stream, so a stalled uplink cannot pin its handler forever.
 func TestServeConnIdleStall(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 2)
 	srv := NewServer(c)
 	srv.IdleTimeout = 50 * time.Millisecond
 	client, server := net.Pipe()
@@ -91,7 +85,7 @@ func TestServeConnIdleStall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("idle timeout did not reap the stalled connection")
 	}
-	if got := c.Snapshot().Accepted; got != 1 {
+	if got, _ := c.counts(); got != 1 {
 		t.Fatalf("accepted %d, want 1", got)
 	}
 }

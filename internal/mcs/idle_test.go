@@ -9,7 +9,7 @@ import (
 )
 
 // startIdleServer is startServer with a custom idle timeout.
-func startIdleServer(t *testing.T, c *Collector, idle time.Duration) string {
+func startIdleServer(t *testing.T, c *sink, idle time.Duration) string {
 	t.Helper()
 	srv := NewServer(c)
 	srv.IdleTimeout = idle
@@ -39,10 +39,7 @@ func startIdleServer(t *testing.T, c *Collector, idle time.Duration) string {
 // then goes silent is disconnected after the idle timeout instead of
 // pinning its handler goroutine and connection slot forever.
 func TestServerDropsStalledConnection(t *testing.T) {
-	c, err := NewCollector(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 10)
 	addr := startIdleServer(t, c, 100*time.Millisecond)
 
 	conn, err := net.Dial("tcp", addr)
@@ -85,10 +82,7 @@ func TestServerDropsStalledConnection(t *testing.T) {
 // silent connection stays open (bounded here by a short observation
 // window, not forever, obviously).
 func TestServerIdleTimeoutDisabled(t *testing.T) {
-	c, err := NewCollector(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 10)
 	addr := startIdleServer(t, c, 0)
 
 	conn, err := net.Dial("tcp", addr)

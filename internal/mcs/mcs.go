@@ -1,35 +1,31 @@
-// Package mcs implements the mobile-crowdsensing collection substrate the
-// paper assumes: participants periodically upload their location to a
-// centralized server, which assembles the slotted sensory matrices that
+// Package mcs implements the mobile-crowdsensing upload path the paper
+// assumes: participants periodically upload their location to a
+// centralized server, which slots the reports into the sensory matrices
 // I(TS,CS) consumes (paper §II-A).
 //
-// The package provides three pieces:
+// The package provides the pieces every door and hop shares:
 //
-//   - Collector: a thread-safe in-memory sink that slots reports into
-//     sensory and velocity matrices plus the existence mask;
-//   - Server / SendReports: a line-delimited JSON-over-TCP transport for
-//     running the collector as a network service;
-//   - Streamer: a replay engine that feeds a recorded (or synthetic) fleet
-//     through the transport slot by slot, with configurable report loss —
-//     the mechanism behind the paper's missing values.
+//   - Report: one upload, with its finiteness and identity checks and its
+//     freshness stamp;
+//   - Server: a line-delimited JSON-over-TCP door in front of an Ingestor
+//     (the streaming pipeline);
+//   - Client: the pipelined, reconnecting sender the router forwards with;
+//   - the binary report layout the write-ahead log stores.
 package mcs
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
-
-	"itscs/internal/mat"
 )
 
 // Report is a single location upload from one participant for one slot.
 type Report struct {
-	// Fleet names the shard the report belongs to. The batch Collector
-	// ignores it; the streaming pipeline routes on it. Empty selects the
-	// receiver's default fleet for embedded sinks, but the network front
-	// doors (itscs-serve, itscs-router) refuse it — see CheckIdentity.
+	// Fleet names the shard the report belongs to; the streaming pipeline
+	// routes on it. Empty selects the receiver's default fleet for embedded
+	// sinks, but the network front doors (itscs-serve, itscs-router) refuse
+	// it — see CheckIdentity.
 	Fleet string `json:"fleet,omitempty"`
 	// Participant is the uploader's dense identifier in [0, participants).
 	Participant int `json:"participant"`
@@ -100,18 +96,6 @@ func StampIngest(r *Report, now time.Time, origin Origin) {
 	}
 }
 
-// Validate reports range errors against a collector of the given shape and
-// rejects non-finite payloads (see CheckFinite).
-func (r Report) Validate(participants, slots int) error {
-	if r.Participant < 0 || r.Participant >= participants {
-		return fmt.Errorf("mcs: participant %d outside [0,%d)", r.Participant, participants)
-	}
-	if r.Slot < 0 || r.Slot >= slots {
-		return fmt.Errorf("mcs: slot %d outside [0,%d)", r.Slot, slots)
-	}
-	return r.CheckFinite()
-}
-
 // ErrNonFinite is returned for a report carrying NaN or ±Inf coordinates or
 // velocities. Such values must never reach a sensory matrix: a single NaN
 // poisons the median filter's window and the ASD objective, silently
@@ -153,101 +137,9 @@ func (r Report) CheckIdentity() error {
 // malicious participant cannot overwrite accepted data.
 var ErrDuplicateReport = errors.New("mcs: duplicate report")
 
-// Ingestor consumes location reports. Collector implements it for one-shot
-// batch collection; the streaming pipeline implements it for continuous
-// sliding-window detection. Implementations must be safe for concurrent
-// use — Server calls Ingest from one goroutine per connection.
+// Ingestor consumes location reports. The streaming pipeline implements it
+// for continuous sliding-window detection. Implementations must be safe for
+// concurrent use — Server calls Ingest from one goroutine per connection.
 type Ingestor interface {
 	Ingest(Report) error
-}
-
-// Collector assembles reports into the matrices the framework consumes.
-// It is safe for concurrent use.
-type Collector struct {
-	mu sync.Mutex
-
-	participants, slots int
-	sx, sy              *mat.Dense
-	vx, vy              *mat.Dense
-	existence           *mat.Dense
-	accepted            int
-	rejected            int
-}
-
-// NewCollector returns a collector for the given matrix shape.
-func NewCollector(participants, slots int) (*Collector, error) {
-	if participants <= 0 || slots <= 0 {
-		return nil, fmt.Errorf("mcs: invalid collector shape %dx%d", participants, slots)
-	}
-	return &Collector{
-		participants: participants,
-		slots:        slots,
-		sx:           mat.New(participants, slots),
-		sy:           mat.New(participants, slots),
-		vx:           mat.New(participants, slots),
-		vy:           mat.New(participants, slots),
-		existence:    mat.New(participants, slots),
-	}, nil
-}
-
-// Ingest slots one report. It returns ErrDuplicateReport for an
-// already-filled cell and a range error for an out-of-shape report;
-// both are counted as rejected.
-func (c *Collector) Ingest(r Report) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := r.Validate(c.participants, c.slots); err != nil {
-		c.rejected++
-		return err
-	}
-	if c.existence.At(r.Participant, r.Slot) != 0 {
-		c.rejected++
-		return fmt.Errorf("%w: participant %d slot %d", ErrDuplicateReport, r.Participant, r.Slot)
-	}
-	c.sx.Set(r.Participant, r.Slot, r.X)
-	c.sy.Set(r.Participant, r.Slot, r.Y)
-	c.vx.Set(r.Participant, r.Slot, r.VX)
-	c.vy.Set(r.Participant, r.Slot, r.VY)
-	c.existence.Set(r.Participant, r.Slot, 1)
-	c.accepted++
-	return nil
-}
-
-// Batch is a point-in-time copy of the collector state, shaped exactly
-// like the framework's input matrices.
-type Batch struct {
-	SX, SY    *mat.Dense
-	VX, VY    *mat.Dense
-	Existence *mat.Dense
-	Accepted  int
-	Rejected  int
-}
-
-// Snapshot copies the current state. The copy shares no storage with the
-// collector, so the caller may run the framework while ingestion continues.
-func (c *Collector) Snapshot() *Batch {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &Batch{
-		SX:        c.sx.Clone(),
-		SY:        c.sy.Clone(),
-		VX:        c.vx.Clone(),
-		VY:        c.vy.Clone(),
-		Existence: c.existence.Clone(),
-		Accepted:  c.accepted,
-		Rejected:  c.rejected,
-	}
-}
-
-// Shape reports the collector's matrix dimensions.
-func (c *Collector) Shape() (participants, slots int) {
-	return c.participants, c.slots
-}
-
-// MissingRatio reports the fraction of cells still empty.
-func (c *Collector) MissingRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.participants * c.slots
-	return 1 - float64(c.accepted)/float64(total)
 }

@@ -1,272 +1,50 @@
 package mcs
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"sync"
-	"testing"
-	"time"
-
-	"itscs/internal/mat"
 )
 
-func TestCollectorIngest(t *testing.T) {
-	c, err := NewCollector(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Report{Participant: 1, Slot: 2, X: 10, Y: 20, VX: 1, VY: -1}
-	if err := c.Ingest(r); err != nil {
-		t.Fatal(err)
-	}
-	b := c.Snapshot()
-	if b.SX.At(1, 2) != 10 || b.SY.At(1, 2) != 20 {
-		t.Fatal("coordinates not slotted")
-	}
-	if b.VX.At(1, 2) != 1 || b.VY.At(1, 2) != -1 {
-		t.Fatal("velocities not slotted")
-	}
-	if b.Existence.At(1, 2) != 1 || b.Existence.At(0, 0) != 0 {
-		t.Fatal("existence mask wrong")
-	}
-	if b.Accepted != 1 || b.Rejected != 0 {
-		t.Fatalf("counters = %d/%d", b.Accepted, b.Rejected)
-	}
+// sink is the tests' Ingestor: a participants×slots grid that keeps the
+// first report per cell and rejects duplicates and out-of-range reports,
+// counting both.
+type sink struct {
+	mu                  sync.Mutex
+	participants, slots int
+	cells               map[[2]int]Report
+	rejected            int
 }
 
-func TestCollectorRejectsDuplicates(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Report{Participant: 0, Slot: 0, X: 5}
-	if err := c.Ingest(r); err != nil {
-		t.Fatal(err)
-	}
-	r.X = 99
-	err = c.Ingest(r)
-	if !errors.Is(err, ErrDuplicateReport) {
-		t.Fatalf("want ErrDuplicateReport, got %v", err)
-	}
-	// First write wins.
-	if got := c.Snapshot().SX.At(0, 0); got != 5 {
-		t.Fatalf("duplicate overwrote value: %v", got)
-	}
-	if c.Snapshot().Rejected != 1 {
-		t.Fatal("rejection not counted")
-	}
+func newSink(participants, slots int) *sink {
+	return &sink{participants: participants, slots: slots, cells: make(map[[2]int]Report)}
 }
 
-func TestCollectorRejectsOutOfRange(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
+func (s *sink) Ingest(r Report) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.Participant < 0 || r.Participant >= s.participants || r.Slot < 0 || r.Slot >= s.slots {
+		s.rejected++
+		return fmt.Errorf("participant %d slot %d outside %dx%d", r.Participant, r.Slot, s.participants, s.slots)
 	}
-	bad := []Report{
-		{Participant: -1, Slot: 0},
-		{Participant: 2, Slot: 0},
-		{Participant: 0, Slot: -1},
-		{Participant: 0, Slot: 2},
+	key := [2]int{r.Participant, r.Slot}
+	if _, ok := s.cells[key]; ok {
+		s.rejected++
+		return fmt.Errorf("%w: participant %d slot %d", ErrDuplicateReport, r.Participant, r.Slot)
 	}
-	for _, r := range bad {
-		if err := c.Ingest(r); err == nil {
-			t.Fatalf("report %+v should be rejected", r)
-		}
-	}
-	if c.Snapshot().Rejected != len(bad) {
-		t.Fatal("rejections not counted")
-	}
+	s.cells[key] = r
+	return nil
 }
 
-func TestCollectorShapeValidation(t *testing.T) {
-	if _, err := NewCollector(0, 5); err == nil {
-		t.Fatal("want shape error")
-	}
-	if _, err := NewCollector(5, 0); err == nil {
-		t.Fatal("want shape error")
-	}
+// counts reports how many reports were accepted and rejected.
+func (s *sink) counts() (accepted, rejected int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cells), s.rejected
 }
 
-func TestCollectorSnapshotIsolated(t *testing.T) {
-	c, err := NewCollector(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := c.Snapshot()
-	b.SX.Set(0, 0, 42)
-	if c.Snapshot().SX.At(0, 0) != 0 {
-		t.Fatal("snapshot must not share storage")
-	}
-}
-
-func TestCollectorMissingRatio(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MissingRatio() != 1 {
-		t.Fatalf("empty collector ratio = %v", c.MissingRatio())
-	}
-	_ = c.Ingest(Report{Participant: 0, Slot: 0})
-	if c.MissingRatio() != 0.75 {
-		t.Fatalf("ratio = %v, want 0.75", c.MissingRatio())
-	}
-	p, s := c.Shape()
-	if p != 2 || s != 2 {
-		t.Fatalf("shape = %dx%d", p, s)
-	}
-}
-
-func TestCollectorConcurrentIngest(t *testing.T) {
-	const n, slots = 8, 50
-	c, err := NewCollector(n, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for s := 0; s < slots; s++ {
-				_ = c.Ingest(Report{Participant: p, Slot: s, X: float64(p), Y: float64(s)})
-			}
-		}(p)
-	}
-	wg.Wait()
-	b := c.Snapshot()
-	if b.Accepted != n*slots {
-		t.Fatalf("accepted %d of %d", b.Accepted, n*slots)
-	}
-	if b.Existence.Sum() != float64(n*slots) {
-		t.Fatal("existence mask incomplete")
-	}
-}
-
-func newTestMatrices(n, t int) (x, y, vx, vy *mat.Dense) {
-	x = mat.New(n, t)
-	y = mat.New(n, t)
-	vx = mat.New(n, t)
-	vy = mat.New(n, t)
-	for i := 0; i < n; i++ {
-		for j := 0; j < t; j++ {
-			x.Set(i, j, float64(100*i+j))
-			y.Set(i, j, float64(200*i+j))
-			vx.Set(i, j, 1)
-			vy.Set(i, j, 2)
-		}
-	}
-	return x, y, vx, vy
-}
-
-func TestStreamerFullReplay(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(3, 4)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := s.Reports()
-	if len(reports) != 12 {
-		t.Fatalf("got %d reports, want 12", len(reports))
-	}
-	// Slot-major ordering.
-	if reports[0].Slot != 0 || reports[3].Slot != 1 {
-		t.Fatal("reports must be ordered by slot")
-	}
-	if reports[1].X != 100 || reports[1].Y != 200 {
-		t.Fatalf("report content wrong: %+v", reports[1])
-	}
-}
-
-func TestStreamerLoss(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(10, 50)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{LossRatio: 0.3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := len(s.Reports())
-	want := int(0.7 * 500)
-	if got < want-50 || got > want+50 {
-		t.Fatalf("survived %d of 500 reports, want ~%d", got, want)
-	}
-	// Deterministic under the same seed.
-	s2, _ := NewStreamer(x, y, vx, vy, StreamPlan{LossRatio: 0.3, Seed: 1})
-	if len(s2.Reports()) != got {
-		t.Fatal("same seed must reproduce the loss pattern")
-	}
-}
-
-func TestStreamerParticipantFilter(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(5, 4)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{Participants: []int{1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range s.Reports() {
-		if r.Participant != 1 && r.Participant != 3 {
-			t.Fatalf("unexpected participant %d", r.Participant)
-		}
-	}
-	if len(s.Reports()) != 8 {
-		t.Fatalf("got %d reports, want 8", len(s.Reports()))
-	}
-}
-
-func TestStreamerValidation(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(2, 2)
-	if _, err := NewStreamer(x, y, vx, vy, StreamPlan{LossRatio: 1}); err == nil {
-		t.Fatal("loss ratio 1 should be rejected")
-	}
-	if _, err := NewStreamer(x, y, vx, vy, StreamPlan{LossRatio: -0.1}); err == nil {
-		t.Fatal("negative loss should be rejected")
-	}
-	if _, err := NewStreamer(x, y, vx, vy, StreamPlan{Participants: []int{5}}); err == nil {
-		t.Fatal("out-of-range participant should be rejected")
-	}
-	if _, err := NewStreamer(x, mat.New(1, 1), vx, vy, StreamPlan{}); err == nil {
-		t.Fatal("shape mismatch should be rejected")
-	}
-}
-
-func TestStreamerStreamCancellation(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(10, 100)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan Report)
-	errc := make(chan error, 1)
-	go func() { errc <- s.Stream(ctx, ch) }()
-	<-ch // take one report, then cancel
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Stream did not honour cancellation")
-	}
-}
-
-func TestStreamerStreamDeliversAll(t *testing.T) {
-	x, y, vx, vy := newTestMatrices(2, 3)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan Report)
-	errc := make(chan error, 1)
-	go func() { errc <- s.Stream(context.Background(), ch) }()
-	var got int
-	for range ch {
-		got++
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if got != 6 {
-		t.Fatalf("received %d reports, want 6", got)
-	}
+// at returns the accepted report in a cell.
+func (s *sink) at(participant, slot int) Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cells[[2]int{participant, slot}]
 }

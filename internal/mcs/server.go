@@ -19,8 +19,8 @@ func immediatePast() time.Time { return time.Unix(1, 0) }
 // slots forever.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// Server exposes an Ingestor (a batch Collector or the streaming pipeline)
-// over line-delimited JSON on TCP. Each connection may stream any number of
+// Server exposes an Ingestor (the streaming pipeline) over
+// line-delimited JSON on TCP. Each connection may stream any number of
 // reports; the server replies to every line with "ok\n" or "err <reason>\n",
 // giving participants upload acknowledgement as in a real MCS backend.
 //

@@ -38,10 +38,7 @@ func startServer(t *testing.T, c Ingestor) string {
 }
 
 func TestServerIngestsReports(t *testing.T) {
-	c, err := NewCollector(4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(4, 6)
 	addr := startServer(t, c)
 	reports := []Report{
 		{Participant: 0, Slot: 0, X: 1, Y: 2, VX: 0.5, VY: -0.5},
@@ -55,20 +52,16 @@ func TestServerIngestsReports(t *testing.T) {
 	if acked != 3 {
 		t.Fatalf("acked %d of 3", acked)
 	}
-	b := c.Snapshot()
-	if b.Accepted != 3 {
-		t.Fatalf("collector accepted %d", b.Accepted)
+	if got, _ := c.counts(); got != 3 {
+		t.Fatalf("sink accepted %d", got)
 	}
-	if b.SX.At(0, 1) != 5 || b.SY.At(1, 0) != 4 {
+	if c.at(0, 1).X != 5 || c.at(1, 0).Y != 4 {
 		t.Fatal("report content lost in transport")
 	}
 }
 
 func TestServerRejectsWithoutAborting(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 2)
 	addr := startServer(t, c)
 	reports := []Report{
 		{Participant: 0, Slot: 0, X: 1},
@@ -83,17 +76,13 @@ func TestServerRejectsWithoutAborting(t *testing.T) {
 	if acked != 2 {
 		t.Fatalf("acked %d, want 2", acked)
 	}
-	b := c.Snapshot()
-	if b.Accepted != 2 || b.Rejected != 2 {
-		t.Fatalf("counters = %d/%d", b.Accepted, b.Rejected)
+	if accepted, rejected := c.counts(); accepted != 2 || rejected != 2 {
+		t.Fatalf("counters = %d/%d", accepted, rejected)
 	}
 }
 
 func TestServerHandlesBadJSON(t *testing.T) {
-	c, err := NewCollector(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(2, 2)
 	addr := startServer(t, c)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -115,10 +104,7 @@ func TestServerHandlesBadJSON(t *testing.T) {
 func TestServerConcurrentClients(t *testing.T) {
 	const clients = 8
 	const slots = 20
-	c, err := NewCollector(clients, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(clients, slots)
 	addr := startServer(t, c)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -140,16 +126,13 @@ func TestServerConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := c.Snapshot().Accepted; got != clients*slots {
+	if got, _ := c.counts(); got != clients*slots {
 		t.Fatalf("accepted %d of %d", got, clients*slots)
 	}
 }
 
 func TestSendReportsContextCancel(t *testing.T) {
-	c, err := NewCollector(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(1, 1)
 	addr := startServer(t, c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -165,10 +148,7 @@ func TestSendReportsDialFailure(t *testing.T) {
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	c, err := NewCollector(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSink(1, 1)
 	srv := NewServer(c)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -196,35 +176,5 @@ func TestServeBeforeListen(t *testing.T) {
 	srv := NewServer(nil)
 	if err := srv.Serve(); err == nil {
 		t.Fatal("Serve before Listen should fail")
-	}
-}
-
-func TestEndToEndStreamerThroughServer(t *testing.T) {
-	// Full substrate integration: synthetic matrices → streamer with loss
-	// → TCP transport → collector → batch whose missing ratio matches.
-	const n, slots = 6, 30
-	x, y, vx, vy := newTestMatrices(n, slots)
-	s, err := NewStreamer(x, y, vx, vy, StreamPlan{LossRatio: 0.2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCollector(n, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, c)
-	reports := s.Reports()
-	acked, err := SendReports(context.Background(), addr, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acked != len(reports) {
-		t.Fatalf("acked %d of %d", acked, len(reports))
-	}
-	b := c.Snapshot()
-	wantMissing := 1 - float64(len(reports))/float64(n*slots)
-	gotMissing := 1 - b.Existence.Sum()/float64(n*slots)
-	if gotMissing != wantMissing {
-		t.Fatalf("missing ratio %v, want %v", gotMissing, wantMissing)
 	}
 }

@@ -52,10 +52,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	ms := d.Milliseconds()
 	i := 0
 	for ; i < len(h.bounds); i++ {
-		if ms <= h.bounds[i] {
+		if d <= time.Duration(h.bounds[i])*time.Millisecond {
 			break
 		}
 	}

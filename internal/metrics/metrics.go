@@ -99,12 +99,6 @@ func (c Confusion) FalsePositiveRate() float64 {
 	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
-// String renders the confusion counts with the derived rates.
-func (c Confusion) String() string {
-	return fmt.Sprintf("TP=%d FP=%d FN=%d TN=%d (P=%.4f R=%.4f)",
-		c.TP, c.FP, c.FN, c.TN, c.Precision(), c.Recall())
-}
-
 // MAE computes the reconstruction Mean Absolute Error of Eq. (29): the mean
 // Euclidean distance between truth and reconstruction over the cells that
 // were missing (e == 0) or detected faulty (d == 1). It returns 0 when no
@@ -133,25 +127,4 @@ func MAE(x, y, xHat, yHat, e, d *mat.Dense) (float64, error) {
 		return 0, nil
 	}
 	return sum / float64(cnt), nil
-}
-
-// MAEAll computes the mean Euclidean error over every cell — a stricter
-// variant used in diagnostics and ablations.
-func MAEAll(x, y, xHat, yHat *mat.Dense) (float64, error) {
-	n, t := x.Dims()
-	for name, m := range map[string]*mat.Dense{"Y": y, "X̂": xHat, "Ŷ": yHat} {
-		if mr, mc := m.Dims(); mr != n || mc != t {
-			return 0, fmt.Errorf("metrics: %s is %dx%d, want %dx%d", name, mr, mc, n, t)
-		}
-	}
-	if n*t == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < t; j++ {
-			sum += math.Hypot(x.At(i, j)-xHat.At(i, j), y.At(i, j)-yHat.At(i, j))
-		}
-	}
-	return sum / float64(n*t), nil
 }

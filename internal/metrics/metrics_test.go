@@ -68,13 +68,6 @@ func TestDegenerateRates(t *testing.T) {
 	}
 }
 
-func TestConfusionString(t *testing.T) {
-	c := Confusion{TP: 1, FP: 2, FN: 3, TN: 4}
-	if c.String() == "" {
-		t.Fatal("String must render")
-	}
-}
-
 func TestMAE(t *testing.T) {
 	x, _ := mat.NewFromRows([][]float64{{0, 0, 0}})
 	y, _ := mat.NewFromRows([][]float64{{0, 0, 0}})
@@ -106,26 +99,5 @@ func TestMAEShapeError(t *testing.T) {
 	m := mat.Ones(2, 2)
 	if _, err := MAE(m, mat.New(1, 1), m, m, m, m); err == nil {
 		t.Fatal("want shape error")
-	}
-}
-
-func TestMAEAll(t *testing.T) {
-	x, _ := mat.NewFromRows([][]float64{{0, 0}})
-	y, _ := mat.NewFromRows([][]float64{{0, 0}})
-	xh, _ := mat.NewFromRows([][]float64{{3, 0}})
-	yh, _ := mat.NewFromRows([][]float64{{4, 0}})
-	got, err := MAEAll(x, y, xh, yh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2.5 {
-		t.Fatalf("MAEAll = %v, want 2.5", got)
-	}
-	if _, err := MAEAll(x, y, xh, mat.New(3, 3)); err == nil {
-		t.Fatal("want shape error")
-	}
-	empty := mat.New(0, 0)
-	if v, err := MAEAll(empty, empty, empty, empty); err != nil || v != 0 {
-		t.Fatalf("empty MAEAll = %v, err %v", v, err)
 	}
 }

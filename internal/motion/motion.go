@@ -2,7 +2,6 @@
 // shared by the detection and reconstruction stages of I(TS,CS):
 //
 //   - the Average Velocity Matrix V̄ of paper Eq. (11),
-//   - the temporal difference operator 𝕋 of Eq. (24),
 //   - the temporal-stability measures Δ (Eq. 21) and velocity-improved
 //     Δᵥ (Eq. 22) used in the Fig. 4(b) analysis.
 package motion
@@ -38,20 +37,6 @@ func AverageVelocity(v *mat.Dense) *mat.Dense {
 		}
 	}
 	return out
-}
-
-// TemporalDiff returns the t×t upper-bidiagonal difference operator 𝕋 of
-// paper Eq. (24): ones on the diagonal and −1 on the superdiagonal, so that
-// (X·𝕋)(i,j) = x(i,j) − x(i,j−1) for j > 1 and (X·𝕋)(i,1) = x(i,1).
-func TemporalDiff(t int) *mat.Dense {
-	m := mat.New(t, t)
-	for i := 0; i < t; i++ {
-		m.Set(i, i, 1)
-		if i+1 < t {
-			m.Set(i, i+1, -1)
-		}
-	}
-	return m
 }
 
 // Stability computes the temporal-stability values Δx(i,j) of Eq. (21) for

@@ -35,43 +35,6 @@ func TestAverageVelocitySingleColumn(t *testing.T) {
 	}
 }
 
-func TestTemporalDiff(t *testing.T) {
-	tt := TemporalDiff(4)
-	if tt.Rows() != 4 || tt.Cols() != 4 {
-		t.Fatalf("dims = %dx%d", tt.Rows(), tt.Cols())
-	}
-	// X·𝕋 must equal per-column differences.
-	x, _ := mat.NewFromRows([][]float64{{1, 3, 6, 10}})
-	prod, err := x.Mul(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (X·T)(0,j) = x(j) − x(j+1)·(−1 shifted): with our T, column j gets
-	// x(j) − x(j−1) for j>0 via superdiagonal −1 in column j from row j−1.
-	want := []float64{1, 3 - 1, 6 - 3, 10 - 6}
-	for j, w := range want {
-		if math.Abs(prod.At(0, j)-w) > 1e-12 {
-			t.Fatalf("(X·T)(0,%d) = %v, want %v", j, prod.At(0, j), w)
-		}
-	}
-}
-
-func TestTemporalDiffZeroForConstantRows(t *testing.T) {
-	x := mat.Filled(3, 5, 42)
-	prod, err := x.Mul(TemporalDiff(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All columns except the first must vanish for a constant signal.
-	for i := 0; i < 3; i++ {
-		for j := 1; j < 5; j++ {
-			if prod.At(i, j) != 0 {
-				t.Fatalf("difference of constant row not zero at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestStability(t *testing.T) {
 	x, _ := mat.NewFromRows([][]float64{
 		{0, 10, 5},

@@ -70,45 +70,60 @@ func (s Span) LogValue() slog.Value {
 	)
 }
 
+// ring is the fixed-capacity FIFO behind Ring and TraceTable: push
+// appends, evicting the oldest value once full, and a zero-capacity ring
+// keeps nothing. Callers hold their own lock.
+type ring[T any] struct {
+	buf  []T
+	next int // index the next push writes
+	n    int // live values, ≤ len(buf)
+}
+
+func newRing[T any](depth int) ring[T] { return ring[T]{buf: make([]T, max(depth, 0))} }
+
+// push appends v and, when the ring was full, returns the value it evicted.
+func (r *ring[T]) push(v T) (evicted T, full bool) {
+	if len(r.buf) == 0 {
+		return v, true
+	}
+	if r.n == len(r.buf) {
+		evicted, full = r.buf[r.next], true
+	} else {
+		r.n++
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	return evicted, full
+}
+
+// at returns the i-th oldest live value, 0 ≤ i < n.
+func (r *ring[T]) at(i int) T { return r.buf[(r.next-r.n+i+len(r.buf))%len(r.buf)] }
+
 // Ring is a bounded, concurrency-safe buffer of the most recent spans. A
 // zero-capacity ring retains nothing; Add never blocks or allocates beyond
 // the fixed buffer.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int // index the next Add writes
-	n    int // live spans, ≤ len(buf)
+	mu    sync.Mutex
+	spans ring[Span]
 }
 
 // NewRing returns a ring retaining up to depth spans (≤ 0 retains none).
-func NewRing(depth int) *Ring {
-	if depth < 0 {
-		depth = 0
-	}
-	return &Ring{buf: make([]Span, depth)}
-}
+func NewRing(depth int) *Ring { return &Ring{spans: newRing[Span](depth)} }
 
 // Add records a span, evicting the oldest when full.
 func (r *Ring) Add(s Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.spans.push(s)
 }
 
 // Snapshot copies the retained spans, newest first.
 func (r *Ring) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[((r.next-1-i)%len(r.buf)+len(r.buf))%len(r.buf)]
+	out := make([]Span, r.spans.n)
+	for i := range out {
+		out[i] = r.spans.at(r.spans.n - 1 - i)
 	}
 	return out
 }
@@ -117,7 +132,7 @@ func (r *Ring) Snapshot() []Span {
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.spans.n
 }
 
 // Observer receives pipeline window lifecycle events. Implementations must

@@ -56,12 +56,9 @@ func ParseTraceID(s string) (uint64, error) {
 // retention contract as the span Ring. A nil table ignores every call, so
 // tracing stays optional without call-site guards.
 type TraceTable struct {
-	mu      sync.Mutex
-	cap     int
-	order   []uint64 // insertion order; order[head:] are live
-	head    int
-	byID    map[uint64]*Trace
-	evicted uint64
+	mu   sync.Mutex
+	ids  ring[uint64] // live trace IDs, oldest first
+	byID map[uint64]*Trace
 }
 
 // NewTraceTable returns a table retaining up to depth traces (≤ 0 retains
@@ -70,7 +67,7 @@ func NewTraceTable(depth int) *TraceTable {
 	if depth <= 0 {
 		return &TraceTable{}
 	}
-	return &TraceTable{cap: depth, byID: make(map[uint64]*Trace, depth)}
+	return &TraceTable{ids: newRing[uint64](depth), byID: make(map[uint64]*Trace, depth)}
 }
 
 // Begin opens (or reopens, after replay re-delivers a record) the trace
@@ -78,7 +75,7 @@ func NewTraceTable(depth int) *TraceTable {
 // by the given stages (the engine passes wal_commit). Opening the trace
 // whole in one call means no racing window close can link it half-built.
 func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64, stages ...TraceStage) {
-	if t == nil || t.cap == 0 || id == 0 {
+	if t == nil || len(t.ids.buf) == 0 || id == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -88,8 +85,8 @@ func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origi
 		// original, already-linked trace rather than resetting it.
 		return
 	}
-	for len(t.byID) >= t.cap {
-		t.evictOldest()
+	if oldest, full := t.ids.push(id); full {
+		delete(t.byID, oldest)
 	}
 	t.byID[id] = &Trace{
 		ID:          TraceIDString(id),
@@ -99,30 +96,6 @@ func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origi
 		Origin:      origin,
 		WindowSeq:   -1,
 		Stages:      append([]TraceStage{{Name: "ingest", AtUnixMicro: atUnixMicro}}, stages...),
-	}
-	t.order = append(t.order, id)
-	t.compact()
-}
-
-// evictOldest drops the oldest live trace. Caller holds t.mu.
-func (t *TraceTable) evictOldest() {
-	for t.head < len(t.order) {
-		id := t.order[t.head]
-		t.head++
-		if _, ok := t.byID[id]; ok {
-			delete(t.byID, id)
-			t.evicted++
-			return
-		}
-	}
-}
-
-// compact reclaims the consumed prefix of the order slice once it
-// dominates the backlog. Caller holds t.mu.
-func (t *TraceTable) compact() {
-	if t.head > t.cap && t.head*2 > len(t.order) {
-		t.order = append(t.order[:0:0], t.order[t.head:]...)
-		t.head = 0
 	}
 }
 
@@ -134,15 +107,16 @@ func (t *TraceTable) compact() {
 // overlapping hops a slot belongs to several windows, but freshness is
 // defined against the first close that could have detected on the report.
 func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, name string, atUnixMicro int64) []uint64 {
-	if t == nil || t.cap == 0 {
+	if t == nil || len(t.ids.buf) == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var linked []uint64
-	for _, id := range t.order[t.head:] {
-		tr, ok := t.byID[id]
-		if !ok || tr.WindowSeq >= 0 || tr.Slot < startSlot || tr.Slot >= endSlot {
+	for i := 0; i < t.ids.n; i++ {
+		id := t.ids.at(i)
+		tr := t.byID[id]
+		if tr.WindowSeq >= 0 || tr.Slot < startSlot || tr.Slot >= endSlot {
 			continue
 		}
 		tr.WindowSeq = seq
@@ -154,7 +128,7 @@ func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, name string, atUni
 
 // StageSeq appends a stage to every retained trace claimed by window seq.
 func (t *TraceTable) StageSeq(seq int, name, detail string, atUnixMicro int64) {
-	if t == nil || t.cap == 0 {
+	if t == nil || len(t.ids.buf) == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -168,7 +142,7 @@ func (t *TraceTable) StageSeq(seq int, name, detail string, atUnixMicro int64) {
 
 // Lookup returns a deep copy of the trace for id, if retained.
 func (t *TraceTable) Lookup(id uint64) (Trace, bool) {
-	if t == nil || t.cap == 0 {
+	if t == nil || len(t.ids.buf) == 0 {
 		return Trace{}, false
 	}
 	t.mu.Lock()
@@ -182,16 +156,14 @@ func (t *TraceTable) Lookup(id uint64) (Trace, bool) {
 
 // Snapshot copies the retained traces, newest first.
 func (t *TraceTable) Snapshot() []Trace {
-	if t == nil || t.cap == 0 {
+	if t == nil || len(t.ids.buf) == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Trace, 0, len(t.byID))
-	for i := len(t.order) - 1; i >= t.head; i-- {
-		if tr, ok := t.byID[t.order[i]]; ok {
-			out = append(out, copyTrace(tr))
-		}
+	for i := t.ids.n - 1; i >= 0; i-- {
+		out = append(out, copyTrace(t.byID[t.ids.at(i)]))
 	}
 	return out
 }
@@ -204,16 +176,6 @@ func (t *TraceTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.byID)
-}
-
-// Evicted reports how many traces retention has dropped so far.
-func (t *TraceTable) Evicted() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
 }
 
 func copyTrace(tr *Trace) Trace {

@@ -126,9 +126,6 @@ type Config struct {
 	// MaxFleets bounds how many fleet shards may be materialized
 	// (default 64); each shard holds five Participants×(W+H) matrices.
 	MaxFleets int
-	// DisableWarmStart makes every window cold-start CORRECT from the SVD
-	// init instead of carrying the previous window's factorization.
-	DisableWarmStart bool
 	// Log, when set, makes ingestion write-ahead: a report is appended to
 	// the log before it mutates any shard, and an append failure rejects
 	// the report (durability refused is ingestion refused).
@@ -1068,12 +1065,9 @@ func (e *Engine) worker() {
 // state and latest result, and publishes to subscribers.
 func (e *Engine) process(j job) {
 	e.hist.wait.Observe(e.cfg.Clock.Since(j.enqueued))
-	var warm *core.WarmState
-	if !e.cfg.DisableWarmStart {
-		j.sh.mu.Lock()
-		warm = j.sh.warm
-		j.sh.mu.Unlock()
-	}
+	j.sh.mu.Lock()
+	warm := j.sh.warm
+	j.sh.mu.Unlock()
 	began := e.cfg.Clock.Now()
 	out, err := core.RunWarm(e.cfg.Core, j.in, warm)
 	if err != nil {

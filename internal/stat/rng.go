@@ -36,9 +36,6 @@ func (g *RNG) Child(name string) *RNG {
 	return NewRNG(int64(h))
 }
 
-// Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // NormFloat64 returns a standard normal value.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
@@ -66,13 +63,3 @@ func (g *RNG) Sign() float64 {
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// SampleIndices returns k distinct indices drawn uniformly from [0,n).
-// If k >= n all indices are returned (shuffled).
-func (g *RNG) SampleIndices(n, k int) []int {
-	if k > n {
-		k = n
-	}
-	perm := g.r.Perm(n)
-	return perm[:k]
-}

@@ -1,6 +1,6 @@
 // Package stat provides the small statistical toolkit used by the I(TS,CS)
-// pipeline: order statistics (median, quantiles), empirical CDFs, running
-// summaries, and a deterministic splittable random source so every
+// pipeline: order statistics (the in-place median DETECT's filters use,
+// quantiles) and a deterministic splittable random source so every
 // experiment in the repository is reproducible from a single seed.
 package stat
 
@@ -14,43 +14,27 @@ import (
 // ErrEmpty is returned by order statistics on empty inputs.
 var ErrEmpty = errors.New("stat: empty input")
 
-// Median returns the median of vals without mutating the input.
-// For an even count it returns the mean of the two middle values.
-func Median(vals []float64) (float64, error) {
+// MedianInPlace returns the median of vals, reordering vals as a side
+// effect. Use it on scratch buffers in hot loops to avoid allocation.
+func MedianInPlace(vals []float64) (float64, error) {
 	n := len(vals)
 	if n == 0 {
 		return 0, ErrEmpty
 	}
-	buf := make([]float64, n)
-	copy(buf, vals)
-	return medianInPlace(buf), nil
-}
-
-// MedianInPlace returns the median of vals, reordering vals as a side
-// effect. Use it on scratch buffers in hot loops to avoid allocation.
-func MedianInPlace(vals []float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, ErrEmpty
-	}
-	return medianInPlace(vals), nil
-}
-
-func medianInPlace(buf []float64) float64 {
-	n := len(buf)
 	mid := n / 2
 	if n%2 == 1 {
-		return quickSelect(buf, mid)
+		return quickSelect(vals, mid), nil
 	}
-	hi := quickSelect(buf, mid)
-	// After selecting index mid, elements left of mid are <= buf[mid];
+	hi := quickSelect(vals, mid)
+	// After selecting index mid, elements left of mid are <= vals[mid];
 	// the lower middle is the max of that prefix.
-	lo := buf[0]
-	for _, v := range buf[1:mid] {
+	lo := vals[0]
+	for _, v := range vals[1:mid] {
 		if v > lo {
 			lo = v
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, nil
 }
 
 // quickSelect returns the k-th smallest element (0-based), partially
@@ -122,139 +106,3 @@ func Quantile(vals []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return buf[lo]*(1-frac) + buf[hi]*frac, nil
 }
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
-}
-
-// StdDev returns the population standard deviation (0 for <2 values).
-func StdDev(vals []float64) float64 {
-	n := len(vals)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(vals)
-	var s float64
-	for _, v := range vals {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n))
-}
-
-// MinMax returns the extrema of vals.
-func MinMax(vals []float64) (minV, maxV float64, err error) {
-	if len(vals) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	minV, maxV = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV, nil
-}
-
-// CDF is an empirical cumulative distribution built from a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF over vals (copied, then sorted).
-func NewCDF(vals []float64) (*CDF, error) {
-	if len(vals) == 0 {
-		return nil, ErrEmpty
-	}
-	buf := make([]float64, len(vals))
-	copy(buf, vals)
-	sort.Float64s(buf)
-	return &CDF{sorted: buf}, nil
-}
-
-// P returns the empirical probability P(X ≤ x).
-func (c *CDF) P(x float64) float64 {
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the value below which fraction q of the sample lies.
-func (c *CDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	pos := q * float64(len(c.sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c.sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return c.sorted[lo]*(1-frac) + c.sorted[hi]*frac
-}
-
-// Len reports the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Running accumulates a streaming mean/variance/extrema summary
-// (Welford's algorithm).
-type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Observe folds x into the summary.
-func (r *Running) Observe(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N reports how many values were observed.
-func (r *Running) N() int { return r.n }
-
-// Mean reports the running mean (0 before any observation).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var reports the running population variance.
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev reports the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Var()) }
-
-// Min reports the smallest observation (0 before any observation).
-func (r *Running) Min() float64 { return r.min }
-
-// Max reports the largest observation (0 before any observation).
-func (r *Running) Max() float64 { return r.max }

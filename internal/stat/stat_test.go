@@ -9,60 +9,44 @@ import (
 )
 
 func TestMedianOdd(t *testing.T) {
-	m, err := Median([]float64{3, 1, 2})
+	m, err := MedianInPlace([]float64{3, 1, 2})
 	if err != nil || m != 2 {
 		t.Fatalf("median = %v, err = %v", m, err)
 	}
 }
 
 func TestMedianEven(t *testing.T) {
-	m, err := Median([]float64{4, 1, 3, 2})
+	m, err := MedianInPlace([]float64{4, 1, 3, 2})
 	if err != nil || m != 2.5 {
 		t.Fatalf("median = %v, err = %v", m, err)
 	}
 }
 
 func TestMedianSingle(t *testing.T) {
-	m, err := Median([]float64{42})
+	m, err := MedianInPlace([]float64{42})
 	if err != nil || m != 42 {
 		t.Fatalf("median = %v, err = %v", m, err)
 	}
 }
 
 func TestMedianEmpty(t *testing.T) {
-	if _, err := Median(nil); err == nil {
-		t.Fatal("want error for empty input")
-	}
 	if _, err := MedianInPlace(nil); err == nil {
 		t.Fatal("want error for empty input")
 	}
 }
 
-func TestMedianDoesNotMutate(t *testing.T) {
-	in := []float64{5, 1, 4, 2, 3}
-	if _, err := Median(in); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{5, 1, 4, 2, 3}
-	for i := range want {
-		if in[i] != want[i] {
-			t.Fatalf("Median mutated input: %v", in)
-		}
-	}
-}
-
 func TestMedianWithDuplicates(t *testing.T) {
-	m, err := Median([]float64{2, 2, 2, 2})
+	m, err := MedianInPlace([]float64{2, 2, 2, 2})
 	if err != nil || m != 2 {
 		t.Fatalf("median = %v", m)
 	}
-	m, err = Median([]float64{1, 2, 2, 3, 3})
+	m, err = MedianInPlace([]float64{1, 2, 2, 3, 3})
 	if err != nil || m != 2 {
 		t.Fatalf("median = %v", m)
 	}
 }
 
-// Property: Median agrees with the sort-based definition.
+// Property: MedianInPlace agrees with the sort-based definition.
 func TestPropertyMedianMatchesSort(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -71,7 +55,7 @@ func TestPropertyMedianMatchesSort(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.NormFloat64() * 100
 		}
-		got, err := Median(vals)
+		got, err := MedianInPlace(vals)
 		if err != nil {
 			return false
 		}
@@ -121,124 +105,11 @@ func TestQuantileInterpolates(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(vals) != 5 {
-		t.Fatalf("mean = %v", Mean(vals))
-	}
-	if math.Abs(StdDev(vals)-2) > 1e-12 {
-		t.Fatalf("stddev = %v", StdDev(vals))
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs must return 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	minV, maxV, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || minV != -1 || maxV != 7 {
-		t.Fatalf("minmax = (%v,%v), err %v", minV, maxV, err)
-	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Fatal("want error for empty input")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c, err := NewCDF([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if p := c.P(2); p != 0.5 {
-		t.Fatalf("P(2) = %v, want 0.5", p)
-	}
-	if p := c.P(0); p != 0 {
-		t.Fatalf("P(0) = %v, want 0", p)
-	}
-	if p := c.P(10); p != 1 {
-		t.Fatalf("P(10) = %v, want 1", p)
-	}
-	if q := c.Quantile(0); q != 1 {
-		t.Fatalf("Quantile(0) = %v", q)
-	}
-	if q := c.Quantile(1); q != 4 {
-		t.Fatalf("Quantile(1) = %v", q)
-	}
-	if q := c.Quantile(0.5); math.Abs(q-2.5) > 1e-12 {
-		t.Fatalf("Quantile(0.5) = %v", q)
-	}
-	if _, err := NewCDF(nil); err == nil {
-		t.Fatal("want error for empty sample")
-	}
-}
-
-// Property: CDF.P is monotone and Quantile is its rough inverse.
-func TestPropertyCDFMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.NormFloat64()
-		}
-		c, err := NewCDF(vals)
-		if err != nil {
-			return false
-		}
-		prev := -1.0
-		for x := -3.0; x <= 3.0; x += 0.5 {
-			p := c.P(x)
-			if p < prev {
-				return false
-			}
-			prev = p
-		}
-		// Quantile at q should have P >= q (within a sample-size granularity).
-		for _, q := range []float64{0.1, 0.5, 0.9} {
-			v := c.Quantile(q)
-			if c.P(v) < q-1.0/float64(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunning(t *testing.T) {
-	var r Running
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range vals {
-		r.Observe(v)
-	}
-	if r.N() != len(vals) {
-		t.Fatalf("N = %d", r.N())
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", r.Mean())
-	}
-	if math.Abs(r.StdDev()-2) > 1e-12 {
-		t.Fatalf("stddev = %v", r.StdDev())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("extrema = (%v,%v)", r.Min(), r.Max())
-	}
-	var empty Running
-	if empty.Var() != 0 || empty.Mean() != 0 {
-		t.Fatal("empty Running must report zeros")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
+		if a.Int63() != b.Int63() {
 			t.Fatal("same seed must produce identical streams")
 		}
 	}
@@ -250,7 +121,7 @@ func TestRNGChildIndependence(t *testing.T) {
 	c2 := root.Child("corrupt")
 	same := 0
 	for i := 0; i < 50; i++ {
-		if c1.Float64() == c2.Float64() {
+		if c1.Int63() == c2.Int63() {
 			same++
 		}
 	}
@@ -261,7 +132,7 @@ func TestRNGChildIndependence(t *testing.T) {
 	d1 := NewRNG(1).Child("trace")
 	d2 := NewRNG(1).Child("trace")
 	for i := 0; i < 20; i++ {
-		if d1.Float64() != d2.Float64() {
+		if d1.Int63() != d2.Int63() {
 			t.Fatal("same child label must reproduce the stream")
 		}
 	}
@@ -293,25 +164,6 @@ func TestRNGHelpers(t *testing.T) {
 	}
 	if trueCount < 200 || trueCount > 400 {
 		t.Fatalf("Bool(0.3) fired %d/1000 times", trueCount)
-	}
-}
-
-func TestSampleIndices(t *testing.T) {
-	g := NewRNG(9)
-	idx := g.SampleIndices(10, 4)
-	if len(idx) != 4 {
-		t.Fatalf("len = %d", len(idx))
-	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if i < 0 || i >= 10 || seen[i] {
-			t.Fatalf("bad or duplicate index %d in %v", i, idx)
-		}
-		seen[i] = true
-	}
-	all := g.SampleIndices(3, 99)
-	if len(all) != 3 {
-		t.Fatalf("oversampling should clamp, got %d", len(all))
 	}
 	if len(g.Perm(5)) != 5 {
 		t.Fatal("Perm length wrong")

@@ -261,12 +261,7 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadCheckpoint loads and verifies one checkpoint file.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	return ReadCheckpointFS(fault.OS(), path)
-}
-
-// ReadCheckpointFS is ReadCheckpoint through an explicit filesystem seam.
+// ReadCheckpointFS loads and verifies one checkpoint file through fsys.
 func ReadCheckpointFS(fsys fault.FS, path string) (*Checkpoint, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if filepath.Dir(path) != dir {
 		t.Fatalf("checkpoint written outside dir: %s", path)
 	}
-	back, err := ReadCheckpoint(path)
+	back, err := ReadCheckpointFS(fault.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCheckpointReputationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCheckpoint(path)
+	back, err := ReadCheckpointFS(fault.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCheckpointReputationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err = ReadCheckpoint(path); err != nil || back.Reputation != nil {
+	if back, err = ReadCheckpointFS(fault.OS(), path); err != nil || back.Reputation != nil {
 		t.Fatalf("nil blob round trip: rep=%v err=%v", back.Reputation, err)
 	}
 }
@@ -170,7 +170,7 @@ func checkVersionRefused(t *testing.T, version uint32) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadCheckpoint(path)
+	_, err = ReadCheckpointFS(fault.OS(), path)
 	if err == nil {
 		t.Fatalf("version-%d checkpoint loaded", version)
 	}
