@@ -140,6 +140,17 @@ var ErrDuplicateReport = errors.New("mcs: duplicate report")
 // Ingestor consumes location reports. The streaming pipeline implements it
 // for continuous sliding-window detection. Implementations must be safe for
 // concurrent use — Server calls Ingest from one goroutine per connection.
+// Server gives an Ingestor that is also a BatchIngestor each read's report
+// lines in one IngestBatch call instead.
 type Ingestor interface {
 	Ingest(Report) error
+}
+
+// BatchIngestor takes many reports in one call: IngestBatch sets errs[i]
+// to report i's verdict (nil when accepted), exactly as Ingest of each
+// report in order would, so len(errs) must be at least len(rs). It may
+// modify rs. The streaming pipeline implements it to commit a whole batch
+// to its write-ahead log at once.
+type BatchIngestor interface {
+	IngestBatch(rs []Report, errs []error)
 }

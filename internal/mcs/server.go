@@ -158,55 +158,116 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.handle(conn)
 }
 
-// handle processes one connection's report stream. Acks are buffered and
-// flushed only when the handler is about to read the connection again, so
-// a client with many reports in flight gets their acks in one write while
-// a client waiting on its last ack never waits on a withheld one.
+// maxBatch caps the report lines one ingest call takes, so a peer that
+// streams faster than the server reads cannot grow a batch without bound.
+const maxBatch = 1024
+
+// handle processes one connection's report stream. Lines are decoded into
+// a pending batch, which is ingested (and its acks, in line order,
+// buffered) when the handler is about to read the connection again, at
+// end of stream, or at maxBatch lines. Acks are flushed at the same read,
+// so a client with many reports in flight gets their acks in one write
+// while a client waiting on its last ack never waits on a withheld one.
 func (s *Server) handle(conn net.Conn) {
-	w := bufio.NewWriter(conn)
-	sc := bufio.NewScanner(flushReader{conn, w})
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	for {
-		// Refresh the read deadline before every line: a client must keep
-		// delivering complete reports within IdleTimeout or be dropped, so a
-		// stalled or dead peer cannot pin its handler goroutine forever.
-		if s.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
+	c := &connState{conn: conn, idle: s.IdleTimeout, w: bufio.NewWriter(conn), fresh: true}
+	if b, ok := s.ingestor.(BatchIngestor); ok {
+		c.batch = b
+	} else {
+		c.batch = perLine{s.ingestor}
+	}
+	sc := bufio.NewScanner(c)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		c.add(sc.Bytes())
+		if len(c.lines) == maxBatch {
+			c.ingest()
 		}
-		if !sc.Scan() {
-			break
-		}
-		var r Report
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			writeLine(w, "err bad json")
-			continue
-		}
-		if err := s.ingestor.Ingest(r); err != nil {
-			writeLine(w, "err "+err.Error())
-			continue
-		}
-		writeLine(w, "ok")
 	}
 	// Scanner errors (timeouts and closed connections included) end the
 	// stream; the participant will reconnect and retry in a real deployment.
 	// A peer that only half-closed still gets the acks it is owed.
-	_ = w.Flush()
+	c.ingest()
+	_ = c.w.Flush()
 }
 
-// flushReader reads the connection through the ack writer: every read first
-// flushes the acks buffered so far. The scanner reads only once its buffer
-// holds no whole line, so acks go out exactly when the handler would
-// otherwise wait for input.
-type flushReader struct {
-	conn net.Conn
-	w    *bufio.Writer
+// perLine adapts an Ingestor without IngestBatch: one Ingest per report.
+type perLine struct{ Ingestor }
+
+func (p perLine) IngestBatch(rs []Report, errs []error) {
+	for i, r := range rs {
+		errs[i] = p.Ingest(r)
+	}
 }
 
-func (f flushReader) Read(p []byte) (int, error) {
-	if err := f.w.Flush(); err != nil {
+// connState is one connection's pending batch and ack writer. The scanner
+// reads the connection through it: every read first ingests the pending
+// batch and flushes the acks buffered so far. The scanner reads only once
+// its buffer holds no whole line, so a batch is one read's worth of lines
+// and acks go out exactly when the handler would otherwise wait for input.
+type connState struct {
+	conn  net.Conn
+	idle  time.Duration
+	w     *bufio.Writer
+	batch BatchIngestor
+
+	// lines holds, per pending line, the index of its report in reports,
+	// or -1 for a line that did not decode; errs receives the verdicts.
+	lines   []int
+	reports []Report
+	errs    []error
+	// fresh is set when a complete line arrives (and at the start); the
+	// next read refreshes the idle deadline and clears it. A client must
+	// deliver complete reports within the idle limit or be dropped, so a
+	// stalled peer, or one trickling bytes that never end a line, cannot
+	// pin its handler goroutine forever.
+	fresh bool
+}
+
+// add decodes one line into the pending batch, in place.
+func (c *connState) add(line []byte) {
+	c.fresh = true
+	i := len(c.reports)
+	c.reports = append(c.reports, Report{})
+	if err := json.Unmarshal(line, &c.reports[i]); err != nil {
+		c.reports = c.reports[:i]
+		i = -1
+	}
+	c.lines = append(c.lines, i)
+}
+
+// ingest hands the pending reports to the ingestor in one call and
+// buffers one ack per pending line, in line order.
+func (c *connState) ingest() {
+	if n := len(c.reports); n > 0 {
+		if cap(c.errs) < n {
+			c.errs = make([]error, n)
+		}
+		c.errs = c.errs[:n]
+		c.batch.IngestBatch(c.reports, c.errs)
+	}
+	for _, i := range c.lines {
+		switch {
+		case i < 0:
+			writeLine(c.w, "err bad json")
+		case c.errs[i] != nil:
+			writeLine(c.w, "err "+c.errs[i].Error())
+		default:
+			writeLine(c.w, "ok")
+		}
+	}
+	c.lines, c.reports = c.lines[:0], c.reports[:0]
+}
+
+func (c *connState) Read(p []byte) (int, error) {
+	c.ingest()
+	if err := c.w.Flush(); err != nil {
 		return 0, err
 	}
-	return f.conn.Read(p)
+	if c.fresh && c.idle > 0 {
+		_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
+	}
+	c.fresh = false
+	return c.conn.Read(p)
 }
 
 func writeLine(w *bufio.Writer, line string) {

@@ -218,22 +218,51 @@ func New(cfg Config) (*Node, error) {
 // identityGate fronts the engine on the TCP ingest path: mcs.Report
 // identity fields are validated before the engine (or the WAL) sees the
 // report, so the refusal is counted and acked instead of admitting an
-// unroutable row.
+// unroutable row. The door hands it each read's reports in one batch, and
+// the reports that pass go to the engine in one call.
 type identityGate struct {
-	next    mcs.Ingestor
+	next    *pipeline.Engine
 	invalid *atomic.Uint64
 	clock   fault.Clock
 }
 
+// Ingest makes the gate an mcs.Ingestor; the door calls IngestBatch.
 func (g *identityGate) Ingest(r mcs.Report) error {
-	if err := r.CheckIdentity(); err != nil {
-		g.invalid.Add(1)
-		return err
+	rs, errs := [1]mcs.Report{r}, [1]error{}
+	g.IngestBatch(rs[:], errs[:])
+	return errs[0]
+}
+
+func (g *identityGate) IngestBatch(rs []mcs.Report, errs []error) {
+	now := g.clock.Now()
+	refused := 0
+	for i := range rs {
+		if errs[i] = rs[i].CheckIdentity(); errs[i] != nil {
+			g.invalid.Add(1)
+			refused++
+			continue
+		}
+		// Stamp at the door. StampIngest no-ops on a report a router
+		// already stamped, so freshness always measures from first contact.
+		mcs.StampIngest(&rs[i], now, mcs.OriginDirect)
 	}
-	// Stamp at the door. StampIngest no-ops on a report a router already
-	// stamped, so freshness always measures from first contact.
-	mcs.StampIngest(&r, g.clock.Now(), mcs.OriginDirect)
-	return g.next.Ingest(r)
+	if refused == 0 {
+		g.next.IngestBatch(rs, errs)
+		return
+	}
+	passed := make([]mcs.Report, 0, len(rs)-refused)
+	for i := range rs {
+		if errs[i] == nil {
+			passed = append(passed, rs[i])
+		}
+	}
+	verdicts := make([]error, len(passed))
+	g.next.IngestBatch(passed, verdicts)
+	for i := range rs {
+		if errs[i] == nil {
+			errs[i], verdicts = verdicts[0], verdicts[1:]
+		}
+	}
 }
 
 // teardown releases everything New acquired before a later step failed,

@@ -15,10 +15,10 @@ type fakeLog struct {
 	mu      sync.Mutex
 	records []mcs.Report
 	syncs   int
-	fail    error // next Append returns this
+	fail    error // next AppendBatch returns this
 }
 
-func (f *fakeLog) Append(r mcs.Report) error {
+func (f *fakeLog) AppendBatch(rs []mcs.Report) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail != nil {
@@ -26,7 +26,7 @@ func (f *fakeLog) Append(r mcs.Report) error {
 		f.fail = nil
 		return err
 	}
-	f.records = append(f.records, r)
+	f.records = append(f.records, rs...)
 	return nil
 }
 

@@ -61,12 +61,14 @@ var (
 	ErrNotRestorable = errors.New("pipeline: engine not restorable")
 )
 
-// ReportLog is the durability hook: when Config.Log is set, every accepted
-// report is appended (and per the log's policy fsynced) before it mutates a
-// shard, so an acked upload survives a crash. wal.Log implements it.
+// ReportLog is the durability hook: when Config.Log is set, every report
+// that passes the engine's checks is appended (and per the log's policy
+// fsynced) before it mutates a shard, so an acked upload survives a crash.
+// An ingest call hands all of its reports to one AppendBatch. wal.Log
+// implements it.
 type ReportLog interface {
-	// Append durably records one report.
-	Append(mcs.Report) error
+	// AppendBatch durably records the reports, in order, or none of them.
+	AppendBatch([]mcs.Report) error
 	// Sync forces everything appended so far to disk.
 	Sync() error
 	// AppendedIndex reports how many records have been committed; a
@@ -376,8 +378,21 @@ func New(cfg Config) (*Engine, error) {
 // transport can acknowledge each upload honestly. With Config.Log set the
 // report is appended to the write-ahead log before any shard state
 // changes, so every acked report is as durable as the log's fsync policy.
+// It is IngestBatch of one report.
 func (e *Engine) Ingest(r mcs.Report) error {
-	return e.ingest(r, false)
+	rs, errs := [1]mcs.Report{r}, [1]error{}
+	e.ingest(rs[:], errs[:], false)
+	return errs[0]
+}
+
+// IngestBatch is Ingest for many reports: report i's verdict goes to
+// errs[i] (len(errs) must be at least len(rs)). The verdicts, the log's
+// records and the engine state are those of ingesting rs one at a time in
+// order, but every report that passes the checks goes to the log in one
+// AppendBatch: one commit for the whole batch. It is the mcs.BatchIngestor
+// entry point, fed one read's worth of report lines by the TCP door.
+func (e *Engine) IngestBatch(rs []mcs.Report, errs []error) {
+	e.ingest(rs, errs, false)
 }
 
 // Replay is Ingest for WAL recovery: the record is already in the log, so
@@ -385,55 +400,112 @@ func (e *Engine) Ingest(r mcs.Report) error {
 // Rejections (duplicates of cells the checkpoint already holds, slots
 // behind a restored watermark) are expected and harmless.
 func (e *Engine) Replay(r mcs.Report) error {
-	return e.ingest(r, true)
+	rs, errs := [1]mcs.Report{r}, [1]error{}
+	e.ingest(rs[:], errs[:], true)
+	return errs[0]
 }
 
-func (e *Engine) ingest(r mcs.Report, replay bool) error {
+// ingest is the one ingest path, in three passes under one read lock of
+// the ingestion gate. First every report is checked in order (closed,
+// participant range, slot, finiteness, fleet materialization); none of
+// these checks reads shard state, so checking them all before applying
+// any yields the verdicts of one-at-a-time ingestion. Then the survivors
+// go to the log in one AppendBatch; if it fails, every survivor is
+// rejected and none is applied. Last, each survivor is applied in order.
+func (e *Engine) ingest(rs []mcs.Report, errs []error, replay bool) {
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
-	if e.closed {
-		e.c.rejected.Add(1)
-		return ErrClosed
+	// A one-report call keeps its shard on the stack: replay feeds every
+	// record of the log tail through here one at a time.
+	var one [1]*shard
+	shards := one[:]
+	if len(rs) > 1 {
+		shards = make([]*shard, len(rs))
 	}
-	if r.Participant < 0 || r.Participant >= e.cfg.Participants {
-		e.c.rejected.Add(1)
-		return fmt.Errorf("pipeline: participant %d outside [0,%d)", r.Participant, e.cfg.Participants)
+	survivors := 0
+	for i := range rs {
+		shards[i], errs[i] = e.check(&rs[i])
+		if errs[i] != nil {
+			e.c.rejected.Add(1)
+			continue
+		}
+		survivors++
 	}
-	if r.Slot < 0 {
-		e.c.rejected.Add(1)
-		return fmt.Errorf("pipeline: negative slot %d", r.Slot)
-	}
-	if err := r.CheckFinite(); err != nil {
-		e.c.rejected.Add(1)
-		e.c.nonFinite.Add(1)
-		return err
-	}
-	sh, err := e.shard(r.Fleet)
-	if err != nil {
-		e.c.rejected.Add(1)
-		return err
+	if survivors == 0 {
+		return
 	}
 	// A stamped report's trace opens with its wal_commit stage when the
-	// record is durable, timed as the append returns; a replayed record was
-	// committed before the crash, and its stage says so.
-	var commit []obs.TraceStage
-	if e.cfg.Log != nil && !replay {
-		// Write-ahead: the log sees the report before the shard does. A
+	// record is durable, timed (once per call, by the first stamped report)
+	// as the append returns; a replayed record was committed before the
+	// crash, and its stage says so.
+	commit := obs.TraceStage{Name: "wal_commit"}
+	switch {
+	case replay:
+		commit.Detail = "replay"
+	case e.cfg.Log == nil:
+		commit.Name = ""
+	default:
+		// Write-ahead: the log sees the reports before the shards do. A
 		// record logged but rejected below (duplicate, late) just repeats
 		// that rejection on replay; a record applied but not logged would
-		// be silently lost on crash, so this order is the safe one.
-		if err := e.cfg.Log.Append(r); err != nil {
-			e.c.rejected.Add(1)
-			return fmt.Errorf("pipeline: wal append: %w", err)
+		// be silently lost on crash, so this order is the safe one. The
+		// survivors are copied out so rs itself never escapes to the heap.
+		logged := make([]mcs.Report, 0, survivors)
+		for i := range rs {
+			if errs[i] == nil {
+				logged = append(logged, rs[i])
+			}
 		}
-		if r.Stamped() {
-			commit = []obs.TraceStage{{Name: "wal_commit", AtUnixMicro: e.cfg.Clock.Now().UnixMicro()}}
+		if err := e.cfg.Log.AppendBatch(logged); err != nil {
+			err = fmt.Errorf("pipeline: wal append: %w", err)
+			for i := range rs {
+				if errs[i] == nil {
+					errs[i] = err
+					e.c.rejected.Add(1)
+				}
+			}
+			return
 		}
-	} else if replay && r.Stamped() {
-		commit = []obs.TraceStage{{Name: "wal_commit", AtUnixMicro: e.cfg.Clock.Now().UnixMicro(), Detail: "replay"}}
+	}
+	for i := range rs {
+		if errs[i] == nil {
+			errs[i] = e.apply(shards[i], &rs[i], replay, &commit)
+		}
+	}
+}
+
+// check runs the checks that need no shard state and returns the report's
+// shard, materializing it on first sight.
+func (e *Engine) check(r *mcs.Report) (*shard, error) {
+	if e.closed {
+		return nil, ErrClosed
+	}
+	if r.Participant < 0 || r.Participant >= e.cfg.Participants {
+		return nil, fmt.Errorf("pipeline: participant %d outside [0,%d)", r.Participant, e.cfg.Participants)
+	}
+	if r.Slot < 0 {
+		return nil, fmt.Errorf("pipeline: negative slot %d", r.Slot)
+	}
+	if err := r.CheckFinite(); err != nil {
+		e.c.nonFinite.Add(1)
+		return nil, err
+	}
+	return e.shard(r.Fleet)
+}
+
+// apply writes one checked (and logged) report into its shard, dispatches
+// the windows it closes, and counts it. A stamped report's trace gets the
+// commit stage, if it is named; its time is read on first use.
+func (e *Engine) apply(sh *shard, r *mcs.Report, replay bool, commit *obs.TraceStage) error {
+	var stages []obs.TraceStage
+	if r.Stamped() && commit.Name != "" {
+		if commit.AtUnixMicro == 0 {
+			commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
+		}
+		stages = []obs.TraceStage{*commit}
 	}
 	closedBefore := e.c.windowsClosed.Load()
-	jobs, err := sh.ingest(r, e.cfg, &e.c, commit...)
+	jobs, err := sh.ingest(*r, e.cfg, &e.c, stages...)
 	for _, j := range jobs {
 		e.enqueue(j)
 	}

@@ -20,25 +20,37 @@ func benchReport(i int) mcs.Report {
 	}
 }
 
-// BenchmarkAppend measures single-writer ingest throughput per fsync policy.
+// BenchmarkAppend measures single-writer ingest throughput per fsync
+// policy, one report per AppendBatch and 128 per call (a read's worth of
+// report lines at the TCP door). b.N counts reports; fsyncs/record is the
+// fsync cost each report carries.
 func BenchmarkAppend(b *testing.B) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-		b.Run(policy.String(), func(b *testing.B) {
-			opt := DefaultOptions()
-			opt.Sync = policy
-			log, err := Open(b.TempDir(), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer log.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := log.Append(benchReport(i)); err != nil {
+		for _, size := range []int{1, 128} {
+			b.Run(fmt.Sprintf("%s/batch=%d", policy, size), func(b *testing.B) {
+				opt := DefaultOptions()
+				opt.Sync = policy
+				log, err := Open(b.TempDir(), opt)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				defer log.Close()
+				batch := make([]mcs.Report, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += size {
+					n := min(size, b.N-i)
+					for j := range batch[:n] {
+						batch[j] = benchReport(i + j)
+					}
+					if err := log.AppendBatch(batch[:n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(log.Stats().Fsyncs)/float64(b.N), "fsyncs/record")
+			})
+		}
 	}
 }
 
@@ -64,7 +76,7 @@ func BenchmarkAppendParallel(b *testing.B) {
 					i := next
 					next++
 					seq.Unlock()
-					if err := log.Append(benchReport(i)); err != nil {
+					if err := log.AppendBatch([]mcs.Report{benchReport(i)}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -78,6 +90,9 @@ func BenchmarkReplay(b *testing.B) {
 	// 960_000 is the fleet-scale shape (1000 participants × 960 slots).
 	for _, records := range []int{100_000, 960_000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
+			if testing.Short() && records > 100_000 {
+				b.Skip("fleet-scale replay skipped in -short mode")
+			}
 			dir := b.TempDir()
 			opt := DefaultOptions()
 			opt.Sync = SyncNever
@@ -85,8 +100,12 @@ func BenchmarkReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < records; i++ {
-				if err := log.Append(benchReport(i)); err != nil {
+			batch := make([]mcs.Report, 1024)
+			for i := 0; i < records; i += len(batch) {
+				for j := range batch {
+					batch[j] = benchReport(i + j)
+				}
+				if err := log.AppendBatch(batch[:min(len(batch), records-i)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,11 +11,15 @@
 //
 //	uint32 payload length | uint32 CRC32C(payload) | payload
 //
-// where the payload is one binary-encoded mcs.Report. Appends flow through
-// a single committer goroutine that batches concurrent writers into one
-// write (group commit) and applies the configured fsync policy: SyncAlways
-// makes every Append durable before it returns, SyncInterval bounds data
-// loss to a time window, SyncNever leaves flushing to the OS. Open and
+// where the payload is one binary-encoded mcs.Report. AppendBatch frames a
+// caller's reports on the caller's goroutine and hands them to a single
+// committer goroutine as one request; the committer joins whatever requests
+// are queued into one write (group commit) and applies the configured fsync
+// policy: SyncAlways makes every batch durable before AppendBatch returns,
+// SyncInterval bounds data loss to a time window, SyncNever leaves flushing
+// to the OS. A write or fsync that fails is cut back off the segment, so
+// the log never holds a torn or unacknowledged frame ahead of later
+// records; if the cut itself fails, every later append fails too. Open and
 // Replay share one buffered segment reader: Open checks each header and
 // truncates the final segment's torn tail, and Replay skips (and counts,
 // once) the damaged remainder of any segment it reads rather than refusing
@@ -46,7 +50,7 @@ import (
 
 // Errors returned by the log.
 var (
-	// ErrClosed is returned by Append and Sync once the log is closed.
+	// ErrClosed is returned by AppendBatch and Sync once the log is closed.
 	ErrClosed = errors.New("wal: log closed")
 )
 
@@ -155,10 +159,12 @@ type segInfo struct {
 	first uint64
 }
 
-// appendReq is one writer waiting on the committer. A nil payload is a sync
-// barrier: the committer fsyncs regardless of policy before acknowledging.
+// appendReq is one writer waiting on the committer: frames holds its
+// records, already framed. A request without records is a sync barrier:
+// the committer fsyncs regardless of policy before acknowledging.
 type appendReq struct {
-	payload []byte
+	frames  []byte
+	records int
 	done    chan error
 }
 
@@ -167,7 +173,7 @@ type Log struct {
 	dir string
 	opt Options
 
-	// lifeMu orders Append/Sync against Close, exactly like the pipeline's
+	// lifeMu orders AppendBatch/Sync against Close, exactly like the pipeline's
 	// ingest gate: senders hold the read side across their channel send so
 	// the request channel only closes once no sender is in flight.
 	lifeMu sync.RWMutex
@@ -187,6 +193,10 @@ type Log struct {
 	nextIdx   uint64 // index the next appended record will get
 	dirty     bool   // bytes written since the last fsync
 	lastSync  time.Time
+	// broken is set when a failed commit could not be cut back off the
+	// active segment: the segment may end in a torn frame, so every later
+	// append fails with it rather than land behind that frame.
+	broken error
 
 	appended atomic.Uint64 // committed record count (== next index)
 
@@ -517,28 +527,42 @@ func (r *segmentReader) next() ([]byte, error) {
 	return r.payload, nil
 }
 
-// Append encodes the report as one frame and hands it to the committer,
-// returning once the record is written (and, under SyncAlways, fsynced).
-// Concurrent appenders are batched into a single write and at most one
-// fsync — group commit.
-func (l *Log) Append(r mcs.Report) error {
-	payload := r.AppendBinary(make([]byte, 0, 64))
-	req := appendReq{payload: payload, done: make(chan error, 1)}
-	l.lifeMu.RLock()
-	if l.closed {
-		l.lifeMu.RUnlock()
-		return ErrClosed
+// AppendBatch frames the reports, in order, and hands them to the
+// committer as one request, returning once every record is written (and,
+// under SyncAlways, fsynced). Concurrent callers' batches join one write
+// and at most one fsync: group commit. On error no record of the batch is
+// acknowledged, and the committer cuts them back off the segment (see
+// writeAndSync).
+func (l *Log) AppendBatch(rs []mcs.Report) error {
+	if len(rs) == 0 {
+		return nil
 	}
-	l.reqs <- req
-	l.lifeMu.RUnlock()
-	return <-req.done
+	frames := make([]byte, 0, len(rs)*(frameHdr+64))
+	for i := range rs {
+		at := len(frames)
+		frames = append(frames, make([]byte, frameHdr)...)
+		frames = rs[i].AppendBinary(frames)
+		payload := frames[at+frameHdr:]
+		binary.LittleEndian.PutUint32(frames[at:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(frames[at+4:], crc32.Checksum(payload, castagnoli))
+	}
+	return l.submit(appendReq{frames: frames, records: len(rs), done: make(chan error, 1)})
+}
+
+// Append is AppendBatch of one report, for callers that log one at a time.
+func (l *Log) Append(r mcs.Report) error {
+	return l.AppendBatch([]mcs.Report{r})
 }
 
 // Sync forces an fsync of everything appended so far, regardless of
 // policy. Checkpoint writers call it so a checkpoint never references log
 // records less durable than itself.
 func (l *Log) Sync() error {
-	req := appendReq{done: make(chan error, 1)}
+	return l.submit(appendReq{done: make(chan error, 1)})
+}
+
+// submit queues req for the committer and waits for its outcome.
+func (l *Log) submit(req appendReq) error {
 	l.lifeMu.RLock()
 	if l.closed {
 		l.lifeMu.RUnlock()
@@ -615,23 +639,25 @@ func (l *Log) commit() {
 	}
 }
 
-// commitBatch writes every queued frame in one write call, rotates and
-// fsyncs per policy, and fans the outcome back to the waiters.
+// commitBatch writes every queued request's frames in one write call,
+// rotates and fsyncs per policy, and fans the outcome back to the waiters.
 func (l *Log) commitBatch(batch []appendReq) {
 	var buf []byte
 	records := 0
 	forceSync := false
 	for _, req := range batch {
-		if req.payload == nil {
+		if req.records == 0 {
 			forceSync = true
 			continue
 		}
-		var fh [frameHdr]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(req.payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(req.payload, castagnoli))
-		buf = append(buf, fh[:]...)
-		buf = append(buf, req.payload...)
-		records++
+		// The first request's buffer carries the write; its waiter does not
+		// touch it again, so appending the others to it is safe.
+		if records == 0 {
+			buf = req.frames
+		} else {
+			buf = append(buf, req.frames...)
+		}
+		records += req.records
 	}
 	err := l.writeAndSync(buf, records, forceSync)
 	if err == nil && records > 0 {
@@ -647,7 +673,17 @@ func (l *Log) commitBatch(batch []appendReq) {
 	}
 }
 
+// writeAndSync appends buf (holding records frames) to the active segment
+// and fsyncs per policy. If the write or its fsync fails, the segment is
+// truncated back to where buf began: a failed write may have persisted a
+// torn prefix, and records whose waiters hear an error must not replay. If
+// that truncation fails too, the log turns broken and refuses every later
+// append, so no acknowledged record can land behind a torn frame (where
+// Open and Replay would cut it off with the tear).
 func (l *Log) writeAndSync(buf []byte, records int, forceSync bool) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if records > 0 && l.activeLen >= l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
@@ -655,22 +691,44 @@ func (l *Log) writeAndSync(buf []byte, records int, forceSync bool) error {
 	}
 	if records > 0 {
 		if _, err := l.active.Write(buf); err != nil {
-			return fmt.Errorf("wal: append: %w", err)
+			return l.cutBack(fmt.Errorf("wal: append: %w", err))
 		}
-		l.activeLen += int64(len(buf))
 		l.dirty = true
 	}
+	var err error
 	switch {
 	case forceSync, l.opt.Sync == SyncAlways:
 		if l.dirty {
-			return l.fsync()
+			err = l.fsync()
 		}
 	case l.opt.Sync == SyncInterval:
 		if l.dirty && l.opt.Clock.Since(l.lastSync) >= l.opt.SyncEvery {
-			return l.fsync()
+			err = l.fsync()
 		}
 	}
-	return nil
+	if err != nil && records > 0 {
+		return l.cutBack(err)
+	}
+	if records > 0 {
+		l.activeLen += int64(len(buf))
+	}
+	return err
+}
+
+// cutBack truncates the active segment to activeLen after a failed commit,
+// moving the write offset back with it, and returns err. If either step
+// fails the log turns broken.
+func (l *Log) cutBack(err error) error {
+	terr := l.opt.FS.Truncate(l.active.Name(), l.activeLen)
+	if terr == nil {
+		_, terr = l.active.Seek(l.activeLen, io.SeekStart)
+	}
+	if terr != nil {
+		l.broken = fmt.Errorf("wal: log unusable, a failed append could not be cut back (%v): %w", terr, err)
+		l.logger().Error("wal: failed append left in the active segment; refusing further appends",
+			"segment", l.active.Name(), "err", err, "cut_err", terr)
+	}
+	return err
 }
 
 // fsync syncs the active segment and observes the latency.
