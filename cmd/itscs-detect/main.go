@@ -42,9 +42,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for name, v := range map[string]string{"-x": *xPath, "-y": *yPath, "-vx": *vxPath, "-vy": *vyPath, "-out": *outDir} {
-		if v == "" {
-			return fmt.Errorf("%s is required", name)
+	for _, f := range []struct{ name, v string }{
+		{"-x", *xPath}, {"-y", *yPath}, {"-vx", *vxPath}, {"-vy", *vyPath}, {"-out", *outDir},
+	} {
+		if f.v == "" {
+			return fmt.Errorf("%s is required", f.name)
 		}
 	}
 	variant, err := parseVariant(*variantName)

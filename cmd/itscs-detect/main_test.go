@@ -115,3 +115,13 @@ func readMatrix(t *testing.T, path string) *mat.Dense {
 	}
 	return m
 }
+
+// TestRunMissingFlagsNamesFirst pins which missing flag the error names:
+// the checks run in a fixed order, so with none given it is always -x.
+func TestRunMissingFlagsNamesFirst(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		if err := run(nil); err == nil || err.Error() != "-x is required" {
+			t.Fatalf("call %d: err = %v, want -x is required", i, err)
+		}
+	}
+}

@@ -40,9 +40,10 @@
 //	// res.Faulty[i][j] — detection verdicts
 //	// res.X[i][j], res.Y[i][j] — repaired trajectories
 //
-// RunScalar applies the same loop to a single matrix of generic sensory
+// RunScalar runs that very loop over a single matrix of generic sensory
 // data (temperature, pollution, …) — the paper's claim that the framework
-// extends beyond location data.
+// extends beyond location data. There is one loop in the code: it iterates
+// over a list of axes, two (X and Y) for Run and one for RunScalar.
 //
 // The itscs/synthetic subpackage generates urban taxi-fleet workloads with
 // controlled corruption for testing and benchmarking.
@@ -53,7 +54,9 @@
 // deployable system around it (see DESIGN.md for the full rationale):
 //
 //   - internal/core runs the DETECT→CORRECT→CHECK loop over one sliding
-//     window, with warm-started factor chains between windows; internal/mat,
+//     window, with warm-started factor chains between windows; one loop
+//     function serves both the location (X, Y) and the scalar (S) entry
+//     points. internal/mat,
 //     internal/tsdetect, internal/csrecon and internal/stat are its numeric
 //     kernels.
 //   - internal/pipeline shards fleets onto a bounded worker pool and turns

@@ -98,11 +98,12 @@ func (in Input) Validate() error {
 	if n == 0 || t == 0 {
 		return fmt.Errorf("core: empty sensory matrices")
 	}
-	for name, m := range map[string]*mat.Dense{
-		"SY": in.SY, "E": in.Existence, "VX": in.VX, "VY": in.VY,
-	} {
-		if mr, mc := m.Dims(); mr != n || mc != t {
-			return fmt.Errorf("core: %s is %dx%d, want %dx%d", name, mr, mc, n, t)
+	for _, m := range []struct {
+		name string
+		m    *mat.Dense
+	}{{"SY", in.SY}, {"E", in.Existence}, {"VX", in.VX}, {"VY", in.VY}} {
+		if mr, mc := m.m.Dims(); mr != n || mc != t {
+			return fmt.Errorf("core: %s is %dx%d, want %dx%d", m.name, mr, mc, n, t)
 		}
 	}
 	return nil
@@ -188,85 +189,117 @@ func run(cfg Config, in Input, warm *WarmState, carry bool) (*Output, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	n, t := in.SX.Dims()
-
-	avgVX := motion.AverageVelocity(in.VX)
-	avgVY := motion.AverageVelocity(in.VY)
-
-	// DETECT, first pass: D starts all ones; the detector clears what
-	// tests normal, minimizing false negatives (Algorithm 1).
-	phaseStart := time.Now()
-	ones := mat.Ones(n, t)
-	dx, err := tsdetect.Detect(in.SX, nil, avgVX, ones, in.Existence, true, cfg.Detect)
-	if err != nil {
-		return nil, fmt.Errorf("core: first detect X: %w", err)
-	}
-	dy, err := tsdetect.Detect(in.SY, nil, avgVY, ones, in.Existence, true, cfg.Detect)
-	if err != nil {
-		return nil, fmt.Errorf("core: first detect Y: %w", err)
-	}
-	d, err := tsdetect.Union(dx, dy)
-	if err != nil {
-		return nil, fmt.Errorf("core: union detections: %w", err)
-	}
-
-	out := &Output{RowFlips: make([]int, n)}
-	out.DetectDuration += time.Since(phaseStart)
-	// Per-axis warm factors: seeded from the caller's state, then (in the
-	// carry mode of RunWarm) refreshed with each round's result.
-	var warmX, warmY *csrecon.Factors
+	x := &axis{name: "X", s: in.SX, avgV: motion.AverageVelocity(in.VX)}
+	y := &axis{name: "Y", s: in.SY, avgV: motion.AverageVelocity(in.VY)}
 	if warm != nil {
-		warmX, warmY = &warm.X, &warm.Y
+		x.warm, y.warm = &warm.X, &warm.Y
 	}
-	var xHat, yHat *mat.Dense
-	var prevChecked *mat.Dense
+	out, err := loop(cfg, in.Existence, []*axis{x, y}, carry)
+	if err != nil {
+		return nil, err
+	}
+	out.XHat, out.YHat = x.res.SHat, y.res.SHat
+	out.Warm = &WarmState{X: x.res.Factors, Y: y.res.Factors}
+	for k := range out.History {
+		out.History[k].XHat, out.History[k].YHat = x.hats[k], y.hats[k]
+	}
+	return out, nil
+}
+
+// axis is one sensory dimension of a dataset: the X or Y coordinate of a
+// location, or the single matrix of a scalar field.
+type axis struct {
+	name string
+	// s is the sensory matrix; avgV its average velocity (or rate) per
+	// slot, driving the detector's tolerance and the velocity variant.
+	s, avgV *mat.Dense
+	// warm seeds the next reconstruction; nil cold-starts it.
+	warm *csrecon.Factors
+	// res is the latest reconstruction.
+	res *csrecon.Result
+	// hats holds a copy of every round's reconstruction when
+	// Config.KeepHistory is set.
+	hats []*mat.Dense
+}
+
+// loop runs the DETECT→CORRECT→CHECK rounds of Fig. 2 over the axes of one
+// dataset until the detection matrix D stops changing. A round detects
+// every axis and unions the flags, reconstructs the axes concurrently from
+// the trusted cells, then checks every axis against its reconstruction and
+// unions again: a cell stays flagged if any axis disagrees. With carry set,
+// each round's factors seed the next round's reconstruction of that axis.
+// The returned Output lacks the per-axis fields (XHat, YHat, Warm and the
+// snapshots' reconstructions); the caller reads them off the axes.
+func loop(cfg Config, e *mat.Dense, axes []*axis, carry bool) (*Output, error) {
+	n, t := e.Dims()
+	out := &Output{RowFlips: make([]int, n)}
+	flags := make([]*mat.Dense, len(axes))
+	errs := make([]error, len(axes))
+	// D starts all ones: the first DETECT clears what tests normal,
+	// minimizing false negatives (Algorithm 1).
+	d := mat.Ones(n, t)
+	var checked *mat.Dense
+	var err error
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		// CORRECT: reconstruct from the trusted cells B = E ∧ ¬D.
-		// The two axes are independent; run them concurrently.
-		phaseStart = time.Now()
-		b := gbim(in.Existence, d)
-		var resX, resY *csrecon.Result
-		var errX, errY error
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			resX, errX = reconstructAxis(cfg, in.SX, b, avgVX, warmX)
-		}()
-		go func() {
-			defer wg.Done()
-			resY, errY = reconstructAxis(cfg, in.SY, b, avgVY, warmY)
-		}()
-		wg.Wait()
-		if errX != nil {
-			return nil, fmt.Errorf("core: reconstruct X: %w", errX)
-		}
-		if errY != nil {
-			return nil, fmt.Errorf("core: reconstruct Y: %w", errY)
-		}
-		xHat, yHat = resX.SHat, resY.SHat
-		out.Sweeps += resX.Iterations + resY.Iterations
+		// DETECT; after the first round the reconstruction stands in for
+		// missing values (Algorithm 1 lines 1-5).
+		phaseStart := time.Now()
+		what := "detect"
 		if iter == 0 {
-			out.WarmStarted = resX.WarmStarted || resY.WarmStarted
+			what = "first detect"
 		}
-		out.Warm = &WarmState{X: resX.Factors, Y: resY.Factors}
-		if carry {
-			warmX, warmY = &out.Warm.X, &out.Warm.Y
+		for k, ax := range axes {
+			var hat *mat.Dense
+			if ax.res != nil {
+				hat = ax.res.SHat
+			}
+			if flags[k], err = tsdetect.Detect(ax.s, hat, ax.avgV, d, e, iter == 0, cfg.Detect); err != nil {
+				return nil, fmt.Errorf("core: %s %s: %w", what, ax.name, err)
+			}
+		}
+		if d, err = union(flags); err != nil {
+			return nil, fmt.Errorf("core: union detections: %w", err)
+		}
+		out.DetectDuration += time.Since(phaseStart)
+
+		// CORRECT: reconstruct from the trusted cells B = E ∧ ¬D. The axes
+		// are independent; run them concurrently.
+		phaseStart = time.Now()
+		b := gbim(e, d)
+		var wg sync.WaitGroup
+		for k, ax := range axes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ax.res, errs[k] = reconstructAxis(cfg, ax.s, b, ax.avgV, ax.warm)
+			}()
+		}
+		wg.Wait()
+		for k, ax := range axes {
+			if errs[k] != nil {
+				return nil, fmt.Errorf("core: reconstruct %s: %w", ax.name, errs[k])
+			}
+			out.Sweeps += ax.res.Iterations
+			if iter == 0 && ax.res.WarmStarted {
+				out.WarmStarted = true
+			}
+			if carry {
+				ax.warm = &ax.res.Factors
+			}
 		}
 		out.CorrectDuration += time.Since(phaseStart)
 
 		// CHECK: reconcile flags against the reconstruction (Algorithm 3),
-		// per axis, then union — a cell stays flagged if either axis
-		// disagrees with the reconstruction.
+		// per axis, then union.
 		phaseStart = time.Now()
-		highX, highY := cfg.CheckHighMeters, cfg.CheckHighMeters
-		if !cfg.DisableAdaptiveCheck {
-			highX = adaptiveHigh(in.SX, xHat, b, cfg.CheckHighMeters)
-			highY = adaptiveHigh(in.SY, yHat, b, cfg.CheckHighMeters)
+		for k, ax := range axes {
+			high := cfg.CheckHighMeters
+			if !cfg.DisableAdaptiveCheck {
+				high = adaptiveHigh(ax.s, ax.res.SHat, b, cfg.CheckHighMeters)
+			}
+			flags[k] = check(ax.s, ax.res.SHat, d, e, cfg.CheckLowMeters, high)
 		}
-		cx := check(in.SX, xHat, d, in.Existence, cfg.CheckLowMeters, highX)
-		cy := check(in.SY, yHat, d, in.Existence, cfg.CheckLowMeters, highY)
-		next, err := tsdetect.Union(cx, cy)
+		next, err := union(flags)
 		if err != nil {
 			return nil, fmt.Errorf("core: union checks: %w", err)
 		}
@@ -274,20 +307,21 @@ func run(cfg Config, in Input, warm *WarmState, carry bool) (*Output, error) {
 
 		// The paper's convergence criterion is "D never changes again":
 		// compare the post-Check detection against the previous round's.
-		changed := next.Rows() * next.Cols()
-		if prevChecked != nil {
-			changed = diffCount(prevChecked, next)
+		changed := n * t
+		if checked != nil {
+			changed = diffCount(checked, next)
 		}
-		prevChecked = next
+		checked = next
 		out.Iterations = iter + 1
 		if cfg.KeepHistory {
 			out.History = append(out.History, Snapshot{
-				Detection:    maskDetection(next, in.Existence),
-				XHat:         xHat.Clone(),
-				YHat:         yHat.Clone(),
-				FlagCount:    flagCount(next, in.Existence),
+				Detection:    maskDetection(next, e),
+				FlagCount:    flagCount(next, e),
 				ChangedFlags: changed,
 			})
+			for _, ax := range axes {
+				ax.hats = append(ax.hats, ax.res.SHat.Clone())
+			}
 		}
 		d = next
 		out.CheckDuration += time.Since(phaseStart)
@@ -295,32 +329,21 @@ func run(cfg Config, in Input, warm *WarmState, carry bool) (*Output, error) {
 			out.Converged = true
 			break
 		}
-
-		// DETECT again with the reconstruction standing in for missing
-		// values (Algorithm 1 lines 1-5).
-		phaseStart = time.Now()
-		dx, err = tsdetect.Detect(in.SX, xHat, avgVX, d, in.Existence, false, cfg.Detect)
-		if err != nil {
-			return nil, fmt.Errorf("core: detect X: %w", err)
-		}
-		dy, err = tsdetect.Detect(in.SY, yHat, avgVY, d, in.Existence, false, cfg.Detect)
-		if err != nil {
-			return nil, fmt.Errorf("core: detect Y: %w", err)
-		}
-		d, err = tsdetect.Union(dx, dy)
-		if err != nil {
-			return nil, fmt.Errorf("core: union detections: %w", err)
-		}
-		out.DetectDuration += time.Since(phaseStart)
 	}
-
-	// prevChecked holds the last post-Check detection — the framework's
-	// answer even when the loop exhausted MaxIterations (d may have been
-	// advanced by a trailing TS_Detect pass).
-	out.Detection = maskDetection(prevChecked, in.Existence)
-	out.XHat = xHat
-	out.YHat = yHat
+	out.Detection = maskDetection(checked, e)
 	return out, nil
+}
+
+// union ORs the per-axis flag matrices; a single axis is its own union.
+func union(flags []*mat.Dense) (*mat.Dense, error) {
+	u := flags[0]
+	for _, f := range flags[1:] {
+		var err error
+		if u, err = tsdetect.Union(u, f); err != nil {
+			return nil, err
+		}
+	}
+	return u, nil
 }
 
 // reconstructAxis runs CS reconstruction for one axis, passing the average

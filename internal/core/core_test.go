@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"itscs/internal/corrupt"
@@ -282,5 +283,17 @@ func TestMaskDetection(t *testing.T) {
 	m := maskDetection(d, e)
 	if m.At(0, 0) != 1 || m.At(0, 1) != 0 {
 		t.Fatalf("mask = %v", m)
+	}
+}
+
+// TestInputValidateNamesFirstBadShape pins which matrix a shape error
+// names when two are wrong: the checks run in a fixed order, E before VY.
+func TestInputValidateNamesFirstBadShape(t *testing.T) {
+	ok, bad := mat.New(2, 2), mat.New(2, 3)
+	in := Input{SX: ok, SY: ok, Existence: bad, VX: ok, VY: bad}
+	for i := 0; i < 50; i++ {
+		if err := in.Validate(); err == nil || !strings.HasPrefix(err.Error(), "core: E ") {
+			t.Fatalf("call %d: err = %v, want it to name E", i, err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"itscs/internal/csrecon"
 	"itscs/internal/mat"
 	"itscs/internal/motion"
-	"itscs/internal/tsdetect"
 )
 
 // ScalarInput is a single-matrix dataset for RunScalar: generic sensory
@@ -57,9 +56,8 @@ type ScalarOutput struct {
 	Converged bool
 }
 
-// RunScalar executes the I(TS,CS) loop over a single sensory matrix.
-// The structure is identical to Run but without the X/Y union: one
-// detector pass, one reconstruction, one Check per round.
+// RunScalar executes the I(TS,CS) loop over a single sensory matrix: the
+// same loop as Run, over one axis instead of two.
 func RunScalar(cfg Config, in ScalarInput) (*ScalarOutput, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,11 +65,9 @@ func RunScalar(cfg Config, in ScalarInput) (*ScalarOutput, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	n, t := in.S.Dims()
-
 	rate := in.Rate
 	if rate == nil {
-		rate = mat.New(n, t)
+		rate = mat.New(in.S.Dims())
 		// Without rate data the velocity-improved objective degenerates to
 		// a zero target, which would penalize all motion as unexplained;
 		// the temporal variant is the faithful fallback.
@@ -79,49 +75,15 @@ func RunScalar(cfg Config, in ScalarInput) (*ScalarOutput, error) {
 			cfg.Reconstruct.Variant = csrecon.VariantTemporal
 		}
 	}
-	avgRate := motion.AverageVelocity(rate)
-
-	d, err := tsdetect.Detect(in.S, nil, avgRate, mat.Ones(n, t), in.Existence, true, cfg.Detect)
+	s := &axis{name: "S", s: in.S, avgV: motion.AverageVelocity(rate)}
+	out, err := loop(cfg, in.Existence, []*axis{s}, false)
 	if err != nil {
-		return nil, fmt.Errorf("core: first scalar detect: %w", err)
+		return nil, err
 	}
-
-	out := &ScalarOutput{}
-	var sHat *mat.Dense
-	var prevChecked *mat.Dense
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		b := gbim(in.Existence, d)
-		res, err := reconstructAxis(cfg, in.S, b, avgRate, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: scalar reconstruct: %w", err)
-		}
-		sHat = res.SHat
-
-		high := cfg.CheckHighMeters
-		if !cfg.DisableAdaptiveCheck {
-			high = adaptiveHigh(in.S, sHat, b, cfg.CheckHighMeters)
-		}
-		next := check(in.S, sHat, d, in.Existence, cfg.CheckLowMeters, high)
-
-		changed := next.Rows() * next.Cols()
-		if prevChecked != nil {
-			changed = diffCount(prevChecked, next)
-		}
-		prevChecked = next
-		out.Iterations = iter + 1
-		d = next
-		if changed == 0 {
-			out.Converged = true
-			break
-		}
-
-		d, err = tsdetect.Detect(in.S, sHat, avgRate, d, in.Existence, false, cfg.Detect)
-		if err != nil {
-			return nil, fmt.Errorf("core: scalar detect: %w", err)
-		}
-	}
-
-	out.Detection = maskDetection(prevChecked, in.Existence)
-	out.SHat = sHat
-	return out, nil
+	return &ScalarOutput{
+		Detection:  out.Detection,
+		SHat:       s.res.SHat,
+		Iterations: out.Iterations,
+		Converged:  out.Converged,
+	}, nil
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"itscs/internal/mat"
@@ -82,6 +83,18 @@ func TestMAEZeroSizeMatrices(t *testing.T) {
 	for _, z := range []*mat.Dense{mat.New(0, 3), mat.New(3, 0)} {
 		if got, err := MAE(z, z, z, z, z, z); err != nil || got != 0 {
 			t.Errorf("MAE on empty shape = %v, err %v, want 0, nil", got, err)
+		}
+	}
+}
+
+// TestMAENamesFirstBadShape pins which operand a shape error names when
+// two are wrong: the checks run in argument order, so Y before D.
+func TestMAENamesFirstBadShape(t *testing.T) {
+	ok, bad := mat.New(2, 2), mat.New(2, 3)
+	for i := 0; i < 50; i++ {
+		_, err := MAE(ok, bad, ok, ok, ok, bad)
+		if err == nil || !strings.HasPrefix(err.Error(), "metrics: Y ") {
+			t.Fatalf("call %d: err = %v, want it to name Y", i, err)
 		}
 	}
 }

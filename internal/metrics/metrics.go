@@ -105,9 +105,12 @@ func (c Confusion) FalsePositiveRate() float64 {
 // cell qualifies.
 func MAE(x, y, xHat, yHat, e, d *mat.Dense) (float64, error) {
 	n, t := x.Dims()
-	for name, m := range map[string]*mat.Dense{"Y": y, "X̂": xHat, "Ŷ": yHat, "E": e, "D": d} {
-		if mr, mc := m.Dims(); mr != n || mc != t {
-			return 0, fmt.Errorf("metrics: %s is %dx%d, want %dx%d", name, mr, mc, n, t)
+	for _, m := range []struct {
+		name string
+		m    *mat.Dense
+	}{{"Y", y}, {"X̂", xHat}, {"Ŷ", yHat}, {"E", e}, {"D", d}} {
+		if mr, mc := m.m.Dims(); mr != n || mc != t {
+			return 0, fmt.Errorf("metrics: %s is %dx%d, want %dx%d", m.name, mr, mc, n, t)
 		}
 	}
 	var sum float64

@@ -83,16 +83,19 @@ func Recover(fsys fault.FS, dir string, log *wal.Log, engine *pipeline.Engine, l
 // Checkpoint snapshots the engine, adds the ledger's blob (when non-nil),
 // writes the checkpoint into dir through fsys, keeps the two newest
 // checkpoints and compacts the log segments wholly behind the new one. It
-// stops at the first failure.
+// stops at the first failure. It does not drain the engine first.
 func Checkpoint(fsys fault.FS, dir string, log *wal.Log, engine *pipeline.Engine, ledger *reputation.Ledger) error {
 	ck, err := engine.Checkpoint()
 	if err != nil {
 		return err
 	}
 	if ledger != nil {
-		// Checkpoint drained the engine first, so every window the snapshot
-		// covers has already been folded (OnResult fires before the window
-		// counts as processed) and the blob is consistent with the shards.
+		// Engine.Checkpoint does not drain the dispatch queue. Windows the
+		// snapshot's shards have already closed may still be queued or
+		// running: their folds are missing from this blob, the shards' warm
+		// factors lag them, and a recovery from this checkpoint never cuts
+		// them again. Only a checkpoint taken after the engine drained
+		// (the final one after Close) is consistent with the shards.
 		if ck.Reputation, err = ledger.MarshalBinary(); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -305,5 +306,33 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	closed.Close()
 	if err := closed.Restore(ck); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed engine err = %v, want ErrClosed", err)
+	}
+}
+
+// TestRestoreNamesFirstBadRing pins which ring a restore error names when
+// two are missing: the checks run in a fixed order, SY before TS.
+func TestRestoreNamesFirstBadRing(t *testing.T) {
+	e, err := New(mechConfig(3, 6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Ingest(mcs.Report{Fleet: "a", Participant: 0, Slot: 0, X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Shards[0].SY, ck.Shards[0].TS = nil, nil
+	fresh, err := New(mechConfig(3, 6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for i := 0; i < 50; i++ {
+		if err := fresh.Restore(ck); err == nil || !strings.HasSuffix(err.Error(), "missing ring SY") {
+			t.Fatalf("call %d: err = %v, want it to name SY", i, err)
+		}
 	}
 }

@@ -348,3 +348,67 @@ func TestFreshnessConservedAcrossCheckpointRestore(t *testing.T) {
 			st.AgeAtClose.SumMS)
 	}
 }
+
+// TestFreshnessCountsOverlappingWindowsOnce pins the freshness histograms
+// to one observation per stamped report when windows overlap (hop <
+// window): a report is aged by the close of the first window that holds
+// it, not again by every later window that still covers its slot.
+func TestFreshnessCountsOverlappingWindowsOnce(t *testing.T) {
+	const (
+		n     = 3
+		slots = 12
+		tick  = 100 * time.Millisecond
+	)
+	clock := fault.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	cfg := freshCfg(clock)
+	cfg.HopSlots = 2
+	cfg.Core.Detect.Window = 3 // fits the 4-slot window, so every window runs
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := e.Subscribe(16)
+	defer cancel()
+	for s := 0; s < slots; s++ {
+		for p := 0; p < n; p++ {
+			if err := e.Ingest(stamped(clock, "cab", p, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s < slots-1 {
+			clock.Advance(tick)
+		}
+	}
+	results := drain(t, e, ch)
+	if len(results) != 5 {
+		t.Fatalf("published %d windows, want 5", len(results))
+	}
+
+	st := e.Stats()
+	if st.ReportsStamped != n*slots {
+		t.Fatalf("stamped = %d, want %d", st.ReportsStamped, n*slots)
+	}
+	// Window [0,4) closes when slot 4 arrives (at 4 ticks), [2,6) at 6,
+	// [4,8) at 8, [6,10) at 10, and Close flushes [8,12) at 11. Each slot
+	// is aged at the first of those closes after it: per participant
+	// (4+3+2+1) + (2+1) + (2+1) + (2+1) + (1+0) = 20 ticks.
+	wantSumMS := float64(n * 20 * tick.Milliseconds())
+	ff := st.Freshness["cab"]
+	for name, h := range map[string]HistogramSnapshot{
+		"engine age_at_close":     st.AgeAtClose,
+		"fleet age_at_close":      ff.AgeAtClose,
+		"engine ingest_to_result": st.IngestToResult,
+		"fleet ingest_to_result":  ff.IngestToResult,
+	} {
+		if h.Count != st.ReportsStamped {
+			t.Errorf("%s count = %d, want %d (one per stamped report)", name, h.Count, st.ReportsStamped)
+		}
+	}
+	for name, h := range map[string]HistogramSnapshot{
+		"engine": st.AgeAtClose, "fleet": ff.AgeAtClose,
+	} {
+		if h.SumMS < wantSumMS-1 || h.SumMS > wantSumMS+1 {
+			t.Errorf("%s age_at_close sum = %.0fms, want %.0fms", name, h.SumMS, wantSumMS)
+		}
+	}
+}

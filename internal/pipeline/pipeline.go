@@ -258,8 +258,9 @@ type job struct {
 	start    int
 	observed int
 	in       core.Input
-	// stamps snapshots the window's ingest stamps (unix micros, 0 for
-	// unstamped cells) so the worker can observe ingest→result latency;
+	// stamps snapshots the ingest stamps of the window's cells that no
+	// earlier window aged (unix micros, 0 elsewhere) so the worker can
+	// observe ingest→result latency once per report;
 	// traceID is the exemplar trace linked at window close (0 if none).
 	stamps   *mat.Dense
 	traceID  uint64
@@ -280,9 +281,11 @@ type shard struct {
 	sx, sy, vx, vy, ex *mat.Dense
 
 	// ts mirrors the rings with each cell's ingest stamp in unix micros
-	// (as float64 — exact until 2255), 0 where unstamped. It slides and
-	// zeroes with the other five and is checkpointed alongside them, so
-	// freshness accounting survives crash/recovery without re-stamping.
+	// (as float64 — exact until 2255), 0 where unstamped. The first window
+	// close that observes a stamp negates it, so the windows overlapping
+	// that cell later do not count its age again. It slides and zeroes
+	// with the other five and is checkpointed alongside them, so freshness
+	// accounting survives crash/recovery without re-stamping.
 	ts *mat.Dense
 
 	// warm carries the factors of the newest processed window (guarded by
@@ -710,15 +713,16 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 	n, capSlots := e.cfg.Participants, e.cfg.WindowSlots+e.cfg.HopSlots
 	for i := range ck.Shards {
 		sc := &ck.Shards[i]
-		for name, m := range map[string]*mat.Dense{
-			"SX": sc.SX, "SY": sc.SY, "VX": sc.VX, "VY": sc.VY, "EX": sc.EX, "TS": sc.TS,
-		} {
-			if m == nil {
-				return fmt.Errorf("%w: shard %q missing ring %s", ErrNotRestorable, sc.Fleet, name)
+		for _, r := range []struct {
+			name string
+			m    *mat.Dense
+		}{{"SX", sc.SX}, {"SY", sc.SY}, {"VX", sc.VX}, {"VY", sc.VY}, {"EX", sc.EX}, {"TS", sc.TS}} {
+			if r.m == nil {
+				return fmt.Errorf("%w: shard %q missing ring %s", ErrNotRestorable, sc.Fleet, r.name)
 			}
-			if mr, mc := m.Dims(); mr != n || mc != capSlots {
+			if mr, mc := r.m.Dims(); mr != n || mc != capSlots {
 				return fmt.Errorf("%w: shard %q ring %s is %dx%d, want %dx%d",
-					ErrNotRestorable, sc.Fleet, name, mr, mc, n, capSlots)
+					ErrNotRestorable, sc.Fleet, r.name, mr, mc, n, capSlots)
 			}
 		}
 	}
@@ -1043,9 +1047,10 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.Tra
 // closeWindow snapshots the open window into a fresh core.Input, slides the
 // ring forward one hop, counts the close (and, when the window held no
 // observations, the empty close), and reports whether the window held any
-// observations. Every stamped cell's age (close time − ingest stamp) is
-// observed into the shard and engine freshness histograms, and the window
-// claims its still-unclaimed traces. Callers hold sh.mu.
+// observations. Every stamped cell no earlier close has aged gets its age
+// (close time − ingest stamp) observed into the shard and engine freshness
+// histograms, is marked aged, and goes into the job's stamps; the window
+// also claims its still-unclaimed traces. Callers hold sh.mu.
 func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
 	w, h := cfg.WindowSlots, cfg.HopSlots
 	capSlots := w + h
@@ -1077,6 +1082,7 @@ func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
 			observed++
 			if st := tsr[src]; st > 0 {
 				dts[t] = st
+				tsr[src] = -st
 				age := time.Duration(closedUS-int64(st)) * time.Microsecond
 				sh.ageAtClose.Observe(age)
 				c.ageAtClose.Observe(age)
@@ -1182,8 +1188,9 @@ func (e *Engine) process(j job) {
 	res.Flagged = len(res.Flags)
 
 	completedAt := e.cfg.Clock.Now()
-	// Ingest→result: every stamped cell in the window has now traveled the
-	// full path from its front-door stamp to a published detection verdict.
+	// Ingest→result: every stamped cell this window was the first to age
+	// has now traveled the full path from its front-door stamp to a
+	// published detection verdict.
 	if j.stamps != nil {
 		completedUS := completedAt.UnixMicro()
 		n, w := j.stamps.Dims()

@@ -70,7 +70,8 @@ type ShardCheckpoint struct {
 	SX, SY, VX, VY, EX *mat.Dense
 
 	// TS is the ingest-stamp ring (unix microseconds as float64, exact
-	// below 2⁵³): the same shape as EX, zero where a cell is unstamped.
+	// below 2⁵³): the same shape as EX, zero where a cell is unstamped and
+	// negated once a window close has aged the stamp.
 	// A nil TS is written as an all-zero ring.
 	TS *mat.Dense
 

@@ -194,116 +194,136 @@ func WithAdaptiveCheck(enabled bool) Option {
 
 // Run executes the I(TS,CS) framework over the dataset.
 func Run(ds Dataset, opts ...Option) (*Result, error) {
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	e, ms, err := toMatrices(
+		[]rowSet{{"X", ds.X}, {"Y", ds.Y}},
+		[]rowSet{{"VX", ds.VX}, {"VY", ds.VY}})
+	if err != nil {
+		return nil, err
+	}
+	out, err := core.Run(cfg, core.Input{SX: ms[0], SY: ms[1], Existence: e, VX: ms[2], VY: ms[3]})
+	if err != nil {
+		return nil, err
+	}
+	faulty, missing, repaired, recon := assemble(out.Detection, e,
+		[][][]float64{ds.X, ds.Y}, []*mat.Dense{out.XHat, out.YHat})
+	return &Result{
+		Faulty:         faulty,
+		Missing:        missing,
+		X:              repaired[0],
+		Y:              repaired[1],
+		ReconstructedX: recon[0],
+		ReconstructedY: recon[1],
+		Iterations:     out.Iterations,
+		Converged:      out.Converged,
+	}, nil
+}
+
+// newConfig applies opts to the default configuration and maps the
+// selected variant onto the internal one.
+func newConfig(opts []Option) (core.Config, error) {
 	o := options{cfg: core.DefaultConfig(), variant: VariantFull}
 	for _, apply := range opts {
 		if err := apply(&o); err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
 	variant, err := o.variant.toInternal()
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	o.cfg.Reconstruct.Variant = variant
-
-	in, err := toInput(ds)
-	if err != nil {
-		return nil, err
-	}
-	out, err := core.Run(o.cfg, *in)
-	if err != nil {
-		return nil, err
-	}
-	return toResult(ds, in, out), nil
+	return o.cfg, nil
 }
 
-// toInput validates the dataset and converts it to the internal form.
-func toInput(ds Dataset) (*core.Input, error) {
-	n := len(ds.X)
+// rowSet is one named participants × slots input.
+type rowSet struct {
+	name string
+	rows [][]float64
+}
+
+// toMatrices checks that every row set has the first one's shape, row
+// counts first and then slot counts row by row, each in the order given,
+// and converts the sets to matrices, one each, in the same order. A NaN
+// in any sensory set marks the cell missing: the existence matrix e is 0
+// there and every sensory matrix holds 0. A NaN in a rate set reads as 0.
+func toMatrices(sensory, rates []rowSet) (e *mat.Dense, ms []*mat.Dense, err error) {
+	sets := append(append([]rowSet{}, sensory...), rates...)
+	n := len(sets[0].rows)
 	if n == 0 {
-		return nil, errors.New("itscs: dataset has no participants")
+		return nil, nil, errors.New("itscs: dataset has no participants")
 	}
-	t := len(ds.X[0])
+	t := len(sets[0].rows[0])
 	if t == 0 {
-		return nil, errors.New("itscs: dataset has no time slots")
+		return nil, nil, errors.New("itscs: dataset has no time slots")
 	}
-	for name, rows := range map[string][][]float64{"Y": ds.Y, "VX": ds.VX, "VY": ds.VY} {
-		if len(rows) != n {
-			return nil, fmt.Errorf("itscs: %s has %d rows, want %d", name, len(rows), n)
+	for _, s := range sets[1:] {
+		if len(s.rows) != n {
+			return nil, nil, fmt.Errorf("itscs: %s has %d rows, want %d", s.name, len(s.rows), n)
 		}
-	}
-	in := core.Input{
-		SX:        mat.New(n, t),
-		SY:        mat.New(n, t),
-		Existence: mat.New(n, t),
-		VX:        mat.New(n, t),
-		VY:        mat.New(n, t),
 	}
 	for i := 0; i < n; i++ {
-		for name, rows := range map[string][][]float64{"X": ds.X, "Y": ds.Y, "VX": ds.VX, "VY": ds.VY} {
-			if len(rows[i]) != t {
-				return nil, fmt.Errorf("itscs: %s row %d has %d slots, want %d", name, i, len(rows[i]), t)
+		for _, s := range sets {
+			if len(s.rows[i]) != t {
+				return nil, nil, fmt.Errorf("itscs: %s row %d has %d slots, want %d", s.name, i, len(s.rows[i]), t)
 			}
-		}
-		for j := 0; j < t; j++ {
-			x, y := ds.X[i][j], ds.Y[i][j]
-			if math.IsNaN(x) || math.IsNaN(y) {
-				continue // missing: E stays 0, S stays 0
-			}
-			in.SX.Set(i, j, x)
-			in.SY.Set(i, j, y)
-			in.Existence.Set(i, j, 1)
-		}
-		for j := 0; j < t; j++ {
-			vx, vy := ds.VX[i][j], ds.VY[i][j]
-			if math.IsNaN(vx) {
-				vx = 0
-			}
-			if math.IsNaN(vy) {
-				vy = 0
-			}
-			in.VX.Set(i, j, vx)
-			in.VY.Set(i, j, vy)
 		}
 	}
-	return &in, nil
+	e = mat.Ones(n, t)
+	for _, s := range sensory {
+		for i, row := range s.rows {
+			for j, v := range row {
+				if math.IsNaN(v) {
+					e.Set(i, j, 0)
+				}
+			}
+		}
+	}
+	ms = make([]*mat.Dense, len(sets))
+	for k, s := range sets {
+		ms[k] = mat.New(n, t)
+		for i, row := range s.rows {
+			for j, v := range row {
+				if math.IsNaN(v) || k < len(sensory) && e.At(i, j) == 0 {
+					continue
+				}
+				ms[k].Set(i, j, v)
+			}
+		}
+	}
+	return e, ms, nil
 }
 
-// toResult converts the internal output to the public form.
-func toResult(ds Dataset, in *core.Input, out *core.Output) *Result {
-	n, t := in.SX.Dims()
-	res := &Result{
-		Faulty:         make([][]bool, n),
-		Missing:        make([][]bool, n),
-		X:              make([][]float64, n),
-		Y:              make([][]float64, n),
-		ReconstructedX: make([][]float64, n),
-		ReconstructedY: make([][]float64, n),
-		Iterations:     out.Iterations,
-		Converged:      out.Converged,
-	}
+// assemble turns the framework's output into the public verdicts and, per
+// axis, the repaired rows (the reconstruction at faulty and missing cells,
+// the observed value elsewhere) and the raw reconstructed rows.
+func assemble(detection, e *mat.Dense, observed [][][]float64, hats []*mat.Dense) (faulty, missing [][]bool, repaired, reconstructed [][][]float64) {
+	n, t := e.Dims()
+	faulty, missing = make([][]bool, n), make([][]bool, n)
 	for i := 0; i < n; i++ {
-		res.Faulty[i] = make([]bool, t)
-		res.Missing[i] = make([]bool, t)
-		res.X[i] = make([]float64, t)
-		res.Y[i] = make([]float64, t)
-		res.ReconstructedX[i] = make([]float64, t)
-		res.ReconstructedY[i] = make([]float64, t)
+		faulty[i], missing[i] = make([]bool, t), make([]bool, t)
 		for j := 0; j < t; j++ {
-			faulty := out.Detection.At(i, j) != 0
-			missing := in.Existence.At(i, j) == 0
-			res.Faulty[i][j] = faulty
-			res.Missing[i][j] = missing
-			res.ReconstructedX[i][j] = out.XHat.At(i, j)
-			res.ReconstructedY[i][j] = out.YHat.At(i, j)
-			if faulty || missing {
-				res.X[i][j] = out.XHat.At(i, j)
-				res.Y[i][j] = out.YHat.At(i, j)
-			} else {
-				res.X[i][j] = ds.X[i][j]
-				res.Y[i][j] = ds.Y[i][j]
-			}
+			faulty[i][j] = detection.At(i, j) != 0
+			missing[i][j] = e.At(i, j) == 0
 		}
 	}
-	return res
+	for k, hat := range hats {
+		fixed, raw := make([][]float64, n), make([][]float64, n)
+		for i := 0; i < n; i++ {
+			raw[i] = hat.Row(i)
+			fixed[i] = make([]float64, t)
+			for j := 0; j < t; j++ {
+				if faulty[i][j] || missing[i][j] {
+					fixed[i][j] = raw[i][j]
+				} else {
+					fixed[i][j] = observed[k][i][j]
+				}
+			}
+		}
+		repaired, reconstructed = append(repaired, fixed), append(reconstructed, raw)
+	}
+	return faulty, missing, repaired, reconstructed
 }

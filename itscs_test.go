@@ -2,6 +2,7 @@ package itscs_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +155,24 @@ func TestRunDatasetValidation(t *testing.T) {
 	for i, ds := range cases {
 		if _, err := itscs.Run(ds); err == nil {
 			t.Fatalf("dataset %d should be rejected", i)
+		}
+	}
+}
+
+// TestRunNamesFirstBadInput pins which input a shape error names when two
+// are bad: the checks run in a fixed order, so Y is named before VX.
+func TestRunNamesFirstBadInput(t *testing.T) {
+	ok := [][]float64{{1, 2}, {3, 4}}
+	cases := map[string]itscs.Dataset{
+		"rows":  {X: ok, Y: ok[:1], VX: ok[:1], VY: ok},
+		"slots": {X: ok, Y: [][]float64{{1, 2}, {3}}, VX: [][]float64{{1, 2}, {3}}, VY: ok},
+	}
+	for name, ds := range cases {
+		for i := 0; i < 50; i++ {
+			_, err := itscs.Run(ds)
+			if err == nil || !strings.HasPrefix(err.Error(), "itscs: Y ") {
+				t.Fatalf("%s, call %d: err = %v, want it to name Y", name, i, err)
+			}
 		}
 	}
 }

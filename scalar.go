@@ -1,10 +1,6 @@
 package itscs
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"itscs/internal/core"
 	"itscs/internal/mat"
 )
@@ -41,103 +37,34 @@ type ScalarResult struct {
 // the data's own units rather than meters; adjust them to the sensed
 // quantity's scale.
 func RunScalar(values [][]float64, rates [][]float64, opts ...Option) (*ScalarResult, error) {
-	o := options{cfg: core.DefaultConfig(), variant: VariantFull}
-	for _, apply := range opts {
-		if err := apply(&o); err != nil {
-			return nil, err
-		}
-	}
-	variant, err := o.variant.toInternal()
+	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	o.cfg.Reconstruct.Variant = variant
-
-	in, err := toScalarInput(values, rates)
-	if err != nil {
-		return nil, err
-	}
-	out, err := core.RunScalar(o.cfg, *in)
-	if err != nil {
-		return nil, err
-	}
-	return toScalarResult(values, in, out), nil
-}
-
-func toScalarInput(values, rates [][]float64) (*core.ScalarInput, error) {
-	n := len(values)
-	if n == 0 {
-		return nil, errors.New("itscs: dataset has no participants")
-	}
-	t := len(values[0])
-	if t == 0 {
-		return nil, errors.New("itscs: dataset has no time slots")
-	}
-	in := core.ScalarInput{
-		S:         mat.New(n, t),
-		Existence: mat.New(n, t),
-	}
+	var rateSets []rowSet
 	if rates != nil {
-		if len(rates) != n {
-			return nil, fmt.Errorf("itscs: rates has %d rows, want %d", len(rates), n)
-		}
-		in.Rate = mat.New(n, t)
+		rateSets = []rowSet{{"rates", rates}}
 	}
-	for i := 0; i < n; i++ {
-		if len(values[i]) != t {
-			return nil, fmt.Errorf("itscs: values row %d has %d slots, want %d", i, len(values[i]), t)
-		}
-		for j := 0; j < t; j++ {
-			v := values[i][j]
-			if math.IsNaN(v) {
-				continue
-			}
-			in.S.Set(i, j, v)
-			in.Existence.Set(i, j, 1)
-		}
-		if rates != nil {
-			if len(rates[i]) != t {
-				return nil, fmt.Errorf("itscs: rates row %d has %d slots, want %d", i, len(rates[i]), t)
-			}
-			for j := 0; j < t; j++ {
-				r := rates[i][j]
-				if math.IsNaN(r) {
-					r = 0
-				}
-				in.Rate.Set(i, j, r)
-			}
-		}
+	e, ms, err := toMatrices([]rowSet{{"values", values}}, rateSets)
+	if err != nil {
+		return nil, err
 	}
-	return &in, nil
-}
-
-func toScalarResult(values [][]float64, in *core.ScalarInput, out *core.ScalarOutput) *ScalarResult {
-	n, t := in.S.Dims()
-	res := &ScalarResult{
-		Faulty:        make([][]bool, n),
-		Missing:       make([][]bool, n),
-		Values:        make([][]float64, n),
-		Reconstructed: make([][]float64, n),
+	in := core.ScalarInput{S: ms[0], Existence: e}
+	if rates != nil {
+		in.Rate = ms[1]
+	}
+	out, err := core.RunScalar(cfg, in)
+	if err != nil {
+		return nil, err
+	}
+	faulty, missing, repaired, recon := assemble(out.Detection, e,
+		[][][]float64{values}, []*mat.Dense{out.SHat})
+	return &ScalarResult{
+		Faulty:        faulty,
+		Missing:       missing,
+		Values:        repaired[0],
+		Reconstructed: recon[0],
 		Iterations:    out.Iterations,
 		Converged:     out.Converged,
-	}
-	for i := 0; i < n; i++ {
-		res.Faulty[i] = make([]bool, t)
-		res.Missing[i] = make([]bool, t)
-		res.Values[i] = make([]float64, t)
-		res.Reconstructed[i] = make([]float64, t)
-		for j := 0; j < t; j++ {
-			faulty := out.Detection.At(i, j) != 0
-			missing := in.Existence.At(i, j) == 0
-			res.Faulty[i][j] = faulty
-			res.Missing[i][j] = missing
-			res.Reconstructed[i][j] = out.SHat.At(i, j)
-			if faulty || missing {
-				res.Values[i][j] = out.SHat.At(i, j)
-			} else {
-				res.Values[i][j] = values[i][j]
-			}
-		}
-	}
-	return res
+	}, nil
 }
