@@ -69,13 +69,12 @@ func run(p params, out io.Writer) error {
 		return err
 	}
 
-	// The streaming engine: one worker keeps windows in order, so every
-	// window after the first can warm-start from its predecessor.
+	// The streaming engine: the fleet's lane runs its windows in order, so
+	// every window after the first warm-starts from its predecessor.
 	cfg := pipeline.DefaultConfig()
 	cfg.Participants = p.participants
 	cfg.WindowSlots = p.window
 	cfg.HopSlots = p.hop
-	cfg.Workers = 1
 	// Observability, as itscs-serve wires it: anything that goes wrong
 	// (dropped, failed, or slow windows) surfaces as a structured warning,
 	// and every processed window leaves a trace span, printed at the end.

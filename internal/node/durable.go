@@ -80,22 +80,20 @@ func Recover(fsys fault.FS, dir string, log *wal.Log, engine *pipeline.Engine, l
 	return info, nil
 }
 
-// Checkpoint snapshots the engine, adds the ledger's blob (when non-nil),
-// writes the checkpoint into dir through fsys, keeps the two newest
-// checkpoints and compacts the log segments wholly behind the new one. It
-// stops at the first failure. It does not drain the engine first.
+// Checkpoint snapshots the engine (Engine.Checkpoint drains it first), adds
+// the ledger's blob (when non-nil), writes the checkpoint into dir through
+// fsys, keeps the two newest checkpoints and compacts the log segments
+// wholly behind the new one. It stops at the first failure.
 func Checkpoint(fsys fault.FS, dir string, log *wal.Log, engine *pipeline.Engine, ledger *reputation.Ledger) error {
 	ck, err := engine.Checkpoint()
 	if err != nil {
 		return err
 	}
 	if ledger != nil {
-		// Engine.Checkpoint does not drain the dispatch queue. Windows the
-		// snapshot's shards have already closed may still be queued or
-		// running: their folds are missing from this blob, the shards' warm
-		// factors lag them, and a recovery from this checkpoint never cuts
-		// them again. Only a checkpoint taken after the engine drained
-		// (the final one after Close) is consistent with the shards.
+		// The drained snapshot's windows have all been folded. Ingestion
+		// resumed when Engine.Checkpoint returned, so the blob may also hold
+		// folds of windows closed since; after a restore those windows are
+		// cut again and the ledger's seq frontier skips their second fold.
 		if ck.Reputation, err = ledger.MarshalBinary(); err != nil {
 			return err
 		}

@@ -31,9 +31,7 @@ func TestEndToEndStreamMatchesBatch(t *testing.T) {
 	)
 	fleet, res := fixture(t, n, slots, 0.15, 0.15)
 
-	cfg := mechConfig(n, w, h)
-	cfg.Workers = 1 // process windows in order so later ones can warm-start
-	e, err := New(cfg)
+	e, err := New(mechConfig(n, w, h))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,15 @@
 // four sensory matrices (X, Y, VX, VY) plus the existence mask. When a
 // report's slot passes the open window's far edge the window [start,
 // start+WindowSlots) is snapshotted, the buffer slides forward by HopSlots,
-// and the snapshot is dispatched to a bounded worker pool. Workers run the
-// full core loop and warm-start CORRECT with the fleet's previous window
-// factorization (consecutive windows overlap by WindowSlots−HopSlots
-// columns, and even where the carried subspace has rotated the warm start
-// still skips the O(n·t²) SVD init). Backpressure is drop-oldest: when the
-// dispatch queue is full the stalest window is discarded and counted, so a
-// slow detector degrades to coarser coverage instead of unbounded memory.
+// and the snapshot is dispatched to its fleet's lane: a bounded queue with
+// one worker. Each fleet is bound to one lane, so its windows run in seq
+// order, each warm-starting CORRECT with the factorization of the window
+// before it (consecutive windows overlap by WindowSlots−HopSlots columns,
+// and even where the carried subspace has rotated the warm start still
+// skips the O(n·t²) SVD init); different lanes run in parallel.
+// Backpressure is drop-oldest: when a lane is full its stalest window is
+// discarded and counted, so a slow detector degrades to coarser coverage
+// instead of unbounded memory.
 // Results fan out through a subscription API and are retained per fleet for
 // polling; Stats exposes counters and per-phase latency histograms.
 package pipeline
@@ -118,11 +120,15 @@ type Config struct {
 	// HopSlots is the stride H between consecutive windows, 0 < H ≤ W.
 	// Consecutive windows overlap by W−H slots.
 	HopSlots int
-	// Workers is the size of the detection worker pool (default 2; the
-	// core loop already parallelizes internally across row blocks).
+	// Workers is the number of detection lanes, each a queue with one
+	// worker (default 2; the core loop already parallelizes internally
+	// across row blocks). A fleet is bound to a lane, round-robin, when its
+	// shard is first materialized, so its windows publish and fold in seq
+	// order and each warm-starts from the one before it, at any count.
 	Workers int
-	// QueueDepth bounds the dispatch queue between window close and the
-	// worker pool (default 16). When full, the oldest queued window is
+	// QueueDepth bounds the windows waiting between window close and the
+	// workers (default 16), split evenly across the lanes, each of which
+	// holds at least one. When a lane is full, its oldest queued window is
 	// dropped and counted.
 	QueueDepth int
 	// MaxFleets bounds how many fleet shards may be materialized
@@ -288,8 +294,12 @@ type shard struct {
 	// accounting survives crash/recovery without re-stamping.
 	ts *mat.Dense
 
-	// warm carries the factors of the newest processed window (guarded by
-	// mu; warmSeq orders concurrent workers), latest the newest result.
+	// lane runs this fleet's windows, one at a time in seq order.
+	lane *lane
+
+	// warm carries the factors of the newest processed window and warmSeq
+	// that window's seq (recorded by checkpoints), latest the newest
+	// result; all three are guarded by mu.
 	warm    *core.WarmState
 	warmSeq int
 	latest  *WindowResult
@@ -307,24 +317,35 @@ type shard struct {
 	ingestToResult *metrics.Histogram
 }
 
+// lane is one worker's dispatch queue.
+type lane struct {
+	q  chan job
+	mu sync.Mutex // serializes the send-or-drop-oldest dance
+}
+
 // Engine is the streaming detection engine. It implements mcs.Ingestor, so
 // an mcs.Server can feed it directly from the TCP transport. All methods
 // are safe for concurrent use.
 type Engine struct {
 	cfg Config
 
-	// lifeMu orders Ingest/Flush against Close: ingestion holds the read
-	// side for its full critical path so the dispatch queue can only be
-	// closed once no sender is in flight.
+	// lifeMu is the ingestion gate. Ingestion holds the read side for its
+	// full critical path, so every window it closes is enqueued (or counted
+	// empty) before the gate opens; shutdown and Checkpoint hold the write
+	// side. Workers never take it.
 	lifeMu sync.RWMutex
 	closed bool
 
 	shardMu sync.Mutex
 	shards  map[string]*shard
 
-	queue chan job
-	qmu   sync.Mutex // serializes the send-or-drop-oldest dance
+	lanes []*lane
 	wg    sync.WaitGroup
+
+	// settled is signalled (under settleMu) each time a closed window
+	// reaches a terminal state; Checkpoint waits on it to drain.
+	settleMu sync.Mutex
+	settled  *sync.Cond
 
 	subMu      sync.Mutex
 	subs       map[int]chan *WindowResult
@@ -361,16 +382,21 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		shards: make(map[string]*shard),
-		queue:  make(chan job, cfg.QueueDepth),
+		lanes:  make([]*lane, cfg.Workers),
 		subs:   make(map[int]chan *WindowResult),
+	}
+	e.settled = sync.NewCond(&e.settleMu)
+	for i := range e.lanes {
+		// The capacities (QueueDepth+i)/Workers sum to QueueDepth.
+		e.lanes[i] = &lane{q: make(chan job, max(1, (cfg.QueueDepth+i)/cfg.Workers))}
 	}
 	e.c.ageAtClose = metrics.NewHistogram(metrics.AgeBuckets)
 	e.c.ingestToResult = metrics.NewHistogram(metrics.AgeBuckets)
 	phase := func() *metrics.Histogram { return metrics.NewHistogram(metrics.HistBuckets) }
 	e.hist.detect, e.hist.correct, e.hist.check, e.hist.run, e.hist.wait = phase(), phase(), phase(), phase(), phase()
 	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
+	for _, l := range e.lanes {
+		go e.worker(l)
 	}
 	return e, nil
 }
@@ -591,11 +617,11 @@ func (e *Engine) shutdown(drain bool) {
 		return
 	}
 	e.closed = true
-	e.lifeMu.Unlock()
 	if drain {
 		// Flush each shard's open partial window; its reports were accepted
 		// (and possibly acked durable) so dropping them on shutdown would
-		// betray the transport's acknowledgements.
+		// betray the transport's acknowledgements. The gate stays shut
+		// while the flush closes windows, as it does for ingestion.
 		for _, sh := range e.allShards() {
 			sh.mu.Lock()
 			j, ok := sh.closeWindow(e.cfg, &e.c)
@@ -607,17 +633,22 @@ func (e *Engine) shutdown(drain bool) {
 	} else {
 		// Crash semantics: discard whatever is queued so workers exit at
 		// once; the WAL (when configured) already holds the reports.
-	drop:
-		for {
-			select {
-			case j := <-e.queue:
-				e.noteDropped(j)
-			default:
-				break drop
+		for _, l := range e.lanes {
+		drop:
+			for {
+				select {
+				case j := <-l.q:
+					e.noteDropped(j)
+				default:
+					break drop
+				}
 			}
 		}
 	}
-	close(e.queue)
+	e.lifeMu.Unlock()
+	for _, l := range e.lanes {
+		close(l.q)
+	}
 	e.wg.Wait()
 	e.subMu.Lock()
 	e.subsClosed = true
@@ -648,27 +679,31 @@ func (e *Engine) allShards() []*shard {
 
 // Checkpoint freezes the engine's durable state: every shard's ring
 // buffers, window position, and warm-start factors, stamped with the log
-// index the snapshot is consistent with. When a ReportLog is configured it
-// is synced first, so the checkpoint never references records less durable
-// than itself. Recovery = Restore(checkpoint) + Replay of log records from
+// index the snapshot is consistent with. It shuts the ingestion gate and,
+// before snapshotting, waits until every closed window has reached a
+// terminal state (processed, failed, dropped or empty), so the snapshot
+// holds the warm factors of each fleet's newest processed window and an
+// OnResult consumer has seen every window the shards have cut. Ingestion
+// stalls for that wait: up to the detection time of the queued backlog.
+// When a ReportLog is configured it is synced before Checkpoint returns,
+// so the checkpoint never references records less durable than itself.
+// Recovery = Restore(checkpoint) + Replay of log records from
 // Checkpoint.LogIndex on. Checkpointing a Closed engine is allowed — the
 // daemon writes a final checkpoint after its shutdown drain so a clean
 // restart replays nothing.
 func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
-	// Quiesce ingestion for an instant: with the write lock held no report
-	// is between its log append and its shard apply, so AppendedIndex is a
-	// true lower bound for the shard snapshots taken after release (records
-	// applied in between simply replay as duplicates).
+	// With the gate shut no report is between its log append and its shard
+	// apply, and no window is between its close and its enqueue, so the
+	// drain below finishes and AppendedIndex matches the snapshot exactly.
 	e.lifeMu.Lock()
+	e.settleMu.Lock()
+	for !e.drained() {
+		e.settled.Wait()
+	}
+	e.settleMu.Unlock()
 	var logIdx uint64
 	if e.cfg.Log != nil {
 		logIdx = e.cfg.Log.AppendedIndex()
-	}
-	e.lifeMu.Unlock()
-	if e.cfg.Log != nil {
-		if err := e.cfg.Log.Sync(); err != nil {
-			return nil, fmt.Errorf("pipeline: checkpoint sync: %w", err)
-		}
 	}
 	ck := &wal.Checkpoint{
 		LogIndex:     logIdx,
@@ -697,7 +732,27 @@ func (e *Engine) Checkpoint() (*wal.Checkpoint, error) {
 		sh.mu.Unlock()
 		ck.Shards = append(ck.Shards, sc)
 	}
+	e.lifeMu.Unlock()
+	if e.cfg.Log != nil {
+		if err := e.cfg.Log.Sync(); err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint sync: %w", err)
+		}
+	}
 	return ck, nil
+}
+
+// drained reports whether every closed window has reached a terminal state.
+func (e *Engine) drained() bool {
+	c := &e.c
+	return c.windowsClosed.Load() == c.windowsEmpty.Load()+c.windowsDropped.Load()+c.windowsDone.Load()+c.windowsFailed.Load()
+}
+
+// settle wakes a Checkpoint waiting for the engine to drain; it follows
+// every count of a terminal state made outside the ingestion gate.
+func (e *Engine) settle() {
+	e.settleMu.Lock()
+	e.settled.Broadcast()
+	e.settleMu.Unlock()
 }
 
 // Restore rebuilds the engine's shards from a checkpoint. It must run on a
@@ -743,20 +798,16 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 	for i := range ck.Shards {
 		sc := &ck.Shards[i]
 		sh := &shard{
-			fleet:          sc.Fleet,
-			start:          sc.Start,
-			seq:            sc.Seq,
-			warmSeq:        sc.WarmSeq,
-			sx:             sc.SX,
-			sy:             sc.SY,
-			vx:             sc.VX,
-			vy:             sc.VY,
-			ex:             sc.EX,
-			ts:             sc.TS,
-			spans:          obs.NewRing(e.cfg.TraceDepth),
-			traces:         obs.NewTraceTable(e.cfg.TraceDepth),
-			ageAtClose:     metrics.NewHistogram(metrics.AgeBuckets),
-			ingestToResult: metrics.NewHistogram(metrics.AgeBuckets),
+			fleet:   sc.Fleet,
+			start:   sc.Start,
+			seq:     sc.Seq,
+			warmSeq: sc.WarmSeq,
+			sx:      sc.SX,
+			sy:      sc.SY,
+			vx:      sc.VX,
+			vy:      sc.VY,
+			ex:      sc.EX,
+			ts:      sc.TS,
 		}
 		if sc.WarmLX != nil {
 			sh.warm = &core.WarmState{
@@ -764,7 +815,7 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 				Y: csrecon.Factors{L: sc.WarmLY, R: sc.WarmRY},
 			}
 		}
-		e.shards[sh.fleet] = sh
+		e.addShard(sh)
 	}
 	return nil
 }
@@ -881,8 +932,6 @@ func (e *Engine) Stats() Stats {
 		WarmStarts:        e.c.warmStarts.Load(),
 		ColdStarts:        e.c.coldStarts.Load(),
 		SubscriberDrops:   e.c.subscriberDrops.Load(),
-		QueueDepth:        len(e.queue),
-		QueueCapacity:     cap(e.queue),
 		PhaseLatency: map[string]HistogramSnapshot{
 			"detect":  e.hist.detect.Snapshot(),
 			"correct": e.hist.correct.Snapshot(),
@@ -892,6 +941,10 @@ func (e *Engine) Stats() Stats {
 		},
 		AgeAtClose:     e.c.ageAtClose.Snapshot(),
 		IngestToResult: e.c.ingestToResult.Snapshot(),
+	}
+	for _, l := range e.lanes {
+		s.QueueDepth += len(l.q)
+		s.QueueCapacity += cap(l.q)
 	}
 	for _, sh := range e.allShards() {
 		if n := sh.dropped.Load(); n != 0 {
@@ -933,35 +986,44 @@ func (e *Engine) shard(fleet string) (*shard, error) {
 	}
 	n, capSlots := e.cfg.Participants, e.cfg.WindowSlots+e.cfg.HopSlots
 	sh := &shard{
-		fleet:          fleet,
-		warmSeq:        -1,
-		sx:             mat.New(n, capSlots),
-		sy:             mat.New(n, capSlots),
-		vx:             mat.New(n, capSlots),
-		vy:             mat.New(n, capSlots),
-		ex:             mat.New(n, capSlots),
-		ts:             mat.New(n, capSlots),
-		spans:          obs.NewRing(e.cfg.TraceDepth),
-		traces:         obs.NewTraceTable(e.cfg.TraceDepth),
-		ageAtClose:     metrics.NewHistogram(metrics.AgeBuckets),
-		ingestToResult: metrics.NewHistogram(metrics.AgeBuckets),
+		fleet:   fleet,
+		warmSeq: -1,
+		sx:      mat.New(n, capSlots),
+		sy:      mat.New(n, capSlots),
+		vx:      mat.New(n, capSlots),
+		vy:      mat.New(n, capSlots),
+		ex:      mat.New(n, capSlots),
+		ts:      mat.New(n, capSlots),
 	}
-	e.shards[fleet] = sh
+	e.addShard(sh)
 	return sh, nil
 }
 
-// enqueue places a job on the dispatch queue, evicting the oldest queued
-// window when full. qmu admits one producer at a time, so after at most one
-// eviction the send succeeds (workers only ever make room). Evictions are
-// accounted after qmu is released so an Observer callback cannot stall a
-// competing producer.
+// addShard registers a shard holding its stream state: it gets fresh trace
+// and freshness state and the next lane, round-robin, which it keeps for
+// life. Callers hold shardMu.
+func (e *Engine) addShard(sh *shard) {
+	sh.lane = e.lanes[len(e.shards)%len(e.lanes)]
+	sh.spans = obs.NewRing(e.cfg.TraceDepth)
+	sh.traces = obs.NewTraceTable(e.cfg.TraceDepth)
+	sh.ageAtClose = metrics.NewHistogram(metrics.AgeBuckets)
+	sh.ingestToResult = metrics.NewHistogram(metrics.AgeBuckets)
+	e.shards[sh.fleet] = sh
+}
+
+// enqueue places a job on its fleet's lane, evicting the lane's oldest
+// queued window when full. The lane's mutex admits one producer at a time,
+// so after at most one eviction the send succeeds (the worker only ever
+// makes room). Evictions are accounted after the mutex is released so an
+// Observer callback cannot stall a competing producer.
 func (e *Engine) enqueue(j job) {
+	l := j.sh.lane
 	var evicted []job
-	e.qmu.Lock()
+	l.mu.Lock()
 	for {
 		select {
-		case e.queue <- j:
-			e.qmu.Unlock()
+		case l.q <- j:
+			l.mu.Unlock()
 			for _, old := range evicted {
 				e.noteDropped(old)
 			}
@@ -969,7 +1031,7 @@ func (e *Engine) enqueue(j job) {
 		default:
 		}
 		select {
-		case old := <-e.queue:
+		case old := <-l.q:
 			evicted = append(evicted, old)
 		default:
 		}
@@ -982,13 +1044,9 @@ func (e *Engine) enqueue(j job) {
 // disappearance used to be a bare counter bump.
 func (e *Engine) noteDropped(j job) {
 	e.c.windowsDropped.Add(1)
-	fleet := ""
-	if j.sh != nil {
-		j.sh.dropped.Add(1)
-		fleet = j.sh.fleet
-	}
+	j.sh.dropped.Add(1)
 	if e.cfg.Obs != nil {
-		e.cfg.Obs.WindowDropped(fleet, j.seq, len(e.queue))
+		e.cfg.Obs.WindowDropped(j.sh.fleet, j.seq, len(j.sh.lane.q))
 	}
 }
 
@@ -1131,10 +1189,10 @@ func (sh *shard) zeroCols(from, count, capSlots int) {
 	}
 }
 
-// worker drains the dispatch queue until Close.
-func (e *Engine) worker() {
+// worker runs its lane's windows in order until Close.
+func (e *Engine) worker(l *lane) {
 	defer e.wg.Done()
-	for j := range e.queue {
+	for j := range l.q {
 		e.process(j)
 	}
 }
@@ -1153,6 +1211,7 @@ func (e *Engine) process(j job) {
 		// is effectively unreachable) is dropped but visible in the stats
 		// and reported to the observer instead of vanishing silently.
 		e.c.windowsFailed.Add(1)
+		e.settle()
 		if e.cfg.Obs != nil {
 			e.cfg.Obs.WindowFailed(j.sh.fleet, j.seq, err)
 		}
@@ -1234,21 +1293,14 @@ func (e *Engine) process(j job) {
 	}
 
 	j.sh.mu.Lock()
-	// Workers may finish out of order; only newer windows advance the warm
-	// state and the published latest result.
-	if out.Warm != nil && j.seq > j.sh.warmSeq {
-		j.sh.warm = out.Warm
-		j.sh.warmSeq = j.seq
-	}
-	if j.sh.latest == nil || j.seq > j.sh.latest.Seq {
-		j.sh.latest = res
-	}
+	j.sh.warm, j.sh.warmSeq, j.sh.latest = out.Warm, j.seq, res
 	j.sh.mu.Unlock()
 
 	if e.cfg.OnResult != nil {
 		e.cfg.OnResult(res)
 	}
 	e.c.windowsDone.Add(1)
+	e.settle()
 	e.publish(res)
 	j.sh.traces.StageSeq(j.seq, "publish", "", e.cfg.Clock.Now().UnixMicro())
 }

@@ -194,15 +194,15 @@ func TestShardFastForward(t *testing.T) {
 }
 
 // TestEnqueueDropOldest exercises the backpressure policy on an engine with
-// no workers, so the queue cannot drain; evictions must reach the per-fleet
-// breakdown and the observer, not just the global counter.
+// one lane and no worker, so the lane cannot drain; evictions must reach the
+// per-fleet breakdown and the observer, not just the global counter.
 func TestEnqueueDropOldest(t *testing.T) {
 	rec := &recordingObserver{}
 	cfg := mechConfig(2, 4, 2)
 	cfg.Obs = rec
 	e := &Engine{
 		cfg:    cfg,
-		queue:  make(chan job, 2),
+		lanes:  []*lane{{q: make(chan job, 2)}},
 		shards: make(map[string]*shard),
 	}
 	sh, err := e.shard("cab")
@@ -215,7 +215,7 @@ func TestEnqueueDropOldest(t *testing.T) {
 	if got := e.c.windowsDropped.Load(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
 	}
-	first, second := <-e.queue, <-e.queue
+	first, second := <-sh.lane.q, <-sh.lane.q
 	if first.seq != 2 || second.seq != 3 {
 		t.Fatalf("queue kept seqs %d,%d, want 2,3 (newest)", first.seq, second.seq)
 	}
@@ -362,7 +362,6 @@ func TestEngineProcessesWindows(t *testing.T) {
 	)
 	rec := &recordingObserver{}
 	cfg := mechConfig(n, w, h)
-	cfg.Workers = 1 // serialize windows so warm state is ready for window 2
 	cfg.Obs = rec
 	fleet, res := fixture(t, n, w+2*h+1, 0.1, 0.1)
 

@@ -46,7 +46,6 @@ func TestCrashRecoveryMatchesUninterrupted(t *testing.T) {
 
 	newEngine := func(log ReportLog) (*Engine, <-chan *WindowResult, func()) {
 		cfg := mechConfig(n, w, h)
-		cfg.Workers = 1 // in-order processing so warm state is deterministic
 		cfg.Log = log
 		e, err := New(cfg)
 		if err != nil {

@@ -94,7 +94,8 @@ type Stats struct {
 	ColdStarts uint64 `json:"cold_starts"`
 	// SubscriberDrops counts results a slow subscriber failed to receive.
 	SubscriberDrops uint64 `json:"subscriber_drops"`
-	// QueueDepth and QueueCapacity describe the dispatch queue right now.
+	// QueueDepth and QueueCapacity describe the dispatch lanes right now,
+	// summed over lanes.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
 	// Fleets is the number of shards currently materialized.

@@ -84,7 +84,6 @@ func TestQuarantineExperiment(t *testing.T) {
 		cfg.Participants = n
 		cfg.WindowSlots = w
 		cfg.HopSlots = h
-		cfg.Workers = 1
 		cfg.Gate = ledger
 		cfg.OnResult = ledger.Fold
 		engine, err := pipeline.New(cfg)

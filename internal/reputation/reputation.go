@@ -207,10 +207,8 @@ func New(cfg Config) (*Ledger, error) {
 // Fold merges one completed window into the ledger. Folds are keyed on the
 // window's (fleet, seq): a seq at or below the fleet's frontier is skipped
 // and counted, which makes replay after a checkpoint restore idempotent —
-// re-delivered windows fold exactly once. The frontier is monotone, so
-// under a multi-worker engine an out-of-order completion is also skipped
-// (and counted); the deterministic harness runs a single worker, where
-// completions arrive in seq order and nothing is lost.
+// a window the restored blob already holds folds exactly once. The engine
+// runs each fleet's windows in seq order, so no other fold is skipped.
 func (l *Ledger) Fold(res *pipeline.WindowResult) {
 	if res == nil || res.Output == nil || res.Output.Detection == nil ||
 		res.Input.Existence == nil {

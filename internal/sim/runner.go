@@ -35,7 +35,6 @@ type runner struct {
 	cancel  func()
 
 	recovered map[int]WindowOutcome
-	collected int    // results received this life
 	attempts  uint64 // ingest+replay calls this life
 	lastCkpt  uint64 // WindowsClosed at the last checkpoint, this life
 
@@ -167,8 +166,9 @@ func (r *runner) openLife() error {
 	}
 	r.attempts += info.ReplayedRecords
 	r.log, r.engine, r.ledger = log, engine, ledger
+	// Results are read when the life ends, so one life may publish at
+	// most 256 windows, as the golden run may.
 	r.results, r.cancel = engine.Subscribe(256)
-	r.collected = 0
 	r.lastCkpt = engine.Stats().WindowsClosed
 	return nil
 }
@@ -186,75 +186,22 @@ func (r *runner) crash() error {
 	return r.openLife()
 }
 
-// maybeCheckpoint writes a checkpoint when enough windows have closed. The
-// dispatch queue is drained first so the newest warm factors are always in
-// the snapshot. It is the one step the sim does not share with the daemon
-// (node.Checkpoint): injected persistence failures are counted and
-// absorbed, and a failed prune still goes on to compact, where the daemon
-// stops at the first failure. Sharing the daemon's step would change the
-// operations the injector sees, and so every seeded storm.
+// maybeCheckpoint takes the daemon's checkpoint step (node.Checkpoint,
+// which drains the engine before it snapshots) once enough windows have
+// closed since the last success. Like the daemon, it absorbs an injected
+// persistence failure, counting it, and tries again after the next report.
 func (r *runner) maybeCheckpoint() error {
-	st := r.engine.Stats()
-	if st.WindowsClosed-r.lastCkpt < r.sc.CheckpointEvery {
+	closed := r.engine.Stats().WindowsClosed
+	if closed-r.lastCkpt < r.sc.CheckpointEvery {
 		return nil
 	}
-	if err := r.waitFor(int(st.WindowsClosed - st.WindowsEmpty)); err != nil {
-		return err
-	}
-	ck, err := r.engine.Checkpoint()
-	if err != nil {
-		if errors.Is(err, fault.ErrInjected) {
-			r.ckptErrs++
-			return nil
-		}
+	switch err := node.Checkpoint(r.fsys, r.dir, r.log, r.engine, r.ledger); {
+	case err == nil:
+		r.lastCkpt = closed
+	case errors.Is(err, fault.ErrInjected):
+		r.ckptErrs++
+	default:
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if r.ledger != nil {
-		// waitFor drained every non-empty closed window, and folds land
-		// before WindowsProcessed moves, so the blob is consistent with the
-		// shard state captured above.
-		if ck.Reputation, err = r.ledger.MarshalBinary(); err != nil {
-			return fmt.Errorf("marshal ledger: %w", err)
-		}
-	}
-	if _, err := wal.WriteCheckpointFS(r.fsys, r.dir, ck); err != nil {
-		if errors.Is(err, fault.ErrInjected) {
-			r.ckptErrs++
-			return nil
-		}
-		return fmt.Errorf("write checkpoint: %w", err)
-	}
-	if _, err := wal.PruneCheckpointsFS(r.fsys, r.dir, 2); err != nil {
-		if !errors.Is(err, fault.ErrInjected) {
-			return fmt.Errorf("prune checkpoints: %w", err)
-		}
-		r.ckptErrs++
-	}
-	if _, err := r.log.Compact(ck.LogIndex); err != nil {
-		if !errors.Is(err, fault.ErrInjected) {
-			return fmt.Errorf("compact: %w", err)
-		}
-		r.ckptErrs++
-	}
-	r.lastCkpt = st.WindowsClosed
-	return nil
-}
-
-// waitFor blocks until `expected` results have been received this life.
-func (r *runner) waitFor(expected int) error {
-	deadline := time.After(r.sc.Timeout)
-	for r.collected < expected {
-		select {
-		case res, ok := <-r.results:
-			if !ok {
-				return fmt.Errorf("result stream closed with %d of %d windows", r.collected, expected)
-			}
-			if err := r.take(res); err != nil {
-				return err
-			}
-		case <-deadline:
-			return fmt.Errorf("timed out waiting for window %d of %d", r.collected+1, expected)
-		}
 	}
 	return nil
 }
@@ -287,13 +234,13 @@ func (r *runner) take(res *pipeline.WindowResult) error {
 		return err
 	}
 	r.recovered[out.Seq] = out
-	r.collected++
 	return nil
 }
 
 // checkLife asserts the metrics-conservation invariants on the life that
 // just ended: every ingest attempt landed in exactly one of
-// ingested/rejected, and every closed window in exactly one terminal state.
+// ingested/rejected, every closed window in exactly one terminal state, and
+// the trust ledger skipped no fold.
 func (r *runner) checkLife(stage string) {
 	st := r.engine.Stats()
 	if st.Ingested+st.Rejected != r.attempts {
@@ -306,6 +253,16 @@ func (r *runner) checkLife(stage string) {
 			"%s (life %d): windows closed %d != empty %d + dropped %d + processed %d + failed %d",
 			stage, r.lives, st.WindowsClosed, st.WindowsEmpty, st.WindowsDropped,
 			st.WindowsProcessed, st.WindowsFailed))
+	}
+	if r.ledger != nil {
+		// Checkpoints are drained, and no report is ingested between the
+		// snapshot and the ledger blob (the run goroutine takes both), so
+		// a restored ledger holds no fold beyond its shards: a skipped
+		// fold here is evidence lost.
+		if n := r.ledger.Stats().Skipped; n != 0 {
+			r.violations = append(r.violations, fmt.Sprintf(
+				"%s (life %d): reputation ledger skipped %d folds", stage, r.lives, n))
+		}
 	}
 	if st.ReportsStamped+st.ReportsUnstamped != st.Ingested {
 		r.violations = append(r.violations, fmt.Sprintf(

@@ -21,9 +21,11 @@
 // same fault sequence, the same crash points, and the same post-recovery
 // state, so a chaos failure reproduces from a single integer. The runner
 // keeps every fault decision on one goroutine — ingestion is
-// single-threaded, the engine runs one worker, and checkpoints are taken
-// inline after the dispatch queue drains — which is what makes the
-// injector's operation order (and therefore its RNG stream) stable.
+// single-threaded, the engine's workers touch no file, and checkpoints are
+// taken inline through the daemon's step, which drains the engine first —
+// which is what makes the injector's operation order (and therefore its
+// RNG stream) stable. The engine runs the daemon's worker count: each
+// fleet's windows still run in seq order on its lane.
 package sim
 
 import (
@@ -79,8 +81,8 @@ type Scenario struct {
 	CrashAt []int
 
 	// CheckpointEvery writes a checkpoint after this many closed windows
-	// (default 1). The runner drains the dispatch queue first so warm
-	// factors land in the checkpoint deterministically.
+	// (default 1). The checkpoint drains the engine first, so warm factors
+	// land in it deterministically.
 	CheckpointEvery uint64
 
 	// Reputation wires a trust ledger into both runs (admission gate plus
@@ -155,7 +157,7 @@ type Result struct {
 
 	// Lives counts engine incarnations (1 = never crashed); Crashes counts
 	// scheduled plus fault-provoked crashes; CheckpointErrs counts
-	// checkpoint/prune/compact attempts absorbed after injected failures.
+	// checkpoint steps absorbed after an injected failure.
 	Lives          int
 	Crashes        int
 	CheckpointErrs int
@@ -289,15 +291,14 @@ func buildStream(sc Scenario) ([]mcs.Report, *corrupt.Result, error) {
 	return reports, truth, nil
 }
 
-// engineConfig shapes the streaming engine for a scenario. One worker and a
-// roomy queue keep window processing in dispatch order with no drops, which
+// engineConfig shapes the streaming engine for a scenario at the daemon's
+// worker count. A roomy queue drops no window, which with per-fleet lanes
 // is what makes warm-start chains — and therefore results — deterministic.
 func engineConfig(sc Scenario, log pipeline.ReportLog) pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	cfg.Participants = sc.Participants
 	cfg.WindowSlots = sc.WindowSlots
 	cfg.HopSlots = sc.HopSlots
-	cfg.Workers = 1
 	cfg.QueueDepth = 64
 	cfg.Log = log
 	return cfg

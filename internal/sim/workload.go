@@ -49,18 +49,18 @@ func VerifyWindows(golden, got map[int]WindowOutcome) []string {
 	return verifyWindows(golden, got)
 }
 
-// GoldenRun streams the workload through a fresh deterministic single-node
-// engine (one worker, deep queue — the configuration under which window
-// order, warm-start chains, and therefore results are reproducible) and
-// returns every window's outcome keyed by sequence number.
+// GoldenRun streams the workload through a fresh single-node engine at the
+// daemon's worker count with a deep queue, so no window is dropped and the
+// warm-start chain, and therefore every result, is reproducible. It returns
+// every window's outcome keyed by sequence number.
 func GoldenRun(w *FleetWorkload, sc Scenario) (map[int]WindowOutcome, error) {
 	sc.fillDefaults()
 	golden, _, err := goldenRun(sc, w.Reports, w.Truth)
 	return golden, err
 }
 
-// EngineConfig exposes the deterministic engine shape GoldenRun uses, so a
-// cluster test can give its backends the exact same configuration.
+// EngineConfig exposes the engine shape GoldenRun uses, so a cluster test
+// can give its backends the exact same configuration.
 func EngineConfig(sc Scenario) pipeline.Config {
 	sc.fillDefaults()
 	return engineConfig(sc, nil)
