@@ -14,7 +14,7 @@ import (
 	"itscs/internal/wal"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden metric-name list")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // TestMetricsDrift is the CI gate against silent metric renames and drops:
 // it renders the exposition from a payload with every optional block and
