@@ -99,7 +99,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	logFormat := fs.String("log-format", obs.LogText, "log output format: text or json")
 	logLevel := fs.String("log-level", "info", "log level floor: debug, info, warn or error")
 	slowWindow := fs.Duration("slow-window", 30*time.Second, "window wall-clock above which processing logs at warn")
-	traceDepth := fs.Int("trace-depth", 64, "per-fleet trace spans retained for /trace (0 = default, negative disables)")
+	traceDepth := fs.Int("trace-depth", 64, "per-fleet window spans and report traces retained for /trace (0 = default, negative disables)")
 	repDefaults := reputation.DefaultConfig()
 	repEnabled := fs.Bool("reputation", true, "maintain the participant trust ledger and quarantine state machine")
 	repDecay := fs.Float64("rep-decay", repDefaults.Decay, "per-window decay of the trust evidence masses, in (0,1)")

@@ -84,15 +84,17 @@ func (r Report) appendBodyV1(dst []byte) []byte {
 // returning the number of bytes consumed. It accepts both layouts — v1
 // frames yield a zero stamp — and rejects unknown future versions. It
 // never panics on malformed input and rejects trailing garbage only
-// implicitly (callers compare n to the frame's payload length).
-func DecodeBinary(b []byte) (r Report, n int, err error) {
+// implicitly (callers compare n to the frame's payload length). When the
+// encoded fleet equals fleet, the report shares that string rather than
+// allocating a copy: a reader of many records passes the previous one's.
+func DecodeBinary(b []byte, fleet string) (r Report, n int, err error) {
 	if len(b) >= 2 && b[0] == binSentinel[0] && b[1] == binSentinel[1] {
-		return decodeStamped(b)
+		return decodeStamped(b, fleet)
 	}
-	return decodeBodyV1(b)
+	return decodeBodyV1(b, fleet)
 }
 
-func decodeStamped(b []byte) (r Report, n int, err error) {
+func decodeStamped(b []byte, fleet string) (r Report, n int, err error) {
 	n = 2 // sentinel
 	v, k := binary.Uvarint(b[n:])
 	if k <= 0 {
@@ -102,7 +104,7 @@ func decodeStamped(b []byte) (r Report, n int, err error) {
 		return Report{}, 0, fmt.Errorf("mcs: unsupported binary report version %d", v)
 	}
 	n += k
-	r, k, err = decodeBodyV1(b[n:])
+	r, k, err = decodeBodyV1(b[n:], fleet)
 	if err != nil {
 		return Report{}, 0, err
 	}
@@ -124,7 +126,7 @@ func decodeStamped(b []byte) (r Report, n int, err error) {
 	return r, n, nil
 }
 
-func decodeBodyV1(b []byte) (r Report, n int, err error) {
+func decodeBodyV1(b []byte, fleet string) (r Report, n int, err error) {
 	flen, k := binary.Uvarint(b)
 	if k <= 0 || flen > maxFleetLen {
 		return Report{}, 0, fmt.Errorf("mcs: bad fleet length in binary report")
@@ -133,7 +135,11 @@ func decodeBodyV1(b []byte) (r Report, n int, err error) {
 	if uint64(len(b)-n) < flen {
 		return Report{}, 0, fmt.Errorf("mcs: truncated fleet in binary report")
 	}
-	r.Fleet = string(b[n : n+int(flen)])
+	if name := b[n : n+int(flen)]; string(name) == fleet {
+		r.Fleet = fleet
+	} else {
+		r.Fleet = string(name)
+	}
 	n += int(flen)
 
 	p, k := binary.Uvarint(b[n:])

@@ -10,6 +10,7 @@ import (
 func TestBinaryRoundTrip(t *testing.T) {
 	reports := []Report{
 		{Fleet: "cab", Participant: 7, Slot: 42, X: 1.5, Y: -2.25, VX: 0.5, VY: -0.125},
+		{Fleet: "cab", Participant: 8, Slot: 42, IngestUnixMicro: 1_700_000_000_000_000, Origin: OriginRouter, TraceID: 9},
 		{}, // empty fleet, all zero
 		{Fleet: "f", Participant: 1 << 20, Slot: 1 << 20, X: 1e308, Y: -1e308},
 		{Fleet: "weird", X: math.NaN(), Y: math.Inf(1), VX: math.Inf(-1), VY: math.Copysign(0, -1)},
@@ -18,8 +19,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, r := range reports {
 		buf = r.AppendBinary(buf)
 	}
+	prev := ""
 	for i, want := range reports {
-		got, n, err := DecodeBinary(buf)
+		got, n, err := DecodeBinary(buf, prev)
+		prev = got.Fleet
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -39,6 +42,32 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryReusesFleet pins the decoder's fleet sharing: a record
+// whose fleet matches the one passed in costs no allocation, in either
+// layout, and any other fleet is copied out of the buffer.
+func TestDecodeBinaryReusesFleet(t *testing.T) {
+	fleet := "cab"
+	for _, r := range []Report{
+		{Fleet: "cab", Participant: 1, Slot: 2, X: 3},
+		{Fleet: "cab", Participant: 1, Slot: 2, X: 3, IngestUnixMicro: 5, Origin: OriginDirect, TraceID: 6},
+	} {
+		b := r.AppendBinary(nil)
+		for _, tc := range []struct {
+			prev string
+			want float64
+		}{{fleet, 0}, {"taxi", 1}} {
+			got := testing.AllocsPerRun(10, func() {
+				if back, _, err := DecodeBinary(b, tc.prev); err != nil || back.Fleet != fleet {
+					t.Fatalf("decode = %+v, %v", back, err)
+				}
+			})
+			if got != tc.want {
+				t.Errorf("stamped=%v prev=%q: %v allocations, want %v", r.Stamped(), tc.prev, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestDecodeBinaryMalformed(t *testing.T) {
 	good := Report{Fleet: "cab", Participant: 1, Slot: 2, X: 3}.AppendBinary(nil)
 	cases := map[string][]byte{
@@ -52,7 +81,7 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 		),
 	}
 	for name, b := range cases {
-		if _, _, err := DecodeBinary(b); err == nil {
+		if _, _, err := DecodeBinary(b, "cab"); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

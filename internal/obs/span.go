@@ -96,8 +96,8 @@ func (r *ring[T]) push(v T) (evicted T, full bool) {
 	return evicted, full
 }
 
-// at returns the i-th oldest live value, 0 ≤ i < n.
-func (r *ring[T]) at(i int) T { return r.buf[(r.next-r.n+i+len(r.buf))%len(r.buf)] }
+// at returns the i-th oldest live value, 0 ≤ i < n, in place.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.next-r.n+i+len(r.buf))%len(r.buf)] }
 
 // Ring is a bounded, concurrency-safe buffer of the most recent spans. A
 // zero-capacity ring retains nothing; Add never blocks or allocates beyond
@@ -123,7 +123,7 @@ func (r *Ring) Snapshot() []Span {
 	defer r.mu.Unlock()
 	out := make([]Span, r.spans.n)
 	for i := range out {
-		out[i] = r.spans.at(r.spans.n - 1 - i)
+		out[i] = *r.spans.at(r.spans.n - 1 - i)
 	}
 	return out
 }

@@ -2,23 +2,23 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 )
 
-// TraceStage is one hop in a report's end-to-end journey through the
-// system: the stage name, when it happened, and an optional detail (the
-// wal_commit stage carries "replay" when the hop was a recovery replay
-// rather than a live append).
+// TraceStage is one hop in a report's end-to-end journey: its name, when
+// it happened, and an optional detail ("replay" on a recovery replay's
+// wal_commit, the flagged cell count on detect).
 type TraceStage struct {
 	Name        string `json:"name"`
 	AtUnixMicro int64  `json:"at_us"`
 	Detail      string `json:"detail,omitempty"`
 }
 
-// Trace is the linked record of one stamped report's trip: ingest at a
-// front door, WAL commit, the window close that consumed it, detection and
-// publication. It is addressable by the propagated trace ID.
+// Trace is the linked record of one stamped report's trip from a front
+// door to publication, addressable by its propagated trace ID.
 type Trace struct {
 	// ID is the trace ID in fixed-width hex, as clients quote it.
 	ID string `json:"id"`
@@ -29,20 +29,20 @@ type Trace struct {
 	// Origin names the door that stamped the report (direct, router).
 	Origin string `json:"origin"`
 	// WindowSeq is the sequence number of the first closed window that
-	// consumed the report's slot; -1 while the report still waits in the
-	// open ring.
+	// consumed the report's slot; -1 while it waits in the open ring.
 	WindowSeq int `json:"window_seq"`
-	// Stages is the hop list in arrival order:
+	// Stages lists the hops reached, in the order every trace passes them:
 	// ingest → wal_commit → window_close → detect → publish.
 	Stages []TraceStage `json:"stages"`
 }
 
-// TraceIDString renders a trace ID the way every surface quotes it:
-// 16 hex digits, zero-padded.
-func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
+// TraceIDString renders a trace ID as every surface quotes it: 16 hex digits.
+func TraceIDString(id uint64) string {
+	s := strconv.FormatUint(id, 16)
+	return "0000000000000000"[len(s):] + s
+}
 
-// ParseTraceID parses the hex form TraceIDString produces (leading zeros
-// optional).
+// ParseTraceID parses TraceIDString's hex form (leading zeros optional).
 func ParseTraceID(s string) (uint64, error) {
 	id, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
@@ -51,135 +51,135 @@ func ParseTraceID(s string) (uint64, error) {
 	return id, nil
 }
 
+// stageNames is the closed set of stages every trace passes, in order; a
+// record keeps one time per stage, notReached until the stage happens.
+var stageNames = [...]string{"ingest", "wal_commit", "window_close", "detect", "publish"}
+
+const walCommit, windowClose, detect, publish, notReached = 1, 2, 3, 4, math.MinInt64
+
+// traceRec is a retained trace as a fixed-size value: writers only store
+// into the ring, and readers render the hex ID, stage names and details.
+type traceRec struct {
+	id                     uint64
+	fleet, origin          string
+	participant, slot, seq int
+	at                     [len(stageNames)]int64
+	commitDetail           string // "replay" when the commit was a replay
+	flagged                int    // the detect stage's flagged cells
+}
+
+func (rec *traceRec) trace() Trace {
+	detail := [len(stageNames)]string{walCommit: rec.commitDetail, detect: "flagged=" + strconv.Itoa(rec.flagged)}
+	tr := Trace{ID: TraceIDString(rec.id), Fleet: rec.fleet, Participant: rec.participant, Slot: rec.slot,
+		Origin: rec.origin, WindowSeq: rec.seq, Stages: make([]TraceStage, 0, len(stageNames))}
+	for s, at := range rec.at {
+		if at != notReached {
+			tr.Stages = append(tr.Stages, TraceStage{Name: stageNames[s], AtUnixMicro: at, Detail: detail[s]})
+		}
+	}
+	return tr
+}
+
 // TraceTable is a bounded, concurrency-safe table of live traces keyed by
-// trace ID. When full, Begin evicts the oldest trace FIFO — the same
-// retention contract as the span Ring. A nil table ignores every call, so
-// tracing stays optional without call-site guards.
+// trace ID. When full, Begin evicts the oldest trace FIFO, as the span Ring
+// does. A nil table ignores every call, so call sites need no guards.
 type TraceTable struct {
 	mu   sync.Mutex
-	ids  ring[uint64] // live trace IDs, oldest first
-	byID map[uint64]*Trace
+	recs ring[traceRec] // oldest first
+	byID map[uint64]int // index into recs.buf
 }
 
-// NewTraceTable returns a table retaining up to depth traces (≤ 0 retains
-// none, and every method is a no-op).
+// NewTraceTable retains up to depth traces (≤ 0: none, every call a no-op).
 func NewTraceTable(depth int) *TraceTable {
-	if depth <= 0 {
-		return &TraceTable{}
-	}
-	return &TraceTable{ids: newRing[uint64](depth), byID: make(map[uint64]*Trace, depth)}
+	return &TraceTable{recs: newRing[traceRec](depth), byID: make(map[uint64]int, max(depth, 0))}
 }
 
-// Begin opens (or reopens, after replay re-delivers a record) the trace
-// for id with its ingest stage, at the door's stamp atUnixMicro, followed
-// by the given stages (the engine passes wal_commit). Opening the trace
-// whole in one call means no racing window close can link it half-built.
-func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64, stages ...TraceStage) {
-	if t == nil || len(t.ids.buf) == 0 || id == 0 {
+// Begin opens the trace for id with its ingest stage at the door's stamp
+// and, if commit is non-nil, its wal_commit stage (commit's time and
+// detail) in one call, so no racing window close links it half-built. A
+// retained id (replay re-delivers records) keeps its original trace.
+func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64, commit *TraceStage) {
+	if t == nil || len(t.recs.buf) == 0 || id == 0 {
 		return
+	}
+	rec := traceRec{id: id, fleet: fleet, origin: origin, participant: participant, slot: slot, seq: -1,
+		at: [...]int64{atUnixMicro, notReached, notReached, notReached, notReached}}
+	if commit != nil {
+		rec.at[walCommit], rec.commitDetail = commit.AtUnixMicro, commit.Detail
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.byID[id]; ok {
-		// Replay of a record whose trace is still retained: keep the
-		// original, already-linked trace rather than resetting it.
-		return
-	}
-	if oldest, full := t.ids.push(id); full {
-		delete(t.byID, oldest)
-	}
-	t.byID[id] = &Trace{
-		ID:          TraceIDString(id),
-		Fleet:       fleet,
-		Participant: participant,
-		Slot:        slot,
-		Origin:      origin,
-		WindowSeq:   -1,
-		Stages:      append([]TraceStage{{Name: "ingest", AtUnixMicro: atUnixMicro}}, stages...),
+	if _, ok := t.byID[id]; !ok {
+		delete(t.byID, t.recs.buf[t.recs.next].id) // the record push evicts (id 0: none)
+		t.byID[id] = t.recs.next
+		t.recs.push(rec)
 	}
 }
 
-// StageWindow links a window close to every retained trace whose slot
-// falls in [startSlot, endSlot) and that no earlier window has claimed,
-// setting WindowSeq and appending the named stage. It returns the linked
-// trace IDs in Begin order, so the first is the oldest (callers take it as
-// the window span's exemplar). Only the first claiming window links: with
-// overlapping hops a slot belongs to several windows, but freshness is
-// defined against the first close that could have detected on the report.
-func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, name string, atUnixMicro int64) []uint64 {
-	if t == nil || len(t.ids.buf) == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var linked []uint64
-	for i := 0; i < t.ids.n; i++ {
-		id := t.ids.at(i)
-		tr := t.byID[id]
-		if tr.WindowSeq >= 0 || tr.Slot < startSlot || tr.Slot >= endSlot {
-			continue
+// StageWindow claims for window seq, at its window_close stage, every
+// retained trace with a slot in [startSlot, endSlot) that no earlier
+// window claimed: with overlapping hops a slot is in several windows, but
+// freshness is defined against the first close that could detect on it. It
+// returns the claimed IDs in Begin order; the first is the span exemplar.
+func (t *TraceTable) StageWindow(seq, startSlot, endSlot int, atUnixMicro int64) (linked []uint64) {
+	t.each(func(rec *traceRec) {
+		if rec.seq < 0 && rec.slot >= startSlot && rec.slot < endSlot {
+			rec.seq, rec.at[windowClose] = seq, atUnixMicro
+			linked = append(linked, rec.id)
 		}
-		tr.WindowSeq = seq
-		tr.Stages = append(tr.Stages, TraceStage{Name: name, AtUnixMicro: atUnixMicro})
-		linked = append(linked, id)
-	}
+	})
 	return linked
 }
 
-// StageSeq appends a stage to every retained trace claimed by window seq.
-func (t *TraceTable) StageSeq(seq int, name, detail string, atUnixMicro int64) {
-	if t == nil || len(t.ids.buf) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, tr := range t.byID {
-		if tr.WindowSeq == seq {
-			tr.Stages = append(tr.Stages, TraceStage{Name: name, AtUnixMicro: atUnixMicro, Detail: detail})
+// StageDetect records detect, with its flagged cell count, on the traces window seq claimed.
+func (t *TraceTable) StageDetect(seq, flagged int, atUnixMicro int64) {
+	t.each(func(rec *traceRec) {
+		if rec.seq == seq {
+			rec.at[detect], rec.flagged = atUnixMicro, flagged
+		}
+	})
+}
+
+// StagePublish records the publish stage on the traces window seq claimed.
+func (t *TraceTable) StagePublish(seq int, atUnixMicro int64) {
+	t.each(func(rec *traceRec) {
+		if rec.seq == seq {
+			rec.at[publish] = atUnixMicro
+		}
+	})
+}
+
+// each calls fn on every retained record, oldest first, under the lock.
+func (t *TraceTable) each(fn func(*traceRec)) {
+	if t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for i := 0; i < t.recs.n; i++ {
+			fn(t.recs.at(i))
 		}
 	}
 }
 
-// Lookup returns a deep copy of the trace for id, if retained.
-func (t *TraceTable) Lookup(id uint64) (Trace, bool) {
-	if t == nil || len(t.ids.buf) == 0 {
-		return Trace{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.byID[id]
-	if !ok {
-		return Trace{}, false
-	}
-	return copyTrace(tr), true
+// Lookup renders the trace for id, if retained.
+func (t *TraceTable) Lookup(id uint64) (tr Trace, ok bool) {
+	t.each(func(rec *traceRec) {
+		if rec.id == id {
+			tr, ok = rec.trace(), true
+		}
+	})
+	return tr, ok
 }
 
-// Snapshot copies the retained traces, newest first.
+// Snapshot renders the retained traces, newest first.
 func (t *TraceTable) Snapshot() []Trace {
-	if t == nil || len(t.ids.buf) == 0 {
+	if t == nil || len(t.recs.buf) == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Trace, 0, len(t.byID))
-	for i := t.ids.n - 1; i >= 0; i-- {
-		out = append(out, copyTrace(t.byID[t.ids.at(i)]))
-	}
+	out := []Trace{}
+	t.each(func(rec *traceRec) { out = append(out, rec.trace()) })
+	slices.Reverse(out)
 	return out
 }
 
 // Len reports how many traces the table currently retains.
-func (t *TraceTable) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
-}
-
-func copyTrace(tr *Trace) Trace {
-	out := *tr
-	out.Stages = append([]TraceStage(nil), tr.Stages...)
-	return out
-}
+func (t *TraceTable) Len() (n int) { t.each(func(*traceRec) { n++ }); return n }

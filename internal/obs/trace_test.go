@@ -32,25 +32,25 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 func TestTraceTableLifecycle(t *testing.T) {
 	tab := NewTraceTable(8)
-	tab.Begin(7, "cab", 3, 5, "direct", 1000, TraceStage{Name: "wal_commit", AtUnixMicro: 1500})
+	tab.Begin(7, "cab", 3, 5, "direct", 1000, &TraceStage{Name: "wal_commit", AtUnixMicro: 1500})
 
 	// A window whose range misses the slot links nothing.
-	if linked := tab.StageWindow(0, 10, 20, "window_close", 2000); len(linked) != 0 {
+	if linked := tab.StageWindow(0, 10, 20, 2000); len(linked) != 0 {
 		t.Errorf("out-of-range window linked %v", linked)
 	}
 	// The covering window claims the trace and returns its id.
-	linked := tab.StageWindow(1, 0, 10, "window_close", 2500)
+	linked := tab.StageWindow(1, 0, 10, 2500)
 	if len(linked) != 1 || linked[0] != 7 {
 		t.Fatalf("linked = %v, want [7]", linked)
 	}
 	// A later overlapping window must not claim it again: freshness is
 	// defined against the first close that could detect on the report.
-	if linked := tab.StageWindow(2, 0, 10, "window_close", 3000); len(linked) != 0 {
+	if linked := tab.StageWindow(2, 0, 10, 3000); len(linked) != 0 {
 		t.Errorf("second window re-claimed %v", linked)
 	}
-	tab.StageSeq(1, "detect", "flagged=2", 3500)
-	tab.StageSeq(1, "publish", "", 4000)
-	tab.StageSeq(9, "detect", "", 9999) // unrelated seq: no-op
+	tab.StageDetect(1, 2, 3500)
+	tab.StagePublish(1, 4000)
+	tab.StageDetect(9, 0, 9999) // unrelated seq: no-op
 
 	tr, ok := tab.Lookup(7)
 	if !ok {
@@ -70,7 +70,7 @@ func TestTraceTableLifecycle(t *testing.T) {
 	}
 
 	// Reopening a retained id (replay) keeps the linked original.
-	tab.Begin(7, "cab", 3, 5, "direct", 777)
+	tab.Begin(7, "cab", 3, 5, "direct", 777, nil)
 	tr, _ = tab.Lookup(7)
 	if tr.WindowSeq != 1 || tr.Stages[0].AtUnixMicro != 1000 {
 		t.Errorf("replay Begin reset the trace: %+v", tr)
@@ -92,15 +92,15 @@ func TestStageWindowLinksInBeginOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		tab := NewTraceTable(depth)
 		for i := 0; i < 2*depth; i++ {
-			tab.Begin(uint64(1000+i), "cab", 0, 100+i, "direct", 1)
+			tab.Begin(uint64(1000+i), "cab", 0, 100+i, "direct", 1, nil)
 		}
 		var want []uint64
 		for i := 0; i < depth; i++ {
 			id := uint64((i*7)%depth + 1) // 1, 8, 15, 6, ...: a permutation of 1..16
-			tab.Begin(id, "cab", i, i, "direct", 2)
+			tab.Begin(id, "cab", i, i, "direct", 2, nil)
 			want = append(want, id)
 		}
-		got := tab.StageWindow(0, 0, depth, "window_close", 3)
+		got := tab.StageWindow(0, 0, depth, 3)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("run %d: linked %v, want Begin order %v", run, got, want)
 		}
@@ -110,7 +110,7 @@ func TestStageWindowLinksInBeginOrder(t *testing.T) {
 func TestTraceTableEviction(t *testing.T) {
 	tab := NewTraceTable(4)
 	for id := uint64(1); id <= 10; id++ {
-		tab.Begin(id, "cab", 0, int(id), "direct", int64(id))
+		tab.Begin(id, "cab", 0, int(id), "direct", int64(id), nil)
 	}
 	if got := tab.Len(); got != 4 {
 		t.Errorf("Len = %d, want 4", got)
@@ -127,13 +127,13 @@ func TestTraceTableEviction(t *testing.T) {
 
 	// Depth 0 disables retention entirely.
 	off := NewTraceTable(0)
-	off.Begin(1, "cab", 0, 0, "direct", 1)
+	off.Begin(1, "cab", 0, 0, "direct", 1, nil)
 	if off.Len() != 0 {
 		t.Error("disabled table retained a trace")
 	}
 	// And a nil table ignores everything.
 	var nilTab *TraceTable
-	nilTab.Begin(1, "x", 0, 0, "direct", 1, TraceStage{Name: "s", AtUnixMicro: 2})
+	nilTab.Begin(1, "x", 0, 0, "direct", 1, &TraceStage{Name: "s", AtUnixMicro: 2})
 	if nilTab.Len() != 0 || nilTab.Snapshot() != nil {
 		t.Error("nil table misbehaved")
 	}
@@ -171,15 +171,15 @@ func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 				ingest, commit := clock.Add(1), clock.Add(1)
 				shardMu.Lock()
 				tab.Begin(id, fmt.Sprintf("fleet-%d", g), g, slot, "router", ingest,
-					TraceStage{Name: "wal_commit", AtUnixMicro: commit})
+					&TraceStage{Name: "wal_commit", AtUnixMicro: commit})
 				begun = append(begun, id)
 				shardMu.Unlock()
 				// Overlapping closes: [0,50) from every goroutine, racing to
 				// claim whatever is currently unclaimed.
 				shardMu.Lock()
-				claims[g] = append(claims[g], tab.StageWindow(g, 0, 50, "window_close", clock.Add(1))...)
+				claims[g] = append(claims[g], tab.StageWindow(g, 0, 50, clock.Add(1))...)
 				shardMu.Unlock()
-				tab.StageSeq(g, "detect", "", clock.Add(1))
+				tab.StageDetect(g, 0, clock.Add(1))
 			}
 		}(g)
 	}
@@ -233,5 +233,24 @@ func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 		if hasClose != (tr.WindowSeq >= 0) {
 			t.Errorf("trace %s: window_close stage %v but seq %d", tr.ID, hasClose, tr.WindowSeq)
 		}
+	}
+}
+
+// BenchmarkTraceTableBegin measures opening one stamped report's trace at
+// the default per-fleet depth, with its wal_commit stage, once the table
+// is full: every Begin evicts the oldest trace. Replay and live ingest pay
+// it per stamped report; it should allocate nothing.
+func BenchmarkTraceTableBegin(b *testing.B) {
+	const depth = 64
+	tab := NewTraceTable(depth)
+	commit := &TraceStage{AtUnixMicro: 2}
+	for i := 0; i < depth; i++ {
+		tab.Begin(uint64(i+1), "cab", i%16, i/16, "router", 1, commit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := uint64(depth + i + 1)
+		tab.Begin(id, "cab", i%16, i/16, "router", 1, commit)
 	}
 }

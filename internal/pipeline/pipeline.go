@@ -163,8 +163,10 @@ type Config struct {
 	// goroutines — they must be cheap and must not call back into the
 	// engine. obs.LogObserver is the production implementation.
 	Obs obs.Observer
-	// TraceDepth bounds the per-fleet ring of recent window trace spans
-	// served by Trace (default 64; negative retains none).
+	// TraceDepth bounds both per-fleet trace stores: the ring of recent
+	// window spans served by Trace and the table of recent stamped
+	// reports' traces served by Traces and FindTrace (default 64;
+	// negative retains none).
 	TraceDepth int
 	// Clock supplies the timestamps behind queue-wait and run-duration
 	// accounting (default the wall clock). The fault harness swaps in a
@@ -466,13 +468,13 @@ func (e *Engine) ingest(rs []mcs.Report, errs []error, replay bool) {
 	// A stamped report's trace opens with its wal_commit stage when the
 	// record is durable, timed (once per call, by the first stamped report)
 	// as the append returns; a replayed record was committed before the
-	// crash, and its stage says so.
-	commit := obs.TraceStage{Name: "wal_commit"}
+	// crash, and its stage says so. Without a log there is no such stage.
+	commit := &obs.TraceStage{}
 	switch {
 	case replay:
 		commit.Detail = "replay"
 	case e.cfg.Log == nil:
-		commit.Name = ""
+		commit = nil
 	default:
 		// Write-ahead: the log sees the reports before the shards do. A
 		// record logged but rejected below (duplicate, late) just repeats
@@ -498,7 +500,7 @@ func (e *Engine) ingest(rs []mcs.Report, errs []error, replay bool) {
 	}
 	for i := range rs {
 		if errs[i] == nil {
-			errs[i] = e.apply(shards[i], &rs[i], replay, &commit)
+			errs[i] = e.apply(shards[i], &rs[i], replay, commit)
 		}
 	}
 }
@@ -524,17 +526,13 @@ func (e *Engine) check(r *mcs.Report) (*shard, error) {
 
 // apply writes one checked (and logged) report into its shard, dispatches
 // the windows it closes, and counts it. A stamped report's trace gets the
-// commit stage, if it is named; its time is read on first use.
+// commit stage, if there is one; its time is read on first use.
 func (e *Engine) apply(sh *shard, r *mcs.Report, replay bool, commit *obs.TraceStage) error {
-	var stages []obs.TraceStage
-	if r.Stamped() && commit.Name != "" {
-		if commit.AtUnixMicro == 0 {
-			commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
-		}
-		stages = []obs.TraceStage{*commit}
+	if r.Stamped() && commit != nil && commit.AtUnixMicro == 0 {
+		commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
 	}
 	closedBefore := e.c.windowsClosed.Load()
-	jobs, err := sh.ingest(*r, e.cfg, &e.c, stages...)
+	jobs, err := sh.ingest(*r, e.cfg, &e.c, commit)
 	for _, j := range jobs {
 		e.enqueue(j)
 	}
@@ -1054,10 +1052,10 @@ func (e *Engine) noteDropped(j job) {
 // It returns the closed windows ready for dispatch together with the
 // report's own acceptance error, if any: a late or duplicate report still
 // advances the stream's watermark. An accepted stamped report opens its
-// trace here, with the ingest stage and then the given stages, before the
-// shard lock is released: the next window close to cover the slot then
-// finds the trace whole.
-func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.TraceStage) ([]job, error) {
+// trace here, with the ingest stage and then the commit stage if non-nil,
+// before the shard lock is released: the next window close to cover the
+// slot then finds the trace whole.
+func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, commit *obs.TraceStage) ([]job, error) {
 	w, h := cfg.WindowSlots, cfg.HopSlots
 	capSlots := w + h
 	sh.mu.Lock()
@@ -1097,7 +1095,7 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, stages ...obs.Tra
 	if r.Stamped() {
 		// The ingest stage carries the door's stamp time, not ours; the
 		// engine never stamps, so replay re-delivers the original timeline.
-		sh.traces.Begin(r.TraceID, r.Fleet, r.Participant, r.Slot, r.Origin.String(), r.IngestUnixMicro, stages...)
+		sh.traces.Begin(r.TraceID, sh.fleet, r.Participant, r.Slot, r.Origin.String(), r.IngestUnixMicro, commit)
 	}
 	return jobs, nil
 }
@@ -1151,7 +1149,7 @@ func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
 	// first to consume; the first linked trace becomes the window's
 	// exemplar, surfaced on its span.
 	var traceID uint64
-	if linked := sh.traces.StageWindow(sh.seq, sh.start, sh.start+w, "window_close", closedUS); len(linked) > 0 {
+	if linked := sh.traces.StageWindow(sh.seq, sh.start, sh.start+w, closedUS); len(linked) > 0 {
 		traceID = linked[0]
 	}
 	j := job{
@@ -1263,7 +1261,7 @@ func (e *Engine) process(j job) {
 				}
 			}
 		}
-		j.sh.traces.StageSeq(j.seq, "detect", fmt.Sprintf("flagged=%d", res.Flagged), completedUS)
+		j.sh.traces.StageDetect(j.seq, res.Flagged, completedUS)
 	}
 
 	span := obs.Span{
@@ -1302,7 +1300,7 @@ func (e *Engine) process(j job) {
 	e.c.windowsDone.Add(1)
 	e.settle()
 	e.publish(res)
-	j.sh.traces.StageSeq(j.seq, "publish", "", e.cfg.Clock.Now().UnixMicro())
+	j.sh.traces.StagePublish(j.seq, e.cfg.Clock.Now().UnixMicro())
 }
 
 // publish fans a result out to every subscriber without blocking.

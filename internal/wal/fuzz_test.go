@@ -14,7 +14,9 @@ import (
 
 // FuzzDecodeRecord checks that the binary report decoder never panics on
 // arbitrary bytes and that whatever it accepts round-trips through the
-// encoder bit-exactly.
+// encoder bit-exactly, whether or not the fleet matches the one passed in
+// for reuse (the first decode offers the seeds' "cab", the second the
+// decoded fleet itself).
 func FuzzDecodeRecord(f *testing.F) {
 	seed := func(r mcs.Report) { f.Add(r.AppendBinary(nil)) }
 	seed(mcs.Report{Fleet: "cab", Participant: 3, Slot: 17, X: 1.5, Y: -2.5, VX: 0.25, VY: -0.125})
@@ -26,7 +28,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0x03, 'c', 'a'})                                             // truncated fleet
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := mcs.DecodeBinary(data)
+		r, n, err := mcs.DecodeBinary(data, "cab")
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -34,7 +36,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		enc := r.AppendBinary(nil)
-		back, m, err := mcs.DecodeBinary(enc)
+		back, m, err := mcs.DecodeBinary(enc, r.Fleet)
 		if err != nil {
 			t.Fatalf("re-decode own encoding: %v", err)
 		}

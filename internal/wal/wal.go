@@ -832,6 +832,7 @@ func (l *Log) replaySegment(seg segInfo, from, end uint64, fn func(uint64, mcs.R
 		return 0, nil
 	case err == nil:
 		defer r.f.Close()
+		var fleet string // the previous record's, shared while it repeats
 		for ; idx < end; idx++ {
 			var payload []byte
 			if payload, err = r.next(); err != nil {
@@ -840,13 +841,14 @@ func (l *Log) replaySegment(seg segInfo, from, end uint64, fn func(uint64, mcs.R
 			if idx < from {
 				continue
 			}
-			rep, n, derr := mcs.DecodeBinary(payload)
+			rep, n, derr := mcs.DecodeBinary(payload, fleet)
 			if derr != nil || n != len(payload) {
 				// The frame survived its CRC but the payload does not parse:
 				// count it and keep walking frames.
 				l.st.replaySkips.Add(1)
 				continue
 			}
+			fleet = rep.Fleet
 			if ferr := fn(idx, rep); ferr != nil {
 				return replayed, ferr
 			}
