@@ -26,7 +26,7 @@ type ClientOptions struct {
 	QueueDepth int
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each write of a batch of report lines (default
+	// WriteTimeout bounds each write of a batch of report frames (default
 	// 10s).
 	WriteTimeout time.Duration
 	// AckTimeout bounds the wait for each acknowledgement line (default
@@ -105,13 +105,14 @@ type ClientStats struct {
 	QueueCapacity int `json:"queue_capacity"`
 }
 
-// Client maintains one report stream to an mcs server, surviving the
-// transport: it dials lazily, keeps a window of reports in flight on the
-// connection, reconnects with capped exponential backoff plus seeded
-// jitter, re-sends the unacked reports in order after a connection loss
-// (the server's duplicate rejection makes the re-send idempotent), and
-// buffers sends in a bounded drop-oldest queue so a dead backend never
-// blocks the producer. Send never blocks; Flush waits for the buffer to
+// Client maintains one report stream to an mcs server, in the binary
+// framing (the preamble, then one length-prefixed AppendBinary payload per
+// report), surviving the transport: it dials lazily, keeps a window of
+// reports in flight on the connection, reconnects with capped exponential
+// backoff plus seeded jitter, re-sends the unacked reports in order after
+// a connection loss (the server's duplicate rejection makes the re-send
+// idempotent), and buffers sends in a bounded drop-oldest queue so a dead
+// backend never blocks the producer. Send never blocks; Flush waits for the buffer to
 // drain. All methods are safe for concurrent use.
 type Client struct {
 	addr string
@@ -473,11 +474,15 @@ type clientConn struct {
 	fr *frame
 }
 
+// newClientConn opens the connection's binary framing: the preamble goes
+// out with the first batch of frames.
 func newClientConn(conn net.Conn) *clientConn {
-	return &clientConn{Conn: conn, fr: newFrame(conn)}
+	fr := newFrame(conn)
+	_, _ = fr.w.WriteString(binaryPreamble)
+	return &clientConn{Conn: conn, fr: fr}
 }
 
-// send buffers the reports' lines and flushes them in one write, under
+// send buffers the reports' frames and flushes them in one write, under
 // one wall-clock deadline.
 func (cs *clientConn) send(rs []Report, writeTimeout time.Duration) error {
 	if err := cs.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {

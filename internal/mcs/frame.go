@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,33 +13,37 @@ import (
 	"strings"
 )
 
-// frame is the client side of the report-stream wire protocol: one JSON
-// report per line out, one "ok" / "err <reason>" line back per report, in
-// report order. It is the single home of that framing — Client,
+// frame is the client side of the report-stream wire protocol: reports
+// out, one "ok" / "err <reason>" line back per report, in report order.
+// Reports go out as binary frames (queueReport, the Client's path: a
+// uvarint payload length, then the AppendBinary payload, after the
+// connection's binaryPreamble) or as JSON lines (writeReport, the
+// participant's path). It is the single home of that framing — Client,
 // SendReports, and the examples all speak through it instead of
 // hand-rolling encoders and scanners per call site.
 type frame struct {
 	w   *bufio.Writer
-	enc *json.Encoder
 	r   *bufio.Reader
+	buf []byte // queueReport's payload scratch
 }
 
-// newFrame wraps a connection (or any duplex stream) in the line protocol.
+// newFrame wraps a connection (or any duplex stream) in the protocol.
 func newFrame(conn io.ReadWriter) *frame {
-	w := bufio.NewWriter(conn)
-	return &frame{w: w, enc: json.NewEncoder(w), r: bufio.NewReader(conn)}
+	return &frame{w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}
 }
 
-// queueReport buffers one report as a JSON line without flushing it, so a
-// batch of reports reaches the wire in one flush.
+// queueReport buffers one report as a binary frame without flushing it, so
+// a batch of reports reaches the wire in one flush.
 func (f *frame) queueReport(r Report) error {
-	if err := f.enc.Encode(r); err != nil {
+	f.buf = r.AppendBinary(f.buf[:0])
+	_, _ = f.w.Write(binary.AppendUvarint(f.w.AvailableBuffer(), uint64(len(f.buf))))
+	if _, err := f.w.Write(f.buf); err != nil { // bufio errors are sticky
 		return fmt.Errorf("mcs: send: %w", err)
 	}
 	return nil
 }
 
-// flush pushes every buffered report line to the wire.
+// flush pushes every buffered report to the wire.
 func (f *frame) flush() error {
 	if err := f.w.Flush(); err != nil {
 		return fmt.Errorf("mcs: send: %w", err)
@@ -48,8 +53,8 @@ func (f *frame) flush() error {
 
 // writeReport sends one report as a JSON line and flushes it to the wire.
 func (f *frame) writeReport(r Report) error {
-	if err := f.queueReport(r); err != nil {
-		return err
+	if err := json.NewEncoder(f.w).Encode(r); err != nil {
+		return fmt.Errorf("mcs: send: %w", err)
 	}
 	return f.flush()
 }
@@ -95,7 +100,7 @@ func (f *frame) ackBuffered() bool {
 //
 // SendReports is the one-shot path: a single connection, no retries. Fleets
 // that must survive backend restarts use Client, which reconnects and
-// retries under the same framing.
+// retries, and sends binary frames instead.
 func SendReports(ctx context.Context, addr string, reports []Report) (acked int, err error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

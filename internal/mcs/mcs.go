@@ -7,10 +7,13 @@
 //
 //   - Report: one upload, with its finiteness and identity checks and its
 //     freshness stamp;
-//   - Server: a line-delimited JSON-over-TCP door in front of an Ingestor
-//     (the streaming pipeline);
-//   - Client: the pipelined, reconnecting sender the router forwards with;
-//   - the binary report layout the write-ahead log stores.
+//   - Server: a TCP door in front of an Ingestor (the streaming
+//     pipeline), reading JSON lines from participants or binary frames
+//     from a Client;
+//   - Client: the pipelined, reconnecting sender the router forwards with,
+//     which sends binary frames;
+//   - the binary report layout the write-ahead log stores and the
+//     router→backend hop carries.
 package mcs
 
 import (
@@ -140,8 +143,8 @@ var ErrDuplicateReport = errors.New("mcs: duplicate report")
 // Ingestor consumes location reports. The streaming pipeline implements it
 // for continuous sliding-window detection. Implementations must be safe for
 // concurrent use — Server calls Ingest from one goroutine per connection.
-// Server gives an Ingestor that is also a BatchIngestor each read's report
-// lines in one IngestBatch call instead.
+// Server gives an Ingestor that is also a BatchIngestor each read's
+// reports in one IngestBatch call instead.
 type Ingestor interface {
 	Ingest(Report) error
 }

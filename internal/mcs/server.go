@@ -2,9 +2,12 @@ package mcs
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -14,15 +17,17 @@ import (
 func immediatePast() time.Time { return time.Unix(1, 0) }
 
 // DefaultIdleTimeout is the per-connection idle limit applied by NewServer:
-// a client that delivers no complete report line for this long is
+// a client that delivers no complete report for this long is
 // disconnected, so dead clients cannot hold goroutines and connection
 // slots forever.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// Server exposes an Ingestor (the streaming pipeline) over
-// line-delimited JSON on TCP. Each connection may stream any number of
-// reports; the server replies to every line with "ok\n" or "err <reason>\n",
-// giving participants upload acknowledgement as in a real MCS backend.
+// Server exposes an Ingestor (the streaming pipeline) over TCP. Each
+// connection may stream any number of reports, in one of two framings:
+// JSON lines, which participants send, or the binary frames a Client sends
+// after its preamble. The server replies to every line or frame with
+// "ok\n" or "err <reason>\n", in order, giving participants upload
+// acknowledgement as in a real MCS backend.
 //
 // Start the server with Serve (usually in a goroutine) and stop it with
 // Close, which stops accepting, closes live connections, and waits for the
@@ -31,8 +36,9 @@ type Server struct {
 	ingestor Ingestor
 
 	// IdleTimeout bounds how long a connection may sit without delivering a
-	// complete report line before it is dropped. Zero disables the limit.
-	// Set it before Serve; NewServer initializes it to DefaultIdleTimeout.
+	// complete report line or frame before it is dropped. Zero disables the
+	// limit. Set it before Serve; NewServer initializes it to
+	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
 
 	mu       sync.Mutex
@@ -158,16 +164,26 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.handle(conn)
 }
 
-// maxBatch caps the report lines one ingest call takes, so a peer that
-// streams faster than the server reads cannot grow a batch without bound.
+// maxBatch caps the reports one ingest call takes, so a peer that streams
+// faster than the server reads cannot grow a batch without bound.
 const maxBatch = 1024
 
-// handle processes one connection's report stream. Lines are decoded into
-// a pending batch, which is ingested (and its acks, in line order,
-// buffered) when the handler is about to read the connection again, at
-// end of stream, or at maxBatch lines. Acks are flushed at the same read,
-// so a client with many reports in flight gets their acks in one write
-// while a client waiting on its last ack never waits on a withheld one.
+// maxLine caps one JSON report line and one binary frame's payload. A
+// longer line or a larger length prefix ends the connection.
+const maxLine = 1 << 20
+
+// binaryPreamble opens a connection that carries binary frames instead of
+// JSON lines. No JSON line begins with a NUL byte.
+const binaryPreamble = "\x00itscs"
+
+// handle processes one connection's report stream, in either framing: a
+// connection that opens with binaryPreamble carries length-prefixed binary
+// frames, any other carries JSON lines. Lines or frames are decoded into a
+// pending batch, which is ingested (and its acks, in order, buffered) when
+// the handler is about to read the connection again, at end of stream, or
+// at maxBatch reports. Acks are flushed at the same read, so a client with
+// many reports in flight gets their acks in one write while a client
+// waiting on its last ack never waits on a withheld one.
 func (s *Server) handle(conn net.Conn) {
 	c := &connState{conn: conn, idle: s.IdleTimeout, w: bufio.NewWriter(conn), fresh: true}
 	if b, ok := s.ingestor.(BatchIngestor); ok {
@@ -175,19 +191,61 @@ func (s *Server) handle(conn net.Conn) {
 	} else {
 		c.batch = perLine{s.ingestor}
 	}
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		c.add(sc.Bytes())
-		if len(c.lines) == maxBatch {
-			c.ingest()
+	head := c.sniff()
+	c.binary = string(head) == binaryPreamble
+	if c.binary {
+		c.readFrames()
+	} else {
+		// JSON lines, the first beginning with head. The scanner's buffer
+		// is the connection's only one.
+		sc := bufio.NewScanner(io.MultiReader(bytes.NewReader(head), c))
+		sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+		for sc.Scan() {
+			c.add(sc.Bytes())
 		}
 	}
-	// Scanner errors (timeouts and closed connections included) end the
+	// Read errors (timeouts and closed connections included) end the
 	// stream; the participant will reconnect and retry in a real deployment.
 	// A peer that only half-closed still gets the acks it is owed.
 	c.ingest()
 	_ = c.w.Flush()
+}
+
+// sniff reads the first bytes of the stream: the whole preamble when they
+// begin like it, else whatever the first read brings.
+func (c *connState) sniff() []byte {
+	head := make([]byte, len(binaryPreamble))
+	n, _ := c.Read(head)
+	if n > 0 && head[0] == binaryPreamble[0] {
+		m, _ := io.ReadFull(c, head[n:])
+		n += m
+	}
+	return head[:n]
+}
+
+// readFrames reads binary frames, each a uvarint payload length and then
+// the payload, into the pending batch. An unreadable or over-long length
+// ends the stream; a partial frame at its end gets no ack. A payload longer
+// than the read buffer cannot hold a report, so it is skipped unread and
+// acked as bad.
+func (c *connState) readFrames() {
+	br := bufio.NewReaderSize(c, 64<<10)
+	for {
+		n, err := binary.ReadUvarint(br)
+		if err != nil || n > maxLine {
+			return
+		}
+		p, err := br.Peek(int(n))
+		if errors.Is(err, bufio.ErrBufferFull) {
+			p = nil
+		} else if err != nil {
+			return
+		}
+		if _, err := br.Discard(int(n)); err != nil {
+			return
+		}
+		c.add(p)
+	}
 }
 
 // perLine adapts an Ingestor without IngestBatch: one Ingest per report.
@@ -199,44 +257,68 @@ func (p perLine) IngestBatch(rs []Report, errs []error) {
 	}
 }
 
-// connState is one connection's pending batch and ack writer. The scanner
-// reads the connection through it: every read first ingests the pending
-// batch and flushes the acks buffered so far. The scanner reads only once
-// its buffer holds no whole line, so a batch is one read's worth of lines
-// and acks go out exactly when the handler would otherwise wait for input.
+// connState is one connection's pending batch and ack writer. The line or
+// frame reader reads the connection through it: every read first ingests
+// the pending batch and flushes the acks buffered so far. The reader reads
+// only once its buffer holds no whole line or frame, so a batch is one
+// read's worth of reports and acks go out exactly when the handler would
+// otherwise wait for input.
 type connState struct {
 	conn  net.Conn
 	idle  time.Duration
 	w     *bufio.Writer
 	batch BatchIngestor
+	// binary marks a connection of binary frames; fleet is the last
+	// decoded frame's fleet, which the next one shares when it matches.
+	binary bool
+	fleet  string
 
-	// lines holds, per pending line, the index of its report in reports,
-	// or -1 for a line that did not decode; errs receives the verdicts.
+	// lines holds, per pending line or frame, the index of its report in
+	// reports, or -1 for one that did not decode; errs receives the
+	// verdicts.
 	lines   []int
 	reports []Report
 	errs    []error
-	// fresh is set when a complete line arrives (and at the start); the
-	// next read refreshes the idle deadline and clears it. A client must
-	// deliver complete reports within the idle limit or be dropped, so a
-	// stalled peer, or one trickling bytes that never end a line, cannot
-	// pin its handler goroutine forever.
+	// fresh is set when a complete line or frame arrives (and at the
+	// start); the next read refreshes the idle deadline and clears it. A
+	// client must deliver complete reports within the idle limit or be
+	// dropped, so a stalled peer, or one trickling bytes that never end a
+	// report, cannot pin its handler goroutine forever.
 	fresh bool
 }
 
-// add decodes one line into the pending batch, in place.
-func (c *connState) add(line []byte) {
+// add decodes one line or frame into the pending batch, in place, and
+// ingests the batch once it holds maxBatch.
+func (c *connState) add(b []byte) {
 	c.fresh = true
 	i := len(c.reports)
 	c.reports = append(c.reports, Report{})
-	if err := json.Unmarshal(line, &c.reports[i]); err != nil {
+	if !c.decode(b, &c.reports[i]) {
 		c.reports = c.reports[:i]
 		i = -1
 	}
 	c.lines = append(c.lines, i)
+	if len(c.lines) == maxBatch {
+		c.ingest()
+	}
+}
+
+// decode parses a JSON line, or a binary frame that must hold exactly one
+// report.
+func (c *connState) decode(b []byte, r *Report) bool {
+	if !c.binary {
+		return json.Unmarshal(b, r) == nil
+	}
+	d, n, err := DecodeBinary(b, c.fleet)
+	if err != nil || n != len(b) {
+		return false
+	}
+	*r, c.fleet = d, d.Fleet
+	return true
 }
 
 // ingest hands the pending reports to the ingestor in one call and
-// buffers one ack per pending line, in line order.
+// buffers one ack per pending line or frame, in order.
 func (c *connState) ingest() {
 	if n := len(c.reports); n > 0 {
 		if cap(c.errs) < n {
@@ -247,6 +329,8 @@ func (c *connState) ingest() {
 	}
 	for _, i := range c.lines {
 		switch {
+		case i < 0 && c.binary:
+			writeLine(c.w, "err bad frame")
 		case i < 0:
 			writeLine(c.w, "err bad json")
 		case c.errs[i] != nil:

@@ -1,8 +1,8 @@
 package mcs
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -131,7 +131,7 @@ func TestClientWindowUplinkCut(t *testing.T) {
 	addr := startServer(t, sink)
 	opt := fastClientOptions()
 	release := make(chan struct{})
-	// About 60 report lines in: well inside the first window.
+	// About 100 report frames in: well inside the first window.
 	opt.Dial = gatedDial(release, fault.ConnPlan{Seed: 3, CutAfterBytes: 4000})
 	cl := NewClient(addr, opt)
 	defer cl.Close()
@@ -182,14 +182,20 @@ func (g readGate) Read(p []byte) (int, error) {
 func TestClientWindowDownlinkCut(t *testing.T) {
 	const fleets, slots = 4, window / 4
 	rs := windowStream(fleets, slots)
-	total := 0
+	// The bytes the client writes on its first connection: the preamble,
+	// then one frame per report.
+	var wire bytes.Buffer
+	wire.WriteString(binaryPreamble)
+	fr := newFrame(&wire)
 	for _, r := range rs {
-		b, err := json.Marshal(r)
-		if err != nil {
+		if err := fr.queueReport(r); err != nil {
 			t.Fatal(err)
 		}
-		total += len(b) + 1
 	}
+	if err := fr.flush(); err != nil {
+		t.Fatal(err)
+	}
+	total := wire.Len()
 	written := make(chan struct{})
 
 	sink := newOrderedSink()

@@ -532,7 +532,7 @@ func (e *Engine) apply(sh *shard, r *mcs.Report, replay bool, commit *obs.TraceS
 		commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
 	}
 	closedBefore := e.c.windowsClosed.Load()
-	jobs, err := sh.ingest(*r, e.cfg, &e.c, commit)
+	jobs, err := sh.ingest(r, &e.cfg, &e.c, commit)
 	for _, j := range jobs {
 		e.enqueue(j)
 	}
@@ -583,7 +583,7 @@ func (e *Engine) Flush(fleet string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownFleet, fleet)
 	}
 	sh.mu.Lock()
-	j, ok := sh.closeWindow(e.cfg, &e.c)
+	j, ok := sh.closeWindow(&e.cfg, &e.c)
 	sh.mu.Unlock()
 	if ok {
 		e.enqueue(j)
@@ -622,7 +622,7 @@ func (e *Engine) shutdown(drain bool) {
 		// while the flush closes windows, as it does for ingestion.
 		for _, sh := range e.allShards() {
 			sh.mu.Lock()
-			j, ok := sh.closeWindow(e.cfg, &e.c)
+			j, ok := sh.closeWindow(&e.cfg, &e.c)
 			sh.mu.Unlock()
 			if ok {
 				e.enqueue(j)
@@ -1055,7 +1055,7 @@ func (e *Engine) noteDropped(j job) {
 // trace here, with the ingest stage and then the commit stage if non-nil,
 // before the shard lock is released: the next window close to cover the
 // slot then finds the trace whole.
-func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, commit *obs.TraceStage) ([]job, error) {
+func (sh *shard) ingest(r *mcs.Report, cfg *Config, c *counters, commit *obs.TraceStage) ([]job, error) {
 	w, h := cfg.WindowSlots, cfg.HopSlots
 	capSlots := w + h
 	sh.mu.Lock()
@@ -1107,7 +1107,7 @@ func (sh *shard) ingest(r mcs.Report, cfg Config, c *counters, commit *obs.Trace
 // (close time − ingest stamp) observed into the shard and engine freshness
 // histograms, is marked aged, and goes into the job's stamps; the window
 // also claims its still-unclaimed traces. Callers hold sh.mu.
-func (sh *shard) closeWindow(cfg Config, c *counters) (job, bool) {
+func (sh *shard) closeWindow(cfg *Config, c *counters) (job, bool) {
 	w, h := cfg.WindowSlots, cfg.HopSlots
 	capSlots := w + h
 	n := cfg.Participants

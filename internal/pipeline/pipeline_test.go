@@ -26,6 +26,12 @@ func report(p, slot int, v float64) mcs.Report {
 	return mcs.Report{Participant: p, Slot: slot, X: v, Y: -v, VX: v / 10, VY: -v / 10}
 }
 
+// reportAt is report for shard.ingest, which takes the report by pointer.
+func reportAt(p, slot int, v float64) *mcs.Report {
+	r := report(p, slot, v)
+	return &r
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -66,12 +72,12 @@ func TestShardWindowSlideAndSnapshot(t *testing.T) {
 
 	// Fill slots 0..5 for participant 0 with x = 100+slot.
 	for s := 0; s < 6; s++ {
-		if jobs, err := sh.ingest(report(0, s, float64(100+s)), cfg, &e.c, nil); err != nil || len(jobs) != 0 {
+		if jobs, err := sh.ingest(reportAt(0, s, float64(100+s)), &cfg, &e.c, nil); err != nil || len(jobs) != 0 {
 			t.Fatalf("slot %d: jobs=%d err=%v", s, len(jobs), err)
 		}
 	}
 	// Slot 6 passes the far edge: window [0,6) closes.
-	jobs, err := sh.ingest(report(1, 6, 206), cfg, &e.c, nil)
+	jobs, err := sh.ingest(reportAt(1, 6, 206), &cfg, &e.c, nil)
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("close: jobs=%d err=%v", len(jobs), err)
 	}
@@ -94,7 +100,7 @@ func TestShardWindowSlideAndSnapshot(t *testing.T) {
 	// Next close at slot 8 cuts [2,8): the overlap slots 2..5 must retain
 	// participant 0's values, slot 6 participant 1's, and the outgoing hop
 	// [0,2) must have been zeroed out of the ring.
-	jobs, err = sh.ingest(report(2, 8, 308), cfg, &e.c, nil)
+	jobs, err = sh.ingest(reportAt(2, 8, 308), &cfg, &e.c, nil)
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("second close: jobs=%d err=%v", len(jobs), err)
 	}
@@ -124,17 +130,17 @@ func TestShardLateAndDuplicateReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := sh.ingest(report(0, 1, 1), cfg, &e.c, nil); err != nil {
+	if _, err := sh.ingest(reportAt(0, 1, 1), &cfg, &e.c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.ingest(report(0, 1, 2), cfg, &e.c, nil); !errors.Is(err, mcs.ErrDuplicateReport) {
+	if _, err := sh.ingest(reportAt(0, 1, 2), &cfg, &e.c, nil); !errors.Is(err, mcs.ErrDuplicateReport) {
 		t.Fatalf("duplicate err = %v", err)
 	}
 	// Slide past slot 1 (close [0,4) at slot 4), then slot 1 is late.
-	if _, err := sh.ingest(report(0, 4, 3), cfg, &e.c, nil); err != nil {
+	if _, err := sh.ingest(reportAt(0, 4, 3), &cfg, &e.c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.ingest(report(1, 1, 4), cfg, &e.c, nil); !errors.Is(err, ErrLateReport) {
+	if _, err := sh.ingest(reportAt(1, 1, 4), &cfg, &e.c, nil); !errors.Is(err, ErrLateReport) {
 		t.Fatalf("late err = %v", err)
 	}
 	if got := e.c.duplicates.Load(); got != 1 {
@@ -159,11 +165,11 @@ func TestShardFastForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := sh.ingest(report(0, 0, 1), cfg, &e.c, nil); err != nil {
+	if _, err := sh.ingest(reportAt(0, 0, 1), &cfg, &e.c, nil); err != nil {
 		t.Fatal(err)
 	}
 	jump := 1000
-	jobs, err := sh.ingest(report(0, jump, 2), cfg, &e.c, nil)
+	jobs, err := sh.ingest(reportAt(0, jump, 2), &cfg, &e.c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +193,7 @@ func TestShardFastForward(t *testing.T) {
 		if s == jump {
 			continue
 		}
-		if _, err := sh.ingest(report(0, s, 3), cfg, &e.c, nil); err != nil {
+		if _, err := sh.ingest(reportAt(0, s, 3), &cfg, &e.c, nil); err != nil {
 			t.Fatalf("slot %d after fast-forward: %v", s, err)
 		}
 	}
