@@ -19,7 +19,6 @@
 //	itscs-router -backends 10.0.0.1:7070=10.0.0.1:8080,10.0.0.2:7070=10.0.0.2:8080
 //	             [-ingest 127.0.0.1:7071] [-http 127.0.0.1:8081]
 //	             [-vnodes 64] [-probe-interval 2s] [-probe-timeout 1s]
-//	             [-fail-after 1] [-rise-after 1]
 //	             [-client-queue 1024] [-idle-timeout 2m]
 //	             [-log-format text|json] [-log-level info]
 //
@@ -60,8 +59,8 @@ import (
 
 	"itscs/internal/cluster"
 	"itscs/internal/mcs"
+	"itscs/internal/node"
 	"itscs/internal/obs"
-	"itscs/internal/pipeline"
 )
 
 func main() {
@@ -81,8 +80,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	vnodes := fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per backend on the placement ring")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "backend /readyz probe cadence")
 	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe timeout")
-	failAfter := fs.Int("fail-after", 1, "consecutive probe failures that eject a backend")
-	riseAfter := fs.Int("rise-after", 1, "consecutive probe successes that readmit a backend")
 	clientQueue := fs.Int("client-queue", 1024, "per-backend send buffer depth (drop-oldest beyond)")
 	idle := fs.Duration("idle-timeout", mcs.DefaultIdleTimeout, "ingest connection idle limit (0 disables)")
 	logFormat := fs.String("log-format", obs.LogText, "log output format: text or json")
@@ -113,8 +110,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		vnodes:        *vnodes,
 		probeInterval: *probeInterval,
 		probeTimeout:  *probeTimeout,
-		failAfter:     *failAfter,
-		riseAfter:     *riseAfter,
 		clientQueue:   *clientQueue,
 		idle:          *idle,
 		log:           logger,
@@ -160,8 +155,6 @@ type routerOptions struct {
 	vnodes        int
 	probeInterval time.Duration
 	probeTimeout  time.Duration
-	failAfter     int
-	riseAfter     int
 	clientQueue   int
 	idle          time.Duration
 	log           *slog.Logger
@@ -183,7 +176,6 @@ type router struct {
 	http       *http.Server
 	httpLn     net.Listener
 	httpBound  net.Addr
-	started    time.Time
 	runtime    *obs.Runtime
 	fatal      chan error
 }
@@ -202,18 +194,15 @@ func newRouter(opt routerOptions) (*router, error) {
 		log:      logger,
 		backends: opt.backends,
 		ring:     cluster.NewRing(opt.vnodes),
-		started:  time.Now(),
 		runtime:  obs.NewRuntime(),
 		fatal:    make(chan error, 2),
 	}
 	r.prober = cluster.NewProber(opt.backends, cluster.ProberOptions{
-		Interval:  opt.probeInterval,
-		Timeout:   opt.probeTimeout,
-		FailAfter: opt.failAfter,
-		RiseAfter: opt.riseAfter,
-		Probe:     opt.probe,
-		OnChange:  opt.onChange,
-		Log:       logger,
+		Interval: opt.probeInterval,
+		Timeout:  opt.probeTimeout,
+		Probe:    opt.probe,
+		OnChange: opt.onChange,
+		Log:      logger,
 	})
 	r.fwd = cluster.NewForwarder(opt.backends, r.ring, cluster.ForwarderOptions{
 		Client: mcs.ClientOptions{QueueDepth: opt.clientQueue},
@@ -275,12 +264,7 @@ func (r *router) close() error {
 
 func (r *router) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		obs.WriteJSON(w, http.StatusOK, map[string]any{
-			"status":   "ok",
-			"uptime_s": time.Since(r.started).Seconds(),
-		})
-	})
+	mux.HandleFunc("GET /healthz", obs.Healthz(r.runtime))
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		ready := r.prober.ReadyCount()
 		status := http.StatusOK
@@ -333,13 +317,7 @@ func (r *router) mux() *http.ServeMux {
 			Cluster:    r.query.Metrics(req.Context()),
 			Reputation: r.query.Reputation(req.Context()),
 		}
-		if obs.WantsJSON(req) {
-			obs.WriteJSON(w, http.StatusOK, payload)
-			return
-		}
-		w.Header().Set("Content-Type", obs.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(renderProm(payload, time.Since(r.started), r.runtime))
+		obs.WriteMetrics(w, req, payload, func() []byte { return renderProm(payload, r.runtime) })
 	})
 	return mux
 }
@@ -351,21 +329,14 @@ func (r *router) mux() *http.ServeMux {
 func (r *router) statusPayload(req *http.Request) map[string]any {
 	ctx := req.Context()
 	cm := r.query.Metrics(ctx)
-	fleets := map[string]any{}
-	for fleet, ff := range cm.Aggregate.Freshness {
-		owner, _ := r.fwd.Owner(fleet)
-		fleets[fleet] = map[string]any{
-			"owner":            owner,
-			"watermark_slot":   ff.WatermarkSlot,
-			"window_lag":       ff.NextSeq - 1 - ff.LatestSeq,
-			"age_at_close":     pipeline.SummarizeFreshness(ff.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(ff.IngestToResult),
-		}
+	freshness, byFleet := node.FreshnessStatus(cm.Aggregate)
+	for fleet, entry := range byFleet {
+		entry["owner"], _ = r.fwd.Owner(fleet)
 	}
 	fwd := r.fwd.Stats()
 	return map[string]any{
 		"status":         "ok",
-		"uptime_s":       time.Since(r.started).Seconds(),
+		"uptime_s":       r.runtime.Uptime().Seconds(),
 		"ready_backends": r.prober.ReadyCount(),
 		"backends":       r.prober.Snapshot(),
 		"forwarder": map[string]any{
@@ -374,11 +345,7 @@ func (r *router) statusPayload(req *http.Request) map[string]any {
 			"non_finite":       fwd.NonFinite,
 			"invalid_identity": fwd.InvalidIdentity,
 		},
-		"freshness": map[string]any{
-			"age_at_close":     pipeline.SummarizeFreshness(cm.Aggregate.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(cm.Aggregate.IngestToResult),
-			"by_fleet":         fleets,
-		},
+		"freshness": freshness,
 		"engine": map[string]any{
 			"ingested":          cm.Aggregate.Ingested,
 			"reports_stamped":   cm.Aggregate.ReportsStamped,

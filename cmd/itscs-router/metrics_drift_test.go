@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"testing"
-	"time"
 
 	"itscs/internal/cluster"
 	"itscs/internal/mcs"
@@ -48,7 +47,7 @@ func TestMetricsDrift(t *testing.T) {
 			},
 		},
 	}
-	body := renderProm(payload, time.Second, obs.NewRuntime())
+	body := renderProm(payload, obs.NewRuntime())
 	if err := obs.LintExposition(body); err != nil {
 		t.Fatalf("exposition failed lint: %v", err)
 	}

@@ -1,26 +1,19 @@
 package main
 
 import (
-	"time"
-
-	"itscs/internal/metrics"
+	"itscs/internal/node"
 	"itscs/internal/obs"
-	"itscs/internal/reputation"
 )
 
 // renderProm flattens the router's metrics payload into Prometheus text
 // exposition format 0.0.4. Router-local series carry the itscs_router_
-// prefix; the cluster-wide aggregates of the backends' engine stats carry
-// itscs_cluster_, so one scrape of the router graphs the whole deployment.
-// Per-backend series are labeled backend="<ingest addr>" and emitted in
-// stable (configured) order.
-func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte {
+// prefix; the cluster view carries itscs_cluster_: the prober's health
+// series, and the node's engine and ledger series summed over the
+// backends, rendered by the node's own emitters, so one scrape of the
+// router graphs the whole deployment. Per-backend series are labeled
+// backend="<ingest addr>" and emitted in stable (configured) order.
+func renderProm(p metricsPayload, rt *obs.Runtime) []byte {
 	b := obs.NewProm()
-
-	b.Gauge("itscs_router_build_info",
-		"Build identity of the running router; the value is always 1.",
-		1, obs.BuildInfoLabels()...)
-	b.Gauge("itscs_router_uptime_seconds", "Seconds since the router started.", uptime.Seconds())
 
 	// Data plane.
 	f := p.Forwarder
@@ -93,8 +86,8 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 			float64(st.Readmissions), obs.Label{Name: "backend", Value: st.Backend.Name})
 	}
 
-	// Aggregated cluster engine stats (sum over backends that answered the
-	// metrics fan-out this scrape).
+	// The backends' engine stats and trust ledgers, summed over those that
+	// answered this scrape, under the node's own series names.
 	answered := 0
 	for _, bm := range p.Cluster.Backends {
 		if bm.Err == "" {
@@ -102,59 +95,8 @@ func renderProm(p metricsPayload, uptime time.Duration, rt *obs.Runtime) []byte 
 		}
 	}
 	b.Gauge("itscs_cluster_backends_scraped", "Backends whose engine stats this scrape aggregates.", float64(answered))
-	agg := p.Cluster.Aggregate
-	b.Counter("itscs_cluster_reports_ingested_total", "Reports accepted across all backend engines.", float64(agg.Ingested))
-	b.Counter("itscs_cluster_reports_replayed_total", "Accepted reports that arrived via WAL recovery across the cluster.", float64(agg.Replayed))
-	b.Counter("itscs_cluster_reports_rejected_total", "Reports refused at ingest across the cluster.", float64(agg.Rejected))
-	b.Counter("itscs_cluster_reports_late_total", "Rejected reports below their fleet's retention horizon.", float64(agg.Late))
-	b.Counter("itscs_cluster_reports_duplicate_total", "Rejected reports targeting an already-filled cell.", float64(agg.Duplicates))
-	b.Counter("itscs_cluster_reports_non_finite_total", "Rejected reports carrying NaN or infinite values.", float64(agg.NonFinite))
-	b.Counter("itscs_cluster_reports_stamped_total", "Ingested reports carrying an ingest freshness stamp, summed across backends.", float64(agg.ReportsStamped))
-	b.Counter("itscs_cluster_reports_unstamped_total", "Ingested reports without a freshness stamp, summed across backends.", float64(agg.ReportsUnstamped))
-	// Admission-gate breakdown: the three sum to ingested — tagged reports
-	// are admitted, never dropped.
-	b.Counter("itscs_cluster_reports_admitted_clean_total", "Ingested reports from participants in good standing across the cluster.", float64(agg.AdmittedClean))
-	b.Counter("itscs_cluster_reports_tagged_quarantined_total", "Ingested reports tagged as coming from quarantined participants.", float64(agg.TaggedQuarantined))
-	b.Counter("itscs_cluster_reports_tagged_probation_total", "Ingested reports tagged as coming from participants on probation.", float64(agg.TaggedProbation))
-	b.Counter("itscs_cluster_windows_closed_total", "Windows cut from the streams across the cluster.", float64(agg.WindowsClosed))
-	b.Counter("itscs_cluster_windows_empty_total", "Closed windows discarded for holding no observations.", float64(agg.WindowsEmpty))
-	b.Counter("itscs_cluster_windows_skipped_total", "Windows jumped over to catch up after a slot gap.", float64(agg.WindowsSkipped))
-	b.Counter("itscs_cluster_windows_dropped_total", "Windows evicted from full dispatch queues (drop-oldest).", float64(agg.WindowsDropped))
-	b.Counter("itscs_cluster_windows_processed_total", "Windows that ran the detection loop to completion.", float64(agg.WindowsProcessed))
-	b.Counter("itscs_cluster_windows_failed_total", "Windows whose detection loop returned an error.", float64(agg.WindowsFailed))
-	b.Counter("itscs_cluster_warm_starts_total", "Processed windows that reused the previous window's factorization.", float64(agg.WarmStarts))
-	b.Counter("itscs_cluster_cold_starts_total", "Processed windows that started CORRECT from scratch.", float64(agg.ColdStarts))
-	b.Gauge("itscs_cluster_queue_depth", "Windows waiting in dispatch queues across the cluster.", float64(agg.QueueDepth))
-	b.Gauge("itscs_cluster_fleets", "Fleet shards materialized across the cluster.", float64(agg.Fleets))
-	for _, phase := range obs.SortedKeys(agg.PhaseLatency) {
-		b.Histogram("itscs_cluster_phase_latency_seconds",
-			"Wall-clock latency by pipeline phase, summed across backends.",
-			agg.PhaseLatency[phase], obs.Label{Name: "phase", Value: phase})
-	}
-	// Cluster-wide freshness: the backends' histograms merge bucket-wise
-	// (fleets shard whole, so no observation is double-counted).
-	b.HistogramBounds("itscs_cluster_freshness_age_at_close_seconds",
-		"Report age at window close, summed across backends.",
-		metrics.AgeBuckets, agg.AgeAtClose)
-	b.HistogramBounds("itscs_cluster_freshness_ingest_to_result_seconds",
-		"Ingest-to-result latency, summed across backends.",
-		metrics.AgeBuckets, agg.IngestToResult)
-
-	// Merged reputation ledgers (fleets shard whole, so the union over
-	// backends double-counts nothing). Every state is emitted even at zero
-	// so dashboards see the full census from the first scrape.
-	rep := p.Reputation.Stats
-	b.Gauge("itscs_cluster_reputation_fleets", "Fleets with trust state across the cluster.", float64(rep.Fleets))
-	for _, state := range reputation.StateNames() {
-		b.Gauge("itscs_cluster_reputation_participants", "Participants by trust state across the cluster.",
-			float64(rep.States[state]), obs.Label{Name: "state", Value: state})
-	}
-	b.Counter("itscs_cluster_reputation_windows_folded_total", "Window results folded into trust ledgers across the cluster.", float64(rep.Folded))
-	b.Counter("itscs_cluster_reputation_folds_skipped_total", "Window folds skipped as already applied (replay overlap) across the cluster.", float64(rep.Skipped))
-	for _, tr := range rep.Transitions {
-		b.Counter("itscs_cluster_reputation_transitions_total", "Trust state transitions across the cluster.",
-			float64(tr.Count), obs.Label{Name: "from", Value: tr.From}, obs.Label{Name: "to", Value: tr.To})
-	}
+	node.EmitStats(b, "itscs_cluster_", p.Cluster.Aggregate)
+	node.EmitLedgerStats(b, "itscs_cluster_", p.Reputation.Stats)
 	rt.Emit(b, "itscs_router_")
 	return b.Bytes()
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"testing"
-	"time"
 
 	"itscs/internal/metrics"
 	"itscs/internal/node"
@@ -45,7 +44,7 @@ func TestMetricsDrift(t *testing.T) {
 			Transitions: []reputation.TransitionCount{{From: "clean", To: "probation", Count: 1}},
 		},
 	}
-	body := node.RenderProm(payload, time.Second, obs.NewRuntime())
+	body := node.RenderProm(payload, obs.NewRuntime())
 	if err := obs.LintExposition(body); err != nil {
 		t.Fatalf("exposition failed lint: %v", err)
 	}

@@ -48,12 +48,6 @@ type ProberOptions struct {
 	// individual probe (default 1s).
 	Interval time.Duration
 	Timeout  time.Duration
-	// FailAfter consecutive probe failures eject a backend; RiseAfter
-	// consecutive successes readmit it (both default 1: a dead TCP port
-	// refuses instantly and a recovering backend answers 503 decisively, so
-	// the gate follows the first honest answer).
-	FailAfter int
-	RiseAfter int
 	// Clock supplies the sweep ticker (default wall clock); the fault
 	// harness swaps in a virtual clock. Probe I/O deadlines always use wall
 	// time.
@@ -100,8 +94,6 @@ type Prober struct {
 
 type probeState struct {
 	status   BackendStatus
-	fails    int // consecutive failures
-	oks      int // consecutive successes
 	everseen bool
 }
 
@@ -113,12 +105,6 @@ func NewProber(backends []Backend, opt ProberOptions) *Prober {
 	}
 	if opt.Timeout <= 0 {
 		opt.Timeout = time.Second
-	}
-	if opt.FailAfter <= 0 {
-		opt.FailAfter = 1
-	}
-	if opt.RiseAfter <= 0 {
-		opt.RiseAfter = 1
 	}
 	if opt.Clock == nil {
 		opt.Clock = fault.RealClock()
@@ -183,7 +169,10 @@ func (p *Prober) Sweep(ctx context.Context) {
 	}
 }
 
-// record applies one probe outcome to the backend's gate.
+// record applies one probe outcome to the backend's gate: the first
+// failure ejects, the first success admits. A dead TCP port refuses
+// instantly and a recovering backend answers 503 decisively, so the gate
+// follows the first honest answer.
 func (p *Prober) record(b Backend, err error) {
 	p.mu.Lock()
 	st := p.state[b.Name]
@@ -191,18 +180,14 @@ func (p *Prober) record(b Backend, err error) {
 	var flipped, nowReady, readmit bool
 	if err != nil {
 		st.status.LastErr = err.Error()
-		st.fails++
-		st.oks = 0
-		if st.status.Ready && st.fails >= p.opt.FailAfter {
+		if st.status.Ready {
 			st.status.Ready = false
 			st.status.Ejections++
 			flipped, nowReady = true, false
 		}
 	} else {
 		st.status.LastErr = ""
-		st.oks++
-		st.fails = 0
-		if !st.status.Ready && st.oks >= p.opt.RiseAfter {
+		if !st.status.Ready {
 			st.status.Ready = true
 			if st.everseen {
 				st.status.Readmissions++

@@ -76,10 +76,11 @@ type Options struct {
 	TerminateRatio float64
 	// Variant selects the objective.
 	Variant Variant
-	// Seed drives the random fallback initialization used when the SVD
-	// warm start is disabled or fails.
+	// Seed drives the random initialization RandomInit selects. A failed
+	// SVD warm start is returned as an error, never replaced by it.
 	Seed int64
-	// RandomInit skips the SVD warm start (used by the ablation bench).
+	// RandomInit skips the SVD warm start and draws small random factors
+	// instead (BenchmarkWarmStartVsRandom compares the two).
 	RandomInit bool
 	// FixedStepSize replaces the exact analytic line search with a fixed
 	// step size (used by the ablation bench). Zero selects the exact

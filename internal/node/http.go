@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"itscs/internal/obs"
 	"itscs/internal/pipeline"
@@ -43,12 +42,7 @@ func (n *Node) Handler() http.Handler { return n.handler }
 
 func (n *Node) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		obs.WriteJSON(w, http.StatusOK, map[string]any{
-			"status":   "ok",
-			"uptime_s": time.Since(n.started).Seconds(),
-		})
-	})
+	mux.HandleFunc("GET /healthz", obs.Healthz(n.runtime))
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness (/healthz) says "the process runs"; readiness says "the
 		// ingest accepts reports". During startup recovery the node is
@@ -60,18 +54,12 @@ func (n *Node) mux() *http.ServeMux {
 		}
 		obs.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ready",
-			"uptime_s": time.Since(n.started).Seconds(),
+			"uptime_s": n.runtime.Uptime().Seconds(),
 		})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		payload := n.metrics()
-		if obs.WantsJSON(r) {
-			obs.WriteJSON(w, http.StatusOK, payload)
-			return
-		}
-		w.Header().Set("Content-Type", obs.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(RenderProm(payload, time.Since(n.started), n.runtime))
+		obs.WriteMetrics(w, r, payload, func() []byte { return RenderProm(payload, n.runtime) })
 	})
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, http.StatusOK, n.status())
@@ -187,20 +175,12 @@ func (n *Node) metrics() Metrics {
 // gate census, and the durability recency signals.
 func (n *Node) status() map[string]any {
 	st := n.engine.Stats()
-	byFleet := make(map[string]any, len(st.Freshness))
-	for name, ff := range st.Freshness {
-		byFleet[name] = map[string]any{
-			"watermark_slot":   ff.WatermarkSlot,
-			"window_lag":       ff.NextSeq - 1 - ff.LatestSeq,
-			"age_at_close":     pipeline.SummarizeFreshness(ff.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(ff.IngestToResult),
-		}
-	}
+	freshness, _ := FreshnessStatus(st)
 	payload := map[string]any{
 		"status":   "ok",
 		"ready":    n.ready.Load(),
-		"uptime_s": time.Since(n.started).Seconds(),
-		"build":    obs.BuildInfo(time.Since(n.started)),
+		"uptime_s": n.runtime.Uptime().Seconds(),
+		"build":    obs.BuildInfo(n.runtime.Uptime()),
 		"engine": map[string]any{
 			"ingested":          st.Ingested,
 			"rejected":          st.Rejected,
@@ -212,11 +192,7 @@ func (n *Node) status() map[string]any {
 			"queue_capacity":    st.QueueCapacity,
 			"fleets":            st.Fleets,
 		},
-		"freshness": map[string]any{
-			"age_at_close":     pipeline.SummarizeFreshness(st.AgeAtClose),
-			"ingest_to_result": pipeline.SummarizeFreshness(st.IngestToResult),
-			"by_fleet":         byFleet,
-		},
+		"freshness": freshness,
 	}
 	if n.ledger != nil {
 		rs := n.ledger.Stats()
@@ -240,4 +216,25 @@ func (n *Node) status() map[string]any {
 		}
 	}
 	return payload
+}
+
+// FreshnessStatus builds the /status freshness object both daemons serve
+// from st: the engine-wide quantiles, and under by_fleet each fleet's
+// watermark, window lag and quantiles. byFleet is that same by_fleet map,
+// returned so the router can attribute each fleet to its owner.
+func FreshnessStatus(st pipeline.Stats) (freshness map[string]any, byFleet map[string]map[string]any) {
+	byFleet = make(map[string]map[string]any, len(st.Freshness))
+	for name, ff := range st.Freshness {
+		byFleet[name] = map[string]any{
+			"watermark_slot":   ff.WatermarkSlot,
+			"window_lag":       ff.NextSeq - 1 - ff.LatestSeq,
+			"age_at_close":     pipeline.SummarizeFreshness(ff.AgeAtClose),
+			"ingest_to_result": pipeline.SummarizeFreshness(ff.IngestToResult),
+		}
+	}
+	return map[string]any{
+		"age_at_close":     pipeline.SummarizeFreshness(st.AgeAtClose),
+		"ingest_to_result": pipeline.SummarizeFreshness(st.IngestToResult),
+		"by_fleet":         byFleet,
+	}, byFleet
 }

@@ -84,7 +84,6 @@ type Node struct {
 	httpLn     net.Listener
 	handler    http.Handler
 
-	started     time.Time
 	runtime     *obs.Runtime
 	fatal       chan error
 	startupGate <-chan struct{}
@@ -145,7 +144,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		log:         logger,
-		started:     time.Now(),
 		runtime:     obs.NewRuntime(),
 		fatal:       make(chan error, 3),
 		startupGate: cfg.StartupGate,

@@ -1,83 +1,31 @@
 package node
 
 import (
-	"time"
-
 	"itscs/internal/metrics"
 	"itscs/internal/obs"
+	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
 )
 
 // RenderProm flattens a node's whole metrics payload into Prometheus
-// text exposition format 0.0.4. Every counter in pipeline.Stats, the WAL
-// and checkpointer state, the recovery summary, the freshness histograms,
-// the Go runtime self-metrics, and the per-phase latency histograms appear;
-// maps are emitted in sorted key order so consecutive scrapes are
-// byte-stable for identical state.
-func RenderProm(p Metrics, uptime time.Duration, rt *obs.Runtime) []byte {
+// text exposition format 0.0.4: the shared engine and ledger sections
+// under itscs_, then what only a node has — door refusals, subscriber
+// drops, queue capacity, per-fleet series, and the WAL, checkpointer and
+// recovery state — then the runtime self-metrics. Maps are emitted in
+// sorted key order so consecutive scrapes are byte-stable for identical
+// state.
+func RenderProm(p Metrics, rt *obs.Runtime) []byte {
 	b := obs.NewProm()
+	EmitStats(b, "itscs_", p.Stats)
 
-	b.Gauge("itscs_build_info",
-		"Build identity of the running binary; the value is always 1.",
-		1, obs.BuildInfoLabels()...)
-	b.Gauge("itscs_uptime_seconds", "Seconds since the daemon started.", uptime.Seconds())
-
-	// Ingest counters.
-	b.Counter("itscs_reports_ingested_total", "Reports accepted into the engine.", float64(p.Ingested))
-	b.Counter("itscs_reports_replayed_total", "Accepted reports that arrived via WAL recovery, not the live transport.", float64(p.Replayed))
-	b.Counter("itscs_reports_rejected_total", "Reports refused at ingest.", float64(p.Rejected))
-	b.Counter("itscs_reports_late_total", "Rejected reports below their fleet's retention horizon.", float64(p.Late))
-	b.Counter("itscs_reports_duplicate_total", "Rejected reports targeting an already-filled cell.", float64(p.Duplicates))
-	b.Counter("itscs_reports_non_finite_total", "Rejected reports carrying NaN or infinite values.", float64(p.NonFinite))
 	b.Counter("itscs_reports_invalid_identity_total", "Reports refused at the ingest door for an empty fleet or negative participant.", float64(p.InvalidIdentity))
-	// Freshness partition: stamped + unstamped == ingested, always — replay
-	// must never re-stamp, so the split survives crash/recovery intact.
-	b.Counter("itscs_reports_stamped_total", "Ingested reports carrying an ingest freshness stamp.", float64(p.ReportsStamped))
-	b.Counter("itscs_reports_unstamped_total", "Ingested reports without a freshness stamp (pre-upgrade frames, direct engine feeds).", float64(p.ReportsUnstamped))
-
-	// Admission-gate counters. The gate tags, it never drops:
-	// admitted_clean + tagged_quarantined + tagged_probation == ingested.
-	b.Counter("itscs_reports_admitted_clean_total", "Ingested reports from participants in good standing.", float64(p.AdmittedClean))
-	b.Counter("itscs_reports_tagged_quarantined_total", "Ingested reports tagged as coming from quarantined participants.", float64(p.TaggedQuarantined))
-	b.Counter("itscs_reports_tagged_probation_total", "Ingested reports tagged as coming from probation participants.", float64(p.TaggedProbation))
-
-	// Window lifecycle counters.
-	b.Counter("itscs_windows_closed_total", "Windows cut from the streams.", float64(p.WindowsClosed))
-	b.Counter("itscs_windows_empty_total", "Closed windows discarded for holding no observations.", float64(p.WindowsEmpty))
-	b.Counter("itscs_windows_skipped_total", "Windows jumped over to catch up after a slot gap.", float64(p.WindowsSkipped))
-	b.Counter("itscs_windows_dropped_total", "Windows evicted from the full dispatch queue (drop-oldest).", float64(p.WindowsDropped))
-	b.Counter("itscs_windows_processed_total", "Windows that ran the detection loop to completion.", float64(p.WindowsProcessed))
-	b.Counter("itscs_windows_failed_total", "Windows whose detection loop returned an error.", float64(p.WindowsFailed))
+	b.Counter("itscs_subscriber_drops_total", "Results a slow subscriber failed to receive.", float64(p.SubscriberDrops))
+	b.Gauge("itscs_queue_capacity", "Dispatch queue capacity.", float64(p.QueueCapacity))
 	for _, fleet := range obs.SortedKeys(p.WindowsDroppedByFleet) {
 		b.Counter("itscs_fleet_windows_dropped_total",
 			"Windows dropped under backpressure, by fleet.",
 			float64(p.WindowsDroppedByFleet[fleet]), obs.Label{Name: "fleet", Value: fleet})
 	}
-	b.Counter("itscs_warm_starts_total", "Processed windows that reused the previous window's factorization.", float64(p.WarmStarts))
-	b.Counter("itscs_cold_starts_total", "Processed windows that started CORRECT from scratch.", float64(p.ColdStarts))
-	b.Counter("itscs_subscriber_drops_total", "Results a slow subscriber failed to receive.", float64(p.SubscriberDrops))
-
-	// Instantaneous engine state.
-	b.Gauge("itscs_queue_depth", "Windows waiting in the dispatch queue right now.", float64(p.QueueDepth))
-	b.Gauge("itscs_queue_capacity", "Dispatch queue capacity.", float64(p.QueueCapacity))
-	b.Gauge("itscs_fleets", "Fleet shards currently materialized.", float64(p.Fleets))
-
-	// Per-phase latency histograms share one metric name with a phase label.
-	for _, phase := range obs.SortedKeys(p.PhaseLatency) {
-		b.Histogram("itscs_phase_latency_seconds",
-			"Wall-clock latency by pipeline phase: detect, correct, check, run (whole loop), wait (queue residence).",
-			p.PhaseLatency[phase], obs.Label{Name: "phase", Value: phase})
-	}
-
-	// End-to-end freshness histograms, engine-wide and by fleet. Both run on
-	// the wide AgeBuckets scheme (50 ms – 4 h): report age legitimately spans
-	// most of a window length, and recovery replay surfaces hours-old stamps.
-	b.HistogramBounds("itscs_freshness_age_at_close_seconds",
-		"Age of each stamped report when its window closed (window close time minus ingest stamp).",
-		metrics.AgeBuckets, p.AgeAtClose)
-	b.HistogramBounds("itscs_freshness_ingest_to_result_seconds",
-		"Ingest-to-result latency of each stamped report (detection completion minus ingest stamp).",
-		metrics.AgeBuckets, p.IngestToResult)
 	for _, fleet := range obs.SortedKeys(p.Freshness) {
 		ff := p.Freshness[fleet]
 		lbl := obs.Label{Name: "fleet", Value: fleet}
@@ -123,23 +71,7 @@ func RenderProm(p Metrics, uptime time.Duration, rt *obs.Runtime) []byte {
 			float64(p.Checkpoints.LastUnixMicro)/1e6)
 	}
 	if p.Reputation != nil {
-		rep := p.Reputation
-		b.Gauge("itscs_reputation_fleets", "Fleets with at least one trust row.", float64(rep.Fleets))
-		// Every state appears even at zero, so a scrape always sees the full
-		// census and rate() never starts from a missing series.
-		for _, state := range reputation.StateNames() {
-			b.Gauge("itscs_reputation_participants",
-				"Participants with folded evidence, by quarantine state.",
-				float64(rep.States[state]), obs.Label{Name: "state", Value: state})
-		}
-		b.Counter("itscs_reputation_windows_folded_total", "Completed windows folded into the trust ledger.", float64(rep.Folded))
-		b.Counter("itscs_reputation_folds_skipped_total", "Window folds skipped as duplicates behind a fleet's sequence frontier.", float64(rep.Skipped))
-		for _, tr := range rep.Transitions {
-			b.Counter("itscs_reputation_transitions_total",
-				"Quarantine state-machine transitions, by edge.",
-				float64(tr.Count),
-				obs.Label{Name: "from", Value: tr.From}, obs.Label{Name: "to", Value: tr.To})
-		}
+		EmitLedgerStats(b, "itscs_", *p.Reputation)
 	}
 	if p.Recovery != nil {
 		r := p.Recovery
@@ -153,4 +85,74 @@ func RenderProm(p Metrics, uptime time.Duration, rt *obs.Runtime) []byte {
 	}
 	rt.Emit(b, "itscs_")
 	return b.Bytes()
+}
+
+// EmitStats appends the engine series both daemons export, each name
+// prefixed: itscs_ on a node, itscs_cluster_ on the router, where st is the
+// sum over its backends.
+func EmitStats(b *obs.Prom, prefix string, st pipeline.Stats) {
+	b.Counter(prefix+"reports_ingested_total", "Reports accepted into the engine.", float64(st.Ingested))
+	b.Counter(prefix+"reports_replayed_total", "Accepted reports that arrived via WAL recovery, not the live transport.", float64(st.Replayed))
+	b.Counter(prefix+"reports_rejected_total", "Reports refused at ingest.", float64(st.Rejected))
+	b.Counter(prefix+"reports_late_total", "Rejected reports below their fleet's retention horizon.", float64(st.Late))
+	b.Counter(prefix+"reports_duplicate_total", "Rejected reports targeting an already-filled cell.", float64(st.Duplicates))
+	b.Counter(prefix+"reports_non_finite_total", "Rejected reports carrying NaN or infinite values.", float64(st.NonFinite))
+	// Freshness partition: stamped + unstamped == ingested, always — replay
+	// must never re-stamp, so the split survives crash/recovery intact.
+	b.Counter(prefix+"reports_stamped_total", "Ingested reports carrying an ingest freshness stamp.", float64(st.ReportsStamped))
+	b.Counter(prefix+"reports_unstamped_total", "Ingested reports without a freshness stamp (pre-upgrade frames, direct engine feeds).", float64(st.ReportsUnstamped))
+
+	// Admission-gate counters. The gate tags, it never drops:
+	// admitted_clean + tagged_quarantined + tagged_probation == ingested.
+	b.Counter(prefix+"reports_admitted_clean_total", "Ingested reports from participants in good standing.", float64(st.AdmittedClean))
+	b.Counter(prefix+"reports_tagged_quarantined_total", "Ingested reports tagged as coming from quarantined participants.", float64(st.TaggedQuarantined))
+	b.Counter(prefix+"reports_tagged_probation_total", "Ingested reports tagged as coming from probation participants.", float64(st.TaggedProbation))
+
+	b.Counter(prefix+"windows_closed_total", "Windows cut from the streams.", float64(st.WindowsClosed))
+	b.Counter(prefix+"windows_empty_total", "Closed windows discarded for holding no observations.", float64(st.WindowsEmpty))
+	b.Counter(prefix+"windows_skipped_total", "Windows jumped over to catch up after a slot gap.", float64(st.WindowsSkipped))
+	b.Counter(prefix+"windows_dropped_total", "Windows evicted from the full dispatch queue (drop-oldest).", float64(st.WindowsDropped))
+	b.Counter(prefix+"windows_processed_total", "Windows that ran the detection loop to completion.", float64(st.WindowsProcessed))
+	b.Counter(prefix+"windows_failed_total", "Windows whose detection loop returned an error.", float64(st.WindowsFailed))
+	b.Counter(prefix+"warm_starts_total", "Processed windows that reused the previous window's factorization.", float64(st.WarmStarts))
+	b.Counter(prefix+"cold_starts_total", "Processed windows that started CORRECT from scratch.", float64(st.ColdStarts))
+	b.Gauge(prefix+"queue_depth", "Windows waiting in the dispatch queue right now.", float64(st.QueueDepth))
+	b.Gauge(prefix+"fleets", "Fleet shards currently materialized.", float64(st.Fleets))
+
+	// Per-phase latency histograms share one metric name with a phase label.
+	for _, phase := range obs.SortedKeys(st.PhaseLatency) {
+		b.Histogram(prefix+"phase_latency_seconds",
+			"Wall-clock latency by pipeline phase: detect, correct, check, run (whole loop), wait (queue residence).",
+			st.PhaseLatency[phase], obs.Label{Name: "phase", Value: phase})
+	}
+	// Both freshness histograms run on the wide AgeBuckets scheme (50 ms –
+	// 4 h): report age legitimately spans most of a window length, and
+	// recovery replay surfaces hours-old stamps.
+	b.HistogramBounds(prefix+"freshness_age_at_close_seconds",
+		"Age of each stamped report when its window closed (window close time minus ingest stamp).",
+		metrics.AgeBuckets, st.AgeAtClose)
+	b.HistogramBounds(prefix+"freshness_ingest_to_result_seconds",
+		"Ingest-to-result latency of each stamped report (detection completion minus ingest stamp).",
+		metrics.AgeBuckets, st.IngestToResult)
+}
+
+// EmitLedgerStats appends the trust-ledger series both daemons export,
+// each name prefixed as in EmitStats.
+func EmitLedgerStats(b *obs.Prom, prefix string, rep reputation.LedgerStats) {
+	b.Gauge(prefix+"reputation_fleets", "Fleets with at least one trust row.", float64(rep.Fleets))
+	// Every state appears even at zero, so a scrape always sees the full
+	// census and rate() never starts from a missing series.
+	for _, state := range reputation.StateNames() {
+		b.Gauge(prefix+"reputation_participants",
+			"Participants with folded evidence, by quarantine state.",
+			float64(rep.States[state]), obs.Label{Name: "state", Value: state})
+	}
+	b.Counter(prefix+"reputation_windows_folded_total", "Completed windows folded into the trust ledger.", float64(rep.Folded))
+	b.Counter(prefix+"reputation_folds_skipped_total", "Window folds skipped as duplicates behind a fleet's sequence frontier.", float64(rep.Skipped))
+	for _, tr := range rep.Transitions {
+		b.Counter(prefix+"reputation_transitions_total",
+			"Quarantine state-machine transitions, by edge.",
+			float64(tr.Count),
+			obs.Label{Name: "from", Value: tr.From}, obs.Label{Name: "to", Value: tr.To})
+	}
 }

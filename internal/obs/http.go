@@ -21,12 +21,22 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
-// WantsJSON reports whether a request for a dual-format endpoint asked for
-// the JSON form: either ?format=json or any Accept header value naming
-// application/json. The default (no preference) is the Prometheus text
-// exposition, so a stock scrape config works unconfigured. itscs-serve and
-// itscs-router share this so their /metrics negotiation cannot drift.
-func WantsJSON(r *http.Request) bool {
+// WriteMetrics answers a GET /metrics request for both daemons, so their
+// content negotiation cannot drift: payload as JSON when the request asked
+// for it (?format=json, or any Accept value naming application/json),
+// otherwise the Prometheus text exposition render returns. Text is the
+// default so a stock scrape config works unconfigured.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, payload any, render func() []byte) {
+	if wantsJSON(r) {
+		WriteJSON(w, http.StatusOK, payload)
+		return
+	}
+	w.Header().Set("Content-Type", PromContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(render())
+}
+
+func wantsJSON(r *http.Request) bool {
 	if r.URL.Query().Get("format") == "json" {
 		return true
 	}
@@ -36,6 +46,14 @@ func WantsJSON(r *http.Request) bool {
 		}
 	}
 	return false
+}
+
+// Healthz returns both daemons' GET /healthz handler: a liveness answer
+// with the uptime rt has counted.
+func Healthz(rt *Runtime) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "uptime_s": rt.Uptime().Seconds()})
+	}
 }
 
 // WriteJSON writes v as an indented application/json response, the one

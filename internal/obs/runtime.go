@@ -17,15 +17,19 @@ var gcPauseBoundsS = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 }
 
-// Runtime accumulates Go runtime self-metrics for a daemon's /metrics
-// exposition: goroutine count, heap shape, GC cycles, and a cumulative GC
-// pause histogram. Safe for concurrent use; one instance per process.
+// Runtime accumulates a daemon's process self-metrics for its /metrics
+// exposition: build identity, uptime, goroutine count, heap shape, GC
+// cycles, and a cumulative GC pause histogram. It records when the daemon
+// started, so /healthz and /status read uptime from it too. Safe for
+// concurrent use; one instance per process.
 //
 // The pause histogram has to be folded incrementally: runtime.MemStats
 // only retains the last 256 pauses, so Emit tracks the newest GC cycle it
 // has seen and folds only the pauses that happened since, keeping the
 // exposed histogram monotone across scrapes no matter the scrape interval.
 type Runtime struct {
+	started time.Time
+
 	mu          sync.Mutex
 	lastNumGC   uint32
 	pauseCounts []uint64 // len(gcPauseBoundsS)+1, overflow last
@@ -33,14 +37,18 @@ type Runtime struct {
 	pauseN      uint64
 }
 
-// NewRuntime returns a runtime self-metrics accumulator.
+// NewRuntime returns a runtime self-metrics accumulator whose uptime
+// counts from now.
 func NewRuntime() *Runtime {
-	return &Runtime{pauseCounts: make([]uint64, len(gcPauseBoundsS)+1)}
+	return &Runtime{started: time.Now(), pauseCounts: make([]uint64, len(gcPauseBoundsS)+1)}
 }
+
+// Uptime returns the time since NewRuntime.
+func (rt *Runtime) Uptime() time.Duration { return time.Since(rt.started) }
 
 // Emit folds the runtime state since the previous call and appends the
 // self-metric series to p, each named with the given prefix (for example
-// "itscs_" yields itscs_go_goroutines).
+// "itscs_" yields itscs_build_info and itscs_go_goroutines).
 func (rt *Runtime) Emit(p *Prom, prefix string) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -69,6 +77,9 @@ func (rt *Runtime) Emit(p *Prom, prefix string) {
 	sumS, n := rt.pauseSumS, rt.pauseN
 	rt.mu.Unlock()
 
+	p.Gauge(prefix+"build_info", "Build identity of the running binary; the value is always 1.",
+		1, buildInfoLabels()...)
+	p.Gauge(prefix+"uptime_seconds", "Seconds since the daemon started.", rt.Uptime().Seconds())
 	p.Gauge(prefix+"go_goroutines", "Current number of goroutines.", float64(runtime.NumGoroutine()))
 	p.Gauge(prefix+"go_heap_alloc_bytes", "Heap bytes allocated and still in use.", float64(m.HeapAlloc))
 	p.Gauge(prefix+"go_heap_sys_bytes", "Heap bytes obtained from the OS.", float64(m.HeapSys))
@@ -121,9 +132,9 @@ func BuildInfoAttrs() []slog.Attr {
 	}
 }
 
-// BuildInfoLabels returns the identity labels of a *_build_info gauge:
+// buildInfoLabels returns the identity labels of a *_build_info gauge:
 // go_version always, module and revision when the binary carries them.
-func BuildInfoLabels() []Label {
+func buildInfoLabels() []Label {
 	labels := []Label{{Name: "go_version", Value: runtime.Version()}}
 	if module, _, vcs, ok := buildSettings(); ok {
 		labels = append(labels, Label{Name: "module", Value: module})
