@@ -324,8 +324,9 @@ func (r *router) mux() *http.ServeMux {
 
 // statusPayload assembles the router's /status cluster overview: the
 // prober's health view, per-fleet ring ownership and freshness (quantiles
-// and window lag from the aggregated engine stats), and every backend's
-// own /status answer, attributed by name.
+// and window lag from the aggregated engine stats), the engine counters
+// summed over the backends, and every backend's own /status answer,
+// attributed by name.
 func (r *router) statusPayload(req *http.Request) map[string]any {
 	ctx := req.Context()
 	cm := r.query.Metrics(ctx)
@@ -345,14 +346,8 @@ func (r *router) statusPayload(req *http.Request) map[string]any {
 			"non_finite":       fwd.NonFinite,
 			"invalid_identity": fwd.InvalidIdentity,
 		},
-		"freshness": freshness,
-		"engine": map[string]any{
-			"ingested":          cm.Aggregate.Ingested,
-			"reports_stamped":   cm.Aggregate.ReportsStamped,
-			"reports_unstamped": cm.Aggregate.ReportsUnstamped,
-			"windows_closed":    cm.Aggregate.WindowsClosed,
-			"windows_processed": cm.Aggregate.WindowsProcessed,
-		},
+		"freshness":      freshness,
+		"engine":         node.EngineStatus(cm.Aggregate),
 		"backend_status": r.query.Status(ctx),
 	}
 }

@@ -18,8 +18,9 @@ import (
 // TestRouterNodeParity pins the router's cluster view to the node's own:
 // over a one-backend cluster, once the backend's engine has drained, every
 // itscs_cluster_<x> engine and ledger sample on the router equals the
-// backend's itscs_<x> sample with the same labels, and the router's /status
-// freshness object equals the backend's, owner attribution aside. Each
+// backend's itscs_<x> sample with the same labels, the router's /status
+// engine object equals the backend's, and its freshness object does too,
+// owner attribution aside. Each
 // shared family is taken from the router's golden series list, so a series
 // missing from the shared emitter fails here as well as a Stats field the
 // cluster merge leaves out.
@@ -94,13 +95,16 @@ func TestRouterNodeParity(t *testing.T) {
 		}
 	}
 
-	routerFresh := statusFreshness(t, routerBase+"/status")
-	byFleet, _ := routerFresh["by_fleet"].(map[string]any)
+	routerStatus, backendStatus := statusSections(t, routerBase+"/status"), statusSections(t, backendBase+"/status")
+	if !reflect.DeepEqual(routerStatus.Engine, backendStatus.Engine) {
+		t.Errorf("/status engine differs:\nrouter  %v\nbackend %v", routerStatus.Engine, backendStatus.Engine)
+	}
+	byFleet, _ := routerStatus.Freshness["by_fleet"].(map[string]any)
 	for _, entry := range byFleet {
 		delete(entry.(map[string]any), "owner")
 	}
-	if backendFresh := statusFreshness(t, backendBase+"/status"); !reflect.DeepEqual(routerFresh, backendFresh) {
-		t.Errorf("/status freshness differs:\nrouter  %v\nbackend %v", routerFresh, backendFresh)
+	if !reflect.DeepEqual(routerStatus.Freshness, backendStatus.Freshness) {
+		t.Errorf("/status freshness differs:\nrouter  %v\nbackend %v", routerStatus.Freshness, backendStatus.Freshness)
 	}
 }
 
@@ -126,13 +130,18 @@ func scrapeSamples(t *testing.T, url string) map[string]string {
 	return out
 }
 
-func statusFreshness(t *testing.T, url string) map[string]any {
+// sharedStatus holds the /status objects both daemons build with the same
+// node helpers.
+type sharedStatus struct {
+	Engine    map[string]any `json:"engine"`
+	Freshness map[string]any `json:"freshness"`
+}
+
+func statusSections(t *testing.T, url string) sharedStatus {
 	t.Helper()
-	var st struct {
-		Freshness map[string]any `json:"freshness"`
-	}
+	var st sharedStatus
 	if status, err := getRouterJSON(url, &st); err != nil || status != http.StatusOK {
 		t.Fatalf("%s: status %d err %v", url, status, err)
 	}
-	return st.Freshness
+	return st
 }

@@ -184,7 +184,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	attrs := []any{"ingest", n.IngestAddr().String(), "http", n.HTTPAddr().String()}
 	if *debugAddr != "" {
 		var ln net.Listener
-		if debug, ln, err = listenDebug(*debugAddr, time.Now()); err != nil {
+		if debug, ln, err = listenDebug(*debugAddr, n.Runtime()); err != nil {
 			_ = n.Kill()
 			return err
 		}
@@ -228,11 +228,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 }
 
 // listenDebug binds the -debug-addr listener and returns a server for it
-// with pprof and build info, never mounted on the public sidecar. pprof's
-// CPU profile and trace handlers stream for their whole -seconds argument,
-// so the server gets the header timeout but no idle cap beyond the
-// generous default.
-func listenDebug(addr string, started time.Time) (*http.Server, net.Listener, error) {
+// with pprof and build info, never mounted on the public sidecar. Build
+// info reports the uptime of rt, the node's runtime, so it agrees with
+// /status. pprof's CPU profile and trace handlers stream for their whole
+// -seconds argument, so the server gets the header timeout but no idle cap
+// beyond the generous default.
+func listenDebug(addr string, rt *obs.Runtime) (*http.Server, net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("debug listen: %w", err)
@@ -244,7 +245,7 @@ func listenDebug(addr string, started time.Time) (*http.Server, net.Listener, er
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /debug/buildinfo", func(w http.ResponseWriter, r *http.Request) {
-		obs.WriteJSON(w, http.StatusOK, obs.BuildInfo(time.Since(started)))
+		obs.WriteJSON(w, http.StatusOK, obs.BuildInfo(rt.Uptime()))
 	})
 	return obs.NewHTTPServer(mux), ln, nil
 }

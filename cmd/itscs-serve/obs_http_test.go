@@ -244,10 +244,12 @@ func TestResultsNoContentBeforeFirstWindow(t *testing.T) {
 }
 
 // TestDebugListener checks that -debug-addr exposes pprof and build info
-// on its own listener and that the public sidecar does not serve them.
+// on its own listener, that build info's uptime runs on the node's own
+// clock (read after /status, it cannot be shorter), and that the public
+// sidecar does not serve them.
 func TestDebugListener(t *testing.T) {
 	d := bootDaemon(t, node.Config{})
-	srv, ln, err := listenDebug("127.0.0.1:0", time.Now())
+	srv, ln, err := listenDebug("127.0.0.1:0", d.Runtime())
 	if err != nil {
 		t.Fatal("debug listener not bound: ", err)
 	}
@@ -255,12 +257,18 @@ func TestDebugListener(t *testing.T) {
 	defer srv.Close()
 	debug := "http://" + ln.Addr().String()
 
+	var st struct {
+		UptimeS float64 `json:"uptime_s"`
+	}
+	if status, err := getJSON("http://"+d.HTTPAddr().String()+"/status", &st); err != nil || status != http.StatusOK {
+		t.Fatalf("status: status %d err %v", status, err)
+	}
 	var bi map[string]any
 	if status, err := getJSON(debug+"/debug/buildinfo", &bi); err != nil || status != http.StatusOK {
 		t.Fatalf("buildinfo: status %d err %v", status, err)
 	}
-	if bi["go_version"] == "" || bi["uptime_s"] == nil {
-		t.Errorf("buildinfo = %v", bi)
+	if up, ok := bi["uptime_s"].(float64); bi["go_version"] == "" || !ok || up < st.UptimeS {
+		t.Errorf("buildinfo = %v, want uptime_s at least /status's earlier %v", bi, st.UptimeS)
 	}
 
 	resp, err := http.Get(debug + "/debug/pprof/goroutine?debug=1")

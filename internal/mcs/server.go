@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -269,7 +268,8 @@ type connState struct {
 	w     *bufio.Writer
 	batch BatchIngestor
 	// binary marks a connection of binary frames; fleet is the last
-	// decoded frame's fleet, which the next one shares when it matches.
+	// decoded line's or frame's fleet, which the next one shares when it
+	// matches.
 	binary bool
 	fleet  string
 
@@ -307,7 +307,11 @@ func (c *connState) add(b []byte) {
 // report.
 func (c *connState) decode(b []byte, r *Report) bool {
 	if !c.binary {
-		return json.Unmarshal(b, r) == nil
+		if decodeJSON(b, c.fleet, r) != nil {
+			return false
+		}
+		c.fleet = r.Fleet
+		return true
 	}
 	d, n, err := DecodeBinary(b, c.fleet)
 	if err != nil || n != len(b) {

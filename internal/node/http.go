@@ -177,21 +177,11 @@ func (n *Node) status() map[string]any {
 	st := n.engine.Stats()
 	freshness, _ := FreshnessStatus(st)
 	payload := map[string]any{
-		"status":   "ok",
-		"ready":    n.ready.Load(),
-		"uptime_s": n.runtime.Uptime().Seconds(),
-		"build":    obs.BuildInfo(n.runtime.Uptime()),
-		"engine": map[string]any{
-			"ingested":          st.Ingested,
-			"rejected":          st.Rejected,
-			"reports_stamped":   st.ReportsStamped,
-			"reports_unstamped": st.ReportsUnstamped,
-			"windows_closed":    st.WindowsClosed,
-			"windows_processed": st.WindowsProcessed,
-			"queue_depth":       st.QueueDepth,
-			"queue_capacity":    st.QueueCapacity,
-			"fleets":            st.Fleets,
-		},
+		"status":    "ok",
+		"ready":     n.ready.Load(),
+		"uptime_s":  n.runtime.Uptime().Seconds(),
+		"build":     obs.BuildInfo(n.runtime.Uptime()),
+		"engine":    EngineStatus(st),
 		"freshness": freshness,
 	}
 	if n.ledger != nil {
@@ -216,6 +206,22 @@ func (n *Node) status() map[string]any {
 		}
 	}
 	return payload
+}
+
+// EngineStatus builds the /status engine object both daemons serve from
+// st: the router passes the stats summed over its backends.
+func EngineStatus(st pipeline.Stats) map[string]any {
+	return map[string]any{
+		"ingested":          st.Ingested,
+		"rejected":          st.Rejected,
+		"reports_stamped":   st.ReportsStamped,
+		"reports_unstamped": st.ReportsUnstamped,
+		"windows_closed":    st.WindowsClosed,
+		"windows_processed": st.WindowsProcessed,
+		"queue_depth":       st.QueueDepth,
+		"queue_capacity":    st.QueueCapacity,
+		"fleets":            st.Fleets,
+	}
 }
 
 // FreshnessStatus builds the /status freshness object both daemons serve

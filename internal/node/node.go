@@ -473,6 +473,10 @@ func (n *Node) Ledger() *reputation.Ledger { return n.ledger }
 func (n *Node) IngestAddr() net.Addr { return n.ingestAddr }
 func (n *Node) HTTPAddr() net.Addr   { return n.httpLn.Addr() }
 
+// Runtime returns the node's process self-metrics, whose start time is the
+// one every uptime the node reports is measured from.
+func (n *Node) Runtime() *obs.Runtime { return n.runtime }
+
 // HTTPServer returns the server Serve started (nil before Serve).
 func (n *Node) HTTPServer() *http.Server { return n.http }
 
