@@ -88,12 +88,12 @@ func TestPublicOutputsDigest(t *testing.T) {
 		run  func() (string, error)
 		want string
 	}{
-		{"run", location(), "e8e07d61fba4da7722b325b5"},
-		{"fixed-check", location(itscs.WithAdaptiveCheck(false)), "193cf0eab052efdf3ed053c6"},
-		{"no-velocity", location(itscs.WithVariant(itscs.VariantNoVelocity)), "7695a2ff25a473629d75a809"},
-		{"plain-cs", location(itscs.WithVariant(itscs.VariantPlainCS)), "6adbb8921daa067a0f217dcd"},
-		{"scalar-rate", scalar(rates), "510e0d25d6fbe31aa99a7fde"},
-		{"scalar-no-rate", scalar(nil), "c760cf045240c29281daeed4"},
+		{"run", location(), "6c6caac1c9a057d4b4345cba"},
+		{"fixed-check", location(itscs.WithAdaptiveCheck(false)), "cb60c7abd21cacf230540544"},
+		{"no-velocity", location(itscs.WithVariant(itscs.VariantNoVelocity)), "958a21248684d4852b254c17"},
+		{"plain-cs", location(itscs.WithVariant(itscs.VariantPlainCS)), "dad2d0465f3e2855a710f5d0"},
+		{"scalar-rate", scalar(rates), "74eae506c56ede69dfb5aeac"},
+		{"scalar-no-rate", scalar(nil), "54f2605a270827c95578310d"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -131,12 +131,12 @@ func TestLoopOutputsDigest(t *testing.T) {
 		run  func(*digest) error
 		want string
 	}{
-		{"run", location(func(*Config) {}), "ac278b0e97727897a39509aa"},
-		{"history", location(func(c *Config) { c.KeepHistory = true }), "8076257cbe17547e7456a0f2"},
-		{"fixed-check", location(func(c *Config) { c.DisableAdaptiveCheck = true }), "9f936121c40e90b9255e18ef"},
-		{"capped", location(func(c *Config) { c.MaxIterations = 2; c.KeepHistory = true }), "81cfcead9edaea87c193c84e"},
-		{"temporal", location(func(c *Config) { c.Reconstruct.Variant = csrecon.VariantTemporal }), "ed61454ba7ec1d0d6cd798f1"},
-		{"basic", location(func(c *Config) { c.Reconstruct.Variant = csrecon.VariantBasic }), "73dba8a8e1fe8edebafca2b5"},
+		{"run", location(func(*Config) {}), "bd6756904f7ca0c69f9c6627"},
+		{"history", location(func(c *Config) { c.KeepHistory = true }), "f9eae8af4517c50f6a0d883b"},
+		{"fixed-check", location(func(c *Config) { c.DisableAdaptiveCheck = true }), "ea58bc884274ac41aa971bf8"},
+		{"capped", location(func(c *Config) { c.MaxIterations = 2; c.KeepHistory = true }), "50995c2470ba217aecc2705e"},
+		{"temporal", location(func(c *Config) { c.Reconstruct.Variant = csrecon.VariantTemporal }), "cf9b053e2678e0be14609bcd"},
+		{"basic", location(func(c *Config) { c.Reconstruct.Variant = csrecon.VariantBasic }), "692aae3527d59a05198c571c"},
 		{"warm-chain", func(d *digest) error {
 			var warm *WarmState
 			for _, c0 := range []int{0, 30} {
@@ -148,9 +148,9 @@ func TestLoopOutputsDigest(t *testing.T) {
 				warm = out.Warm
 			}
 			return nil
-		}, "3c34d24ae147b8c2df7ad4c3"},
-		{"scalar-rate", scalar(rate), "2908c1ea70fa1594d7b03f4c"},
-		{"scalar-no-rate", scalar(nil), "bd760a50e3dc246158ec3b3c"},
+		}, "cc7cd00db0000ed7e12beb5f"},
+		{"scalar-rate", scalar(rate), "0d5a5ee237d817878c339935"},
+		{"scalar-no-rate", scalar(nil), "187c19e9e160c04c11ef1fcd"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

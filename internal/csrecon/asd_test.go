@@ -66,9 +66,9 @@ func TestFixedStepObjectiveIncreaseDoesNotTerminate(t *testing.T) {
 	opt := testOptions(VariantBasic)
 	opt.Rank = 2
 
-	// Find the exact first-step size α*, then overshoot it 10×: the drop
-	// 2α·num − α²·den is firmly negative there, so sweep 1 must increase
-	// the objective.
+	// Find the exact first-step size α* along the scaled direction the run
+	// takes, then overshoot it 10×: the drop 2α·num − α²·den is firmly
+	// negative there, so sweep 1 must increase the objective.
 	prob, err := newProblem(s, b, nil, opt, 12, 24)
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +81,12 @@ func TestFixedStepObjectiveIncreaseDoesNotTerminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad, err := prob.gradL(l, r, e1, g)
+	dir, err := prob.gradL(l, r, e1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	num, den, err := prob.lineStats(l, r, grad, e1, g, true)
+	prob.precondition(dir, r)
+	num, den, err := prob.lineStats(l, r, dir, e1, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,11 @@
 // Package csrecon implements the CORRECT stage of I(TS,CS): low-rank
 // matrix completion of the sensory matrices via an L·Rᵀ factorization
 // minimized with Alternating Steepest Descent (paper Algorithm 2,
-// following Tanner & Wei's ASD).
+// following Tanner & Wei's ASD). Each half-sweep takes Tanner & Wei's
+// ScaledASD step: the gradient for one factor is scaled by the inverse of
+// the other factor's regularized Gram, ∇_L·(RᵀR + λ₁I)⁻¹ for L and
+// ∇_R·(LᵀL + λ₁I)⁻¹ for R, and the exact line search runs along that
+// direction.
 //
 // Three objective variants mirror the paper's evaluation:
 //
@@ -83,8 +87,9 @@ type Options struct {
 	// instead (BenchmarkWarmStartVsRandom compares the two).
 	RandomInit bool
 	// FixedStepSize replaces the exact analytic line search with a fixed
-	// step size (used by the ablation bench). Zero selects the exact
-	// line search, which is both faster to converge and parameter-free.
+	// step size along the scaled direction (used by the ablation bench).
+	// Zero selects the exact line search, which is both faster to
+	// converge and parameter-free.
 	FixedStepSize float64
 }
 
@@ -271,7 +276,8 @@ type problem struct {
 // workspace holds every intermediate the fused ASD kernels need, sized
 // once for the problem's n×t and the factorization rank r. Buffers are
 // reused across sweeps; e1, g and rt are invalidated by each residuals
-// call, dm and dt by each lineStats call.
+// call, dm and dt by each lineStats call, gram and chol by each
+// precondition call.
 type workspace struct {
 	rank int
 	// e1 = (LRᵀ−S)∘B and dm = D·Rᵀ (or L·Dᵀ): both n×t.
@@ -291,6 +297,9 @@ type workspace struct {
 	g     *mat.Dense
 	stabT []float64
 	row   []float64
+	// gram = FᵀF of the factor a step holds fixed and chol the Cholesky
+	// factor of its regularized form: r×r row-major, lower triangles only.
+	gram, chol []float64
 }
 
 // ensure returns the workspace for factorization rank r.Cols(), allocating
@@ -311,6 +320,8 @@ func (p *problem) ensure(r *mat.Dense) *workspace {
 		rt:   make([]float64, rank*t),
 		dt:   make([]float64, rank*t),
 		fitT: make([]float64, rank*t),
+		gram: make([]float64, rank*rank),
+		chol: make([]float64, rank*rank),
 	}
 	if p.useStability {
 		ws.g = mat.New(n, t-1)
@@ -769,28 +780,32 @@ func (p *problem) objective(l, r *mat.Dense) float64 {
 	return obj
 }
 
-// step performs one steepest-descent update on L (updateL) or R with the
-// exact analytic line search: every objective term is quadratic in the step
-// size α along a fixed direction, so α* has a closed form. It returns the
-// exact objective decrease num²/den achieved by the step.
+// step performs one ScaledASD update on L (updateL) or R with the exact
+// analytic line search: the gradient is scaled into the direction D by
+// precondition, and every objective term is quadratic in the step size α
+// along D, so α* has a closed form. It returns the exact objective
+// decrease num²/den achieved by the step.
 func (p *problem) step(l, r *mat.Dense, updateL bool) (drop float64, err error) {
 	e1, g, err := p.residuals(l, r)
 	if err != nil {
 		return 0, err
 	}
-	var grad *mat.Dense
+	var dir *mat.Dense
+	fixed := r
 	if updateL {
-		grad, err = p.gradL(l, r, e1, g)
+		dir, err = p.gradL(l, r, e1, g)
 	} else {
-		grad, err = p.gradR(l, r, e1, g)
+		dir, err = p.gradR(l, r, e1, g)
+		fixed = l
 	}
 	if err != nil {
 		return 0, err
 	}
-	if grad.MaxAbs() == 0 {
+	if dir.MaxAbs() == 0 {
 		return 0, nil
 	}
-	num, den, err := p.lineStats(l, r, grad, e1, g, updateL)
+	p.precondition(dir, fixed)
+	num, den, err := p.lineStats(l, r, dir, e1, g, updateL)
 	if err != nil {
 		return 0, err
 	}
@@ -808,9 +823,107 @@ func (p *problem) step(l, r *mat.Dense, updateL bool) (drop float64, err error) 
 	// (num²/den at the exact minimizer; possibly negative for a fixed step).
 	drop = 2*alpha*num - alpha*alpha*den
 	if updateL {
-		return drop, l.AxpyInPlace(-alpha, grad)
+		return drop, l.AxpyInPlace(-alpha, dir)
 	}
-	return drop, r.AxpyInPlace(-alpha, grad)
+	return drop, r.AxpyInPlace(-alpha, dir)
+}
+
+// gramJitter is the relative ridge added to each diagonal entry of the
+// Gram before factorization. It keeps the condition number of the Gram's
+// correlation form under about r·10¹² when factor columns are nearly
+// collinear, and adds nothing to a zero column, so a truly singular Gram
+// still fails the factorization.
+const gramJitter = 1e-12
+
+// precondition turns the gradient grad into the ScaledASD direction
+// D = ∇·(FᵀF + λ₁I)⁻¹ in place, where F is the factor the step holds
+// fixed (Tanner & Wei, ACHA 2016). num = ½⟨∇, D⟩ is then positive, so D is
+// a descent direction, and the line search stays exact along it. When the
+// regularized Gram does not factor (a non-positive or non-finite pivot,
+// possible only with λ₁ = 0 and a rank-deficient F, or with non-finite
+// factors) it returns false and leaves grad as it is: that half-step
+// takes the plain steepest-descent direction.
+//
+// The work is O((n+t)·r²) against the kernels' O(n·t·r) and runs
+// sequentially, so it is bit-identical at every mat.SetParallelism.
+func (p *problem) precondition(grad, fixed *mat.Dense) bool {
+	ws := p.ensure(fixed)
+	gramInto(ws.gram, fixed)
+	if !choleskyInto(ws.chol, ws.gram, ws.rank, p.lambda1) {
+		return false
+	}
+	for i := 0; i < grad.Rows(); i++ {
+		solveRow(grad.RowView(i), ws.chol)
+	}
+	return true
+}
+
+// gramInto sets the lower triangle of the r×r gram = FᵀF for the rows×r
+// factor f, which is all choleskyInto reads. Each entry sums its row
+// terms in ascending order from +0, as mat's dot-product kernel sums
+// Fᵀ·(Fᵀ)ᵀ.
+func gramInto(gram []float64, f *mat.Dense) {
+	rows, r := f.Dims()
+	clear(gram)
+	for i := 0; i < rows; i++ {
+		row := f.RowView(i)
+		for k, fk := range row {
+			gk := gram[k*r:][:k+1]
+			for l := range gk {
+				gk[l] += fk * row[l]
+			}
+		}
+	}
+}
+
+// choleskyInto writes into the lower triangle of c the Cholesky factor C
+// of gram + λ₁I + gramJitter·diag(gram), so that C·Cᵀ is the regularized
+// Gram. It reports false on the first pivot that is not positive and
+// finite.
+func choleskyInto(c, gram []float64, r int, lambda1 float64) bool {
+	for k := 0; k < r; k++ {
+		ck := c[k*r:][:k+1]
+		for l := range ck {
+			cl := c[l*r:][:l+1]
+			v := gram[k*r+l]
+			if l == k {
+				v += gramJitter*v + lambda1
+			}
+			for m, cv := range cl[:l] {
+				v -= ck[m] * cv
+			}
+			if l < k {
+				ck[l] = v / cl[l]
+				continue
+			}
+			if !(v > 0) || math.IsInf(v, 0) {
+				return false
+			}
+			ck[k] = math.Sqrt(v)
+		}
+	}
+	return true
+}
+
+// solveRow overwrites the row vector x with x·(C·Cᵀ)⁻¹ for the r×r
+// lower-triangular Cholesky factor c, r = len(x): forward substitution
+// through C, then back substitution through Cᵀ.
+func solveRow(x, c []float64) {
+	r := len(x)
+	for k := range x {
+		v := x[k]
+		for m, cv := range c[k*r:][:k] {
+			v -= cv * x[m]
+		}
+		x[k] = v / c[k*r+k]
+	}
+	for k := r - 1; k >= 0; k-- {
+		v := x[k]
+		for m := k + 1; m < r; m++ {
+			v -= c[m*r+k] * x[m]
+		}
+		x[k] = v / c[k*r+k]
+	}
 }
 
 // gradL computes ∇_L f = 2·E1·R + 2λ₁·L + 2λ₂·G·𝕋'ᵀ·R into the workspace
@@ -920,8 +1033,10 @@ func (p *problem) gradRCols(l, r, e1, g *mat.Dense, ws *workspace, adj []float64
 	}
 }
 
-// lineStats computes the quadratic coefficients of f along −grad:
+// lineStats computes the quadratic coefficients of f along −dir:
 // f(α) = f(0) − 2α·num + α²·den, so the exact minimizer is α* = num/den.
+// The coefficients are exact for any direction D: num = ½⟨∇f, D⟩ and den
+// is the curvature of f along D.
 //
 // For the L step with direction D: P1 = (D·Rᵀ)∘B, P3 = D·Rᵀ·𝕋',
 // num = ⟨E1,P1⟩ + λ₁⟨L,D⟩ + λ₂⟨G,P3⟩, den = ‖P1‖² + λ₁‖D‖² + λ₂‖P3‖²,
@@ -931,22 +1046,22 @@ func (p *problem) gradRCols(l, r, e1, g *mat.Dense, ws *workspace, adj []float64
 // never stored. Each of the four sums is one sequential row-major chain,
 // so on the parallel path only the products split across workers and the
 // sums follow in a single pass.
-func (p *problem) lineStats(l, r, grad, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
+func (p *problem) lineStats(l, r, dir, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
 	ws := p.ensure(r)
 	if err := p.checkFactors(l, r); err != nil {
 		return 0, 0, err
 	}
-	left, ft, anchor := grad, ws.rt, l // D·Rᵀ, with Rᵀ left by residuals
+	left, ft, anchor := dir, ws.rt, l // D·Rᵀ, with Rᵀ left by residuals
 	if !updateL {
 		left, ft, anchor = l, ws.dt, r // L·Dᵀ
 	}
 	// ⟨anchor, D⟩ first: Dot also validates the direction's shape.
-	dotAnchor, err := anchor.Dot(grad)
+	dotAnchor, err := anchor.Dot(dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	if !updateL {
-		transposeInto(ws.dt, grad)
+		transposeInto(ws.dt, dir)
 	}
 	n, t := p.s.Dims()
 	fused := !mat.ParallelWorthwhile(n, ws.rank*t)
@@ -980,7 +1095,7 @@ func (p *problem) lineStats(l, r, grad, e1, g *mat.Dense, updateL bool) (num, de
 		}
 	}
 	num = fitNum + p.lambda1*dotAnchor
-	den = fitDen + p.lambda1*grad.FrobeniusNorm2()
+	den = fitDen + p.lambda1*dir.FrobeniusNorm2()
 	if g != nil {
 		num += p.lambda2 * stabNum
 		den += p.lambda2 * stabDen

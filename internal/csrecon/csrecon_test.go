@@ -483,3 +483,30 @@ func TestReconstructSingleColumn(t *testing.T) {
 		t.Fatalf("dims = %dx%d", r, c)
 	}
 }
+
+// TestOracleMaskQuality pins the solver's accuracy on the 60×120 fleet
+// with 30 % of cells missing and 40 % faulty, trusting exactly the clean
+// observed cells. Under DefaultOptions the full objective must reach
+// MAE ≤ 60 m on the untrusted cells; plain steepest descent reads about
+// 177 m there after the same 250 sweeps. The run needs about 400 sweeps
+// to meet the termination ratio, so with the sweep cap raised to 1000 it
+// must stop on the ratio, before the cap, at the same accuracy.
+func TestOracleMaskQuality(t *testing.T) {
+	f := newBenchFixture(t, 0.3, 0.4)
+	for _, maxIters := range []int{DefaultOptions().MaxIters, 1000} {
+		opt := DefaultOptions()
+		opt.MaxIters = maxIters
+		res, err := ReconstructDetailed(f.s, f.b, f.avgV, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mae := f.mae(res.SHat)
+		t.Logf("MaxIters %d: MAE %.1f m after %d sweeps", maxIters, mae, res.Iterations)
+		if mae > 60 {
+			t.Errorf("MaxIters %d: MAE %.1f m, want ≤ 60 m", maxIters, mae)
+		}
+		if maxIters > DefaultOptions().MaxIters && res.Iterations >= maxIters {
+			t.Errorf("ran all %d sweeps without meeting the termination ratio", res.Iterations)
+		}
+	}
+}

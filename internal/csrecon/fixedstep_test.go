@@ -13,9 +13,9 @@ func TestFixedStepStillDescends(t *testing.T) {
 	}
 	opt := testOptions(VariantBasic)
 	opt.Rank = 2
-	// Data magnitude ~1e5 ⇒ gradients ~1e10; a tiny step keeps descent
-	// stable without the line search.
-	opt.FixedStepSize = 1e-12
+	// The scaled direction is Newton-like for the fitting term, so half
+	// of its natural unit step descends steadily without the line search.
+	opt.FixedStepSize = 0.5
 	opt.MaxIters = 50
 	res, err := ReconstructDetailed(s, b, nil, opt)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestFixedStepSlowerThanExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixed := base
-	fixed.FixedStepSize = 1e-12
+	fixed.FixedStepSize = 0.05
 	slow, err := ReconstructDetailed(s, b, nil, fixed)
 	if err != nil {
 		t.Fatal(err)

@@ -96,49 +96,57 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	}
 }
 
-// TestLineSearchIsExactMinimizer verifies the closed-form α*: the objective
-// at α* must be below nearby step sizes, and the predicted decrease
-// num²/den must match the realized decrease.
+// TestLineSearchIsExactMinimizer verifies the closed-form α* along both
+// the plain gradient and the scaled ScaledASD direction: the objective at
+// α* must be below nearby step sizes, and the predicted decrease num²/den
+// must match the realized decrease.
 func TestLineSearchIsExactMinimizer(t *testing.T) {
 	for _, variant := range []Variant{VariantBasic, VariantVelocityTemporal} {
 		t.Run(variant.String(), func(t *testing.T) {
-			prob, l, r := gradientFixture(t, variant)
-			e1, g, err := prob.residuals(l, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			grad, err := prob.gradR(l, r, e1, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			num, den, err := prob.lineStats(l, r, grad, e1, g, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if den <= 0 {
-				t.Fatal("degenerate line-search denominator")
-			}
-			alpha := num / den
-			objAt := func(a float64) float64 {
-				rTrial := r.Clone()
-				if err := rTrial.AxpyInPlace(-a, grad); err != nil {
-					t.Fatal(err)
-				}
-				return prob.objective(l, rTrial)
-			}
-			f0 := prob.objective(l, r)
-			fStar := objAt(alpha)
-			// Exactness: perturbed steps cannot beat α*.
-			for _, a := range []float64{alpha * 0.5, alpha * 0.9, alpha * 1.1, alpha * 2} {
-				if objAt(a) < fStar-1e-9 {
-					t.Fatalf("step %v beats the exact minimizer %v", a, alpha)
-				}
-			}
-			// Predicted decrease (α·num) matches the realized one.
-			predicted := alpha * num
-			realized := f0 - fStar
-			if math.Abs(predicted-realized) > 1e-6*math.Max(1, realized) {
-				t.Fatalf("predicted decrease %v vs realized %v", predicted, realized)
+			for _, dirName := range []string{"gradient", "scaled"} {
+				t.Run(dirName, func(t *testing.T) {
+					prob, l, r := gradientFixture(t, variant)
+					e1, g, err := prob.residuals(l, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dir, err := prob.gradR(l, r, e1, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dirName == "scaled" && !prob.precondition(dir, l) {
+						t.Fatal("regular Gram took the fallback")
+					}
+					num, den, err := prob.lineStats(l, r, dir, e1, g, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if den <= 0 {
+						t.Fatal("degenerate line-search denominator")
+					}
+					alpha := num / den
+					objAt := func(a float64) float64 {
+						rTrial := r.Clone()
+						if err := rTrial.AxpyInPlace(-a, dir); err != nil {
+							t.Fatal(err)
+						}
+						return prob.objective(l, rTrial)
+					}
+					f0 := prob.objective(l, r)
+					fStar := objAt(alpha)
+					// Exactness: perturbed steps cannot beat α*.
+					for _, a := range []float64{alpha * 0.5, alpha * 0.9, alpha * 1.1, alpha * 2} {
+						if objAt(a) < fStar-1e-9 {
+							t.Fatalf("step %v beats the exact minimizer %v", a, alpha)
+						}
+					}
+					// Predicted decrease (α·num) matches the realized one.
+					predicted := alpha * num
+					realized := f0 - fStar
+					if math.Abs(predicted-realized) > 1e-6*math.Max(1, realized) {
+						t.Fatalf("predicted decrease %v vs realized %v", predicted, realized)
+					}
+				})
 			}
 		})
 	}

@@ -187,17 +187,19 @@ type refWorkspace struct {
 	gl, gr        *mat.Dense
 	g, p3, adj    *mat.Dense
 	tl, tr        *mat.Dense
+	chol          []float64
 }
 
 func newRefWorkspace(p *problem, rank int) *refWorkspace {
 	n, t := p.s.Dims()
 	ws := &refWorkspace{
-		m:  mat.New(n, t),
-		e1: mat.New(n, t),
-		dm: mat.New(n, t),
-		p1: mat.New(n, t),
-		gl: mat.New(n, rank),
-		gr: mat.New(t, rank),
+		m:    mat.New(n, t),
+		e1:   mat.New(n, t),
+		dm:   mat.New(n, t),
+		p1:   mat.New(n, t),
+		gl:   mat.New(n, rank),
+		gr:   mat.New(t, rank),
+		chol: make([]float64, rank*rank),
 	}
 	if p.useStability {
 		ws.g = mat.New(n, t-1)
@@ -269,6 +271,24 @@ func (ws *refWorkspace) gradR(p *problem, l, r, e1, g *mat.Dense) (*mat.Dense, e
 	return ws.gr, nil
 }
 
+// precondition scales grad in place into the ScaledASD direction, with the
+// Gram FᵀF taken from mat's transpose and dot-product kernel; the factor
+// and the row solves are the package's, which TestPreconditioner checks
+// against a direct product.
+func (ws *refWorkspace) precondition(p *problem, grad, fixed *mat.Dense) error {
+	ft := fixed.T()
+	gram, err := ft.MulT(ft)
+	if err != nil {
+		return err
+	}
+	if choleskyInto(ws.chol, gram.RawData(), fixed.Cols(), p.lambda1) {
+		for i := 0; i < grad.Rows(); i++ {
+			solveRow(grad.RowView(i), ws.chol)
+		}
+	}
+	return nil
+}
+
 func (ws *refWorkspace) lineStats(p *problem, l, r, grad, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
 	if updateL {
 		err = mulTInto(ws.dm, grad, r)
@@ -315,16 +335,21 @@ func (ws *refWorkspace) step(p *problem, l, r *mat.Dense, updateL bool) (float64
 		return 0, err
 	}
 	var grad *mat.Dense
+	fixed := r
 	if updateL {
 		grad, err = ws.gradL(p, l, r, e1, g)
 	} else {
 		grad, err = ws.gradR(p, l, r, e1, g)
+		fixed = l
 	}
 	if err != nil {
 		return 0, err
 	}
 	if grad.MaxAbs() == 0 {
 		return 0, nil
+	}
+	if err := ws.precondition(p, grad, fixed); err != nil {
+		return 0, err
 	}
 	num, den, err := ws.lineStats(p, l, r, grad, e1, g, updateL)
 	if err != nil {
@@ -448,13 +473,17 @@ func compareSweeps(t *testing.T, s, b, avgV *mat.Dense, variant Variant, rank in
 	}
 	ref := newRefWorkspace(probs[0], rank)
 	if fixed {
-		// Half the smaller exact first step of either factor: a fixed rule
-		// that keeps descending for the whole run.
+		// Half the smaller exact first step of either factor along its
+		// scaled direction: a fixed rule that keeps descending for the
+		// whole run.
 		e1, g, err := ref.residuals(probs[0], l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gl, err := ref.gradL(probs[0], l, r, e1, g)
+		if err == nil {
+			err = ref.precondition(probs[0], gl, r)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,6 +492,9 @@ func compareSweeps(t *testing.T, s, b, avgV *mat.Dense, variant Variant, rank in
 			t.Fatal(err)
 		}
 		gr, err := ref.gradR(probs[0], l, r, e1, g)
+		if err == nil {
+			err = ref.precondition(probs[0], gr, l)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,4 +546,120 @@ func sameBits(t *testing.T, workers, sweep int, name string, got, want *mat.Dens
 			t.Fatalf("workers %d, sweep %d: %s[%d] = %v, composed %v", workers, sweep, name, i, g[i], w[i])
 		}
 	}
+}
+
+// TestPreconditioner checks the ScaledASD direction against direct
+// products: the fused Gram's lower triangle equals mat's FᵀF bit for bit,
+// D·(FᵀF + λ₁I) reproduces the gradient, and a singular Gram (a zero
+// column of the fixed factor at λ₁ = 0) leaves the gradient as the step's
+// direction, which still lowers the objective.
+func TestPreconditioner(t *testing.T) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	for _, sh := range []struct{ n, t, rank int }{{16, 48, 4}, {5, 7, 5}, {158, 240, 7}} {
+		for _, lambda1 := range []float64{DefaultOptions().Lambda1, 0, 50} {
+			t.Run(fmt.Sprintf("%dx%d/rank%d/lambda%v", sh.n, sh.t, sh.rank, lambda1), func(t *testing.T) {
+				s, b, avgV := refFixture(sh.n, sh.t, VariantVelocityTemporal, 7)
+				opt := DefaultOptions()
+				opt.Rank = sh.rank
+				opt.RandomInit = true
+				opt.Lambda1 = lambda1
+				p, err := newProblem(s, b, avgV, opt, sh.n, sh.t)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, r, err := initFactors(s, b, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e1, g, err := p.residuals(l, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gl, err := p.gradL(l, r, e1, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gr, err := p.gradR(l, r, e1, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					name        string
+					grad, fixed *mat.Dense
+				}{{"L", gl, r}, {"R", gr, l}} {
+					want := c.grad.Clone()
+					dir := c.grad.Clone()
+					if !p.precondition(dir, c.fixed) {
+						t.Fatalf("%s: regular Gram took the fallback", c.name)
+					}
+					ft := c.fixed.T()
+					gram, err := ft.MulT(ft)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < sh.rank; k++ {
+						for l := 0; l <= k; l++ {
+							if got, want := p.ws.gram[k*sh.rank+l], gram.At(k, l); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s: gram(%d,%d) = %v, mat FᵀF %v", c.name, k, l, got, want)
+							}
+						}
+					}
+					for k := 0; k < sh.rank; k++ {
+						gram.Add(k, k, lambda1)
+					}
+					back, err := dir.MulT(gram) // the Gram is symmetric
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := back.AxpyInPlace(-1, want); err != nil {
+						t.Fatal(err)
+					}
+					if rel := back.FrobeniusNorm() / want.FrobeniusNorm(); rel > 1e-9 {
+						t.Fatalf("%s: ‖D·(FᵀF+λ₁I) − ∇‖/‖∇‖ = %v", c.name, rel)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("singular", func(t *testing.T) {
+		s, b, avgV := refFixture(16, 48, VariantVelocityTemporal, 9)
+		opt := DefaultOptions()
+		opt.Rank = 4
+		opt.RandomInit = true
+		opt.Lambda1 = 0
+		p, err := newProblem(s, b, avgV, opt, 16, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, r, err := initFactors(s, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < r.Rows(); j++ {
+			r.Set(j, 2, 0)
+		}
+		e1, g, err := p.residuals(l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grad, err := p.gradL(l, r, e1, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := grad.Clone()
+		if p.precondition(dir, r) {
+			t.Fatal("Gram of a factor with a zero column factored at λ₁ = 0")
+		}
+		sameBits(t, 1, 0, "fallback direction", dir, grad)
+		before := p.objective(l, r)
+		drop, err := p.step(l, r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := p.objective(l, r)
+		if !(drop > 0) || !(after < before) {
+			t.Fatalf("fallback step: drop %v, objective %v -> %v", drop, before, after)
+		}
+	})
 }
