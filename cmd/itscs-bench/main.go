@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	itscs-bench [-scale quick|paper] [-fig all|1|4a|4b|5|6|7|8] [-seed N] [-workers N]
+//	itscs-bench [-scale quick|paper] [-fig all|1|4a|4b|5|6|7|8] [-seed N]
+//
+// The matrix kernels split their rows across GOMAXPROCS goroutines; run
+// with GOMAXPROCS=1 to keep them on one core. The tables are the same at
+// any GOMAXPROCS, which the banner line reports.
 //
 // The quick scale (60×120) preserves the qualitative shapes and finishes
 // in minutes on a laptop core; the paper scale (158×240) reproduces the
@@ -15,11 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"itscs/internal/experiment"
-	"itscs/internal/mat"
 )
 
 func main() {
@@ -34,11 +38,9 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "quick", "workload scale: quick (60x120) or paper (158x240)")
 	fig := fs.String("fig", "all", "figure to regenerate: all, 1, 4a, 4b, 5, 6, 7, 8")
 	seed := fs.Int64("seed", 1, "experiment seed")
-	workers := fs.Int("workers", 0, "worker goroutines for the matrix kernels (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mat.SetParallelism(*workers)
 
 	var scale experiment.Scale
 	switch *scaleName {
@@ -63,8 +65,8 @@ func run(args []string) error {
 	}
 	order := []string{"1", "4a", "4b", "5", "6", "7", "8"}
 
-	fmt.Printf("I(TS,CS) evaluation harness — scale %dx%d, seed %d, workers %d\n\n",
-		scale.Participants, scale.Slots, *seed, mat.Parallelism())
+	fmt.Printf("I(TS,CS) evaluation harness — scale %dx%d, seed %d, GOMAXPROCS %d\n\n",
+		scale.Participants, scale.Slots, *seed, runtime.GOMAXPROCS(0))
 
 	if *fig != "all" {
 		f, ok := figures[*fig]

@@ -352,7 +352,7 @@ func reconstructAxis(cfg Config, s, b, avgV *mat.Dense, warm *csrecon.Factors) (
 	if cfg.Reconstruct.Variant != csrecon.VariantVelocityTemporal {
 		avgV = nil
 	}
-	return csrecon.ReconstructWarm(s, b, avgV, warm, cfg.Reconstruct)
+	return csrecon.Reconstruct(s, b, avgV, warm, cfg.Reconstruct)
 }
 
 // gbim computes the Generalized Binary Index Matrix of Definition 7:

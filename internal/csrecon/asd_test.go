@@ -1,6 +1,7 @@
 package csrecon
 
 import (
+	"runtime"
 	"testing"
 
 	"itscs/internal/mat"
@@ -15,7 +16,7 @@ func TestSteadyStateSweepsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	defer mat.SetParallelism(mat.SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	x, v := lowRankFixture(20, 40, 41)
 	b := dropCells(20, 40, 100, 42)
 	s, err := x.Hadamard(b)
@@ -94,9 +95,8 @@ func TestFixedStepObjectiveIncreaseDoesNotTerminate(t *testing.T) {
 		t.Fatalf("degenerate line search (num=%v den=%v); fixture unusable", num, den)
 	}
 
-	opt.FixedStepSize = 10 * num / den
 	opt.MaxIters = 6
-	res, err := ReconstructDetailed(s, b, nil, opt)
+	res, err := runFixedStep(s, b, nil, opt, 10*num/den)
 	if err != nil {
 		t.Fatal(err)
 	}

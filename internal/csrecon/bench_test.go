@@ -3,6 +3,7 @@ package csrecon
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"itscs/internal/corrupt"
@@ -87,12 +88,12 @@ func BenchmarkReconstructVariants(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rec, err := Reconstruct(f.s, f.b, avgV, opt)
+				rec, err := Reconstruct(f.s, f.b, avgV, nil, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(f.mae(rec), "MAE_m")
+					b.ReportMetric(f.mae(rec.SHat), "MAE_m")
 				}
 			}
 		})
@@ -112,10 +113,14 @@ func BenchmarkWarmStartVsRandom(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opt := DefaultOptions()
 			opt.Variant = VariantVelocityTemporal
-			opt.RandomInit = random
+			var start *Factors
+			if random {
+				l, r := randomFactors(f.s, opt.Rank)
+				start = &Factors{L: l, R: r}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ReconstructDetailed(f.s, f.b, f.avgV, opt)
+				res, err := Reconstruct(f.s, f.b, f.avgV, start, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,12 +146,12 @@ func BenchmarkRankSweep(b *testing.B) {
 			opt.Rank = rank
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rec, err := Reconstruct(f.s, f.b, f.avgV, opt)
+				rec, err := Reconstruct(f.s, f.b, f.avgV, nil, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(f.mae(rec), "MAE_m")
+					b.ReportMetric(f.mae(rec.SHat), "MAE_m")
 				}
 			}
 		})
@@ -158,8 +163,8 @@ func rankName(r int) string {
 }
 
 // sweepFixture builds a problem and warm factors for the raw ASD sweep
-// benchmarks. RandomInit sidesteps the O(min(n,t)³) SVD warm start, which
-// is not what these benchmarks measure.
+// benchmarks. Random factors sidestep the O(min(n,t)³) SVD warm start,
+// which is not what these benchmarks measure.
 func sweepFixture(b *testing.B, n, t, rank int) (*problem, *mat.Dense, *mat.Dense) {
 	b.Helper()
 	x, v := lowRankFixture(n, t, 7)
@@ -171,15 +176,11 @@ func sweepFixture(b *testing.B, n, t, rank int) (*problem, *mat.Dense, *mat.Dens
 	opt := DefaultOptions()
 	opt.Variant = VariantVelocityTemporal
 	opt.Rank = rank
-	opt.RandomInit = true
 	prob, err := newProblem(s, mask, motion.AverageVelocity(v), opt, n, t)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, r, err := initFactors(s, mask, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	l, r := randomFactors(s, rank)
 	// Warm up: allocate the workspace so the timed loop is steady state.
 	if _, err := prob.step(l, r, true); err != nil {
 		b.Fatal(err)
@@ -193,8 +194,9 @@ func sweepFixture(b *testing.B, n, t, rank int) (*problem, *mat.Dense, *mat.Dens
 // BenchmarkASDSweep measures one full L+R ASD sweep at the streaming
 // window shape (16 participants × 48 slots at rank 4, below the parallel
 // cutoff), paper scale (158×240, the SUVnet evaluation dimensions) and
-// fleet scale (1000×960) across worker budgets. ReportAllocs backs the zero-allocation claim: at
-// workers=1 the steady-state sweep must report 0 B/op.
+// fleet scale (1000×960) across GOMAXPROCS budgets. ReportAllocs backs the
+// zero-allocation claim: at GOMAXPROCS 1 the steady-state sweep must report
+// 0 B/op.
 func BenchmarkASDSweep(b *testing.B) {
 	scales := []struct {
 		name       string
@@ -212,7 +214,7 @@ func BenchmarkASDSweep(b *testing.B) {
 		prob, l, r := sweepFixture(b, sc.n, sc.t, sc.rank)
 		for _, workers := range sc.workers {
 			b.Run(fmt.Sprintf("%s/workers%d", sc.name, workers), func(b *testing.B) {
-				defer mat.SetParallelism(mat.SetParallelism(workers))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -249,10 +251,9 @@ func BenchmarkLineSearchVsFixedStep(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			opt := DefaultOptions()
 			opt.Variant = VariantVelocityTemporal
-			opt.FixedStepSize = c.step
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ReconstructDetailed(f.s, f.b, f.avgV, opt)
+				res, err := runFixedStep(f.s, f.b, f.avgV, opt, c.step)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"itscs/internal/mat"
-	"itscs/internal/stat"
 )
 
 // Variant selects the reconstruction objective.
@@ -56,7 +55,8 @@ func (v Variant) String() string {
 	}
 }
 
-// Options configures CS_Reconstruct.
+// Options configures CS_Reconstruct. Start from DefaultOptions: a field
+// left at zero is read as zero, never replaced by a default.
 type Options struct {
 	// Rank is the factorization rank bound r. Zero selects the rank
 	// automatically: the smallest rank whose singular values capture
@@ -64,7 +64,7 @@ type Options struct {
 	// paper's Fig. 4(a) energy criterion ("determined by experiment").
 	Rank int
 	// AutoRankEnergy is the spectral mass fraction for automatic rank
-	// selection; only consulted when Rank == 0. Zero means 0.95.
+	// selection, in (0, 1]; only consulted (and validated) when Rank == 0.
 	AutoRankEnergy float64
 	// Lambda1 weighs the nuclear-norm surrogate (rank minimization).
 	Lambda1 float64
@@ -80,17 +80,6 @@ type Options struct {
 	TerminateRatio float64
 	// Variant selects the objective.
 	Variant Variant
-	// Seed drives the random initialization RandomInit selects. A failed
-	// SVD warm start is returned as an error, never replaced by it.
-	Seed int64
-	// RandomInit skips the SVD warm start and draws small random factors
-	// instead (BenchmarkWarmStartVsRandom compares the two).
-	RandomInit bool
-	// FixedStepSize replaces the exact analytic line search with a fixed
-	// step size along the scaled direction (used by the ablation bench).
-	// Zero selects the exact line search, which is both faster to
-	// converge and parameter-free.
-	FixedStepSize float64
 }
 
 // DefaultOptions returns the configuration used in the evaluation.
@@ -112,7 +101,6 @@ func DefaultOptions() Options {
 		MaxIters:       250,
 		TerminateRatio: 1e-7,
 		Variant:        VariantVelocityTemporal,
-		Seed:           1,
 	}
 }
 
@@ -121,8 +109,8 @@ func (o Options) Validate() error {
 	switch {
 	case o.Rank < 0:
 		return fmt.Errorf("csrecon: rank must be >= 0, got %d", o.Rank)
-	case o.AutoRankEnergy < 0 || o.AutoRankEnergy > 1:
-		return fmt.Errorf("csrecon: auto-rank energy %v outside [0,1]", o.AutoRankEnergy)
+	case o.Rank == 0 && !(o.AutoRankEnergy > 0 && o.AutoRankEnergy <= 1):
+		return fmt.Errorf("csrecon: auto-rank energy %v outside (0,1]", o.AutoRankEnergy)
 	case o.Lambda1 < 0 || o.Lambda2 < 0:
 		return fmt.Errorf("csrecon: negative lambda (%v, %v)", o.Lambda1, o.Lambda2)
 	case o.Tau <= 0:
@@ -131,8 +119,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("csrecon: max iters must be >= 1, got %d", o.MaxIters)
 	case o.TerminateRatio <= 0:
 		return fmt.Errorf("csrecon: terminate ratio must be positive, got %v", o.TerminateRatio)
-	case o.FixedStepSize < 0:
-		return fmt.Errorf("csrecon: negative fixed step size %v", o.FixedStepSize)
 	}
 	switch o.Variant {
 	case VariantBasic, VariantTemporal, VariantVelocityTemporal:
@@ -142,32 +128,16 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Reconstruct completes one axis of the dataset.
-//
-// s is the sensory matrix, b the Generalized Binary Index Matrix (1 where a
-// value is observed AND currently trusted), and avgV the Average Velocity
-// Matrix V̄ for this axis — required by VariantVelocityTemporal and ignored
-// otherwise (may be nil).
-//
-// It returns the dense reconstruction Ŝ = L·Rᵀ.
-func Reconstruct(s, b, avgV *mat.Dense, opt Options) (*mat.Dense, error) {
-	result, err := ReconstructDetailed(s, b, avgV, opt)
-	if err != nil {
-		return nil, err
-	}
-	return result.SHat, nil
-}
-
 // Result carries the reconstruction with convergence diagnostics.
 type Result struct {
 	// SHat is the reconstructed matrix L·Rᵀ.
 	SHat *mat.Dense
 	// Factors holds the final factorization (SHat = L·Rᵀ). It can be fed
-	// back into ReconstructWarm to warm-start a later reconstruction of an
+	// back into Reconstruct to warm-start a later reconstruction of an
 	// overlapping or re-masked problem.
 	Factors Factors
 	// WarmStarted reports whether the sweeps started from caller-provided
-	// factors rather than the truncated-SVD (or random) initialization.
+	// factors rather than the truncated-SVD initialization.
 	WarmStarted bool
 	// Iterations is the number of ASD sweeps performed.
 	Iterations int
@@ -194,7 +164,7 @@ func (f Factors) usableFor(n, t int, opt Options) bool {
 	}
 	ln, lr := f.L.Dims()
 	rt, rr := f.R.Dims()
-	if ln != n || rt != t || lr != rr || lr < 1 || lr > minInt(n, t) {
+	if ln != n || rt != t || lr != rr || lr < 1 || lr > min(n, t) {
 		return false
 	}
 	if opt.Rank > 0 && lr != opt.Rank {
@@ -203,18 +173,21 @@ func (f Factors) usableFor(n, t int, opt Options) bool {
 	return true
 }
 
-// ReconstructDetailed is Reconstruct with convergence diagnostics.
-func ReconstructDetailed(s, b, avgV *mat.Dense, opt Options) (*Result, error) {
-	return ReconstructWarm(s, b, avgV, nil, opt)
-}
-
-// ReconstructWarm is ReconstructDetailed with an optional warm start: when
-// warm holds factors of a compatible shape, the ASD sweeps start from a
-// copy of them instead of the truncated-SVD initialization, which lets a
+// Reconstruct completes one axis of the dataset and returns Ŝ = L·Rᵀ with
+// its convergence diagnostics.
+//
+// s is the sensory matrix, b the Generalized Binary Index Matrix (1 where a
+// value is observed AND currently trusted), and avgV the Average Velocity
+// Matrix V̄ for this axis — required by VariantVelocityTemporal and ignored
+// otherwise (may be nil).
+//
+// warm is an optional warm start: when it holds factors of a compatible
+// shape, the ASD sweeps start from a copy of them instead of the
+// nearest-fill plus truncated-SVD initialization, which lets a
 // sliding-window caller reuse the previous window's factorization. On any
 // shape or rank incompatibility (or nil warm) it silently falls back to
 // the cold initialization; Result.WarmStarted reports which path ran.
-func ReconstructWarm(s, b, avgV *mat.Dense, warm *Factors, opt Options) (*Result, error) {
+func Reconstruct(s, b, avgV *mat.Dense, warm *Factors, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -265,7 +238,9 @@ type problem struct {
 	target  *mat.Dense
 	lambda1 float64
 	lambda2 float64
-	// fixedStep, when positive, replaces the exact line search.
+	// fixedStep, when positive, replaces the exact line search with a
+	// fixed step size along the scaled direction. Only the step-rule
+	// ablation bench and its tests set it, after newProblem.
 	fixedStep float64
 	// ws is the scratch workspace shared by every sweep; allocated once
 	// per factorization rank so steady-state ASD performs no heap
@@ -338,12 +313,11 @@ func newProblem(s, b, avgV *mat.Dense, opt Options, n, t int) (*problem, error) 
 		return nil, fmt.Errorf("csrecon: mask sensory matrix: %w", err)
 	}
 	p := &problem{
-		s:         s,
-		b:         b,
-		sMasked:   sMasked,
-		lambda1:   opt.Lambda1,
-		lambda2:   opt.Lambda2,
-		fixedStep: opt.FixedStepSize,
+		s:       s,
+		b:       b,
+		sMasked: sMasked,
+		lambda1: opt.Lambda1,
+		lambda2: opt.Lambda2,
 	}
 	if opt.Variant == VariantBasic || t < 2 {
 		return p, nil
@@ -370,35 +344,10 @@ func newProblem(s, b, avgV *mat.Dense, opt Options, n, t int) (*problem, error) 
 }
 
 // initFactors produces the ASD starting point: nearest-value fill of the
-// missing cells followed by a truncated SVD (Algorithm 2 lines 2-8), or a
-// small random factorization when RandomInit is set. When opt.Rank is zero
-// the rank is chosen by the spectral-energy criterion.
+// missing cells followed by a truncated SVD (Algorithm 2 lines 2-8). When
+// opt.Rank is zero the rank is chosen by the spectral-energy criterion.
 func initFactors(s, b *mat.Dense, opt Options) (l, r *mat.Dense, err error) {
 	n, t := s.Dims()
-	maxRank := minInt(n, t)
-	if opt.RandomInit {
-		rank := opt.Rank
-		if rank == 0 {
-			// No spectrum to consult without the warm start; a quarter of
-			// the minimal dimension is a generous over-parameterization
-			// that the regularizers rein in.
-			rank = maxInt(2, maxRank/4)
-		}
-		if rank > maxRank {
-			rank = maxRank
-		}
-		rng := stat.NewRNG(opt.Seed).Child("asd-init")
-		scale := s.MaxAbs()
-		if scale == 0 {
-			scale = 1
-		}
-		scale = math.Sqrt(scale / float64(rank))
-		l = mat.New(n, rank)
-		r = mat.New(t, rank)
-		l.Apply(func(int, int, float64) float64 { return rng.NormFloat64() * scale })
-		r.Apply(func(int, int, float64) float64 { return rng.NormFloat64() * scale })
-		return l, r, nil
-	}
 	filled := nearestFill(s, b)
 	full, err := mat.SVD(filled)
 	if err != nil {
@@ -406,15 +355,9 @@ func initFactors(s, b *mat.Dense, opt Options) (l, r *mat.Dense, err error) {
 	}
 	rank := opt.Rank
 	if rank == 0 {
-		energy := opt.AutoRankEnergy
-		if energy == 0 {
-			energy = 0.95
-		}
-		rank = maxInt(2, full.RankForEnergy(energy))
+		rank = max(2, full.RankForEnergy(opt.AutoRankEnergy))
 	}
-	if rank > maxRank {
-		rank = maxRank
-	}
+	rank = min(rank, n, t)
 	l = mat.New(n, rank)
 	r = mat.New(t, rank)
 	for k := 0; k < rank; k++ {
@@ -427,13 +370,6 @@ func initFactors(s, b *mat.Dense, opt Options) (l, r *mat.Dense, err error) {
 		}
 	}
 	return l, r, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // nearestFill replaces untrusted cells (b == 0) with the nearest trusted
@@ -580,7 +516,7 @@ func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
 // element sums the same terms in the same order, starting from +0, as the
 // composed matrix-primitive form it replaces (the composed form is kept as
 // the reference in kernels_ref_test.go), so results are bit-identical to
-// it and to themselves at every mat.SetParallelism:
+// it and to themselves at every GOMAXPROCS:
 //
 //   - The products L·Rᵀ and D·Rᵀ (or L·Dᵀ) read the rank-wide factor
 //     transposed (ws.rt or ws.dt, r×t) and accumulate over k into a whole
@@ -845,7 +781,7 @@ const gramJitter = 1e-12
 // takes the plain steepest-descent direction.
 //
 // The work is O((n+t)·r²) against the kernels' O(n·t·r) and runs
-// sequentially, so it is bit-identical at every mat.SetParallelism.
+// sequentially, so it is bit-identical at every GOMAXPROCS.
 func (p *problem) precondition(grad, fixed *mat.Dense) bool {
 	ws := p.ensure(fixed)
 	gramInto(ws.gram, fixed)
@@ -1101,11 +1037,4 @@ func (p *problem) lineStats(l, r, dir, e1, g *mat.Dense, updateL bool) (num, den
 		den += p.lambda2 * stabDen
 	}
 	return num, den, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -64,6 +64,48 @@ func testOptions(variant Variant) Options {
 	return opt
 }
 
+// randomFactors draws the small random factorization the random-start
+// ablation sweeps from, to be passed to Reconstruct as warm factors or to
+// a problem directly. Rank 0 selects a quarter of min(n, t), at least 2:
+// with no spectrum to consult, a generous over-parameterization that the
+// regularizers rein in. Entries are N(0, 1)·√(max|s|/rank), L's first,
+// from seed 1's "asd-init" stream.
+func randomFactors(s *mat.Dense, rank int) (l, r *mat.Dense) {
+	n, t := s.Dims()
+	if rank == 0 {
+		rank = max(2, min(n, t)/4)
+	}
+	rank = min(rank, n, t)
+	rng := stat.NewRNG(1).Child("asd-init")
+	scale := s.MaxAbs()
+	if scale == 0 {
+		scale = 1
+	}
+	scale = math.Sqrt(scale / float64(rank))
+	l = mat.New(n, rank)
+	r = mat.New(t, rank)
+	l.Apply(func(int, int, float64) float64 { return rng.NormFloat64() * scale })
+	r.Apply(func(int, int, float64) float64 { return rng.NormFloat64() * scale })
+	return l, r
+}
+
+// runFixedStep is Reconstruct from the cold start with the exact line
+// search replaced by a fixed step along the scaled direction; step 0
+// keeps the exact search.
+func runFixedStep(s, b, avgV *mat.Dense, opt Options, step float64) (*Result, error) {
+	n, t := s.Dims()
+	p, err := newProblem(s, b, avgV, opt, n, t)
+	if err != nil {
+		return nil, err
+	}
+	p.fixedStep = step
+	l, r, err := initFactors(s, b, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(l, r, opt)
+}
+
 func TestReconstructExactLowRankBasic(t *testing.T) {
 	x, _ := lowRankFixture(20, 40, 1)
 	b := dropCells(20, 40, 200, 2) // 25% missing
@@ -73,11 +115,11 @@ func TestReconstructExactLowRankBasic(t *testing.T) {
 	}
 	opt := testOptions(VariantBasic)
 	opt.Rank = 2 // the fixture is exactly rank 2
-	rec, err := Reconstruct(s, b, nil, opt)
+	rec, err := Reconstruct(s, b, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mae := maskedMAE(x, rec, b); mae > 1 {
+	if mae := maskedMAE(x, rec.SHat, b); mae > 1 {
 		t.Fatalf("rank-2 completion MAE = %.2f m, want < 1 m", mae)
 	}
 }
@@ -93,18 +135,18 @@ func TestReconstructOverRankOverfitsWithoutStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basic, err := Reconstruct(s, b, nil, testOptions(VariantBasic)) // rank 4
+	basic, err := Reconstruct(s, b, nil, nil, testOptions(VariantBasic)) // rank 4
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := testOptions(VariantVelocityTemporal)
 	opt.MaxIters = 2000
-	full, err := Reconstruct(s, b, motion.AverageVelocity(v), opt)
+	full, err := Reconstruct(s, b, motion.AverageVelocity(v), nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maeBasic := maskedMAE(x, basic, b)
-	maeFull := maskedMAE(x, full, b)
+	maeBasic := maskedMAE(x, basic.SHat, b)
+	maeFull := maskedMAE(x, full.SHat, b)
 	if maeFull >= maeBasic {
 		t.Fatalf("stability term should beat over-ranked basic CS: basic %.1f vs full %.1f", maeBasic, maeFull)
 	}
@@ -122,16 +164,16 @@ func TestReconstructVelocityTemporalBeatsBasicUnderHeavyLoss(t *testing.T) {
 	}
 	avgV := motion.AverageVelocity(v)
 
-	basic, err := Reconstruct(s, b, nil, testOptions(VariantBasic))
+	basic, err := Reconstruct(s, b, nil, nil, testOptions(VariantBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Reconstruct(s, b, avgV, testOptions(VariantVelocityTemporal))
+	full, err := Reconstruct(s, b, avgV, nil, testOptions(VariantVelocityTemporal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	maeBasic := maskedMAE(x, basic, b)
-	maeFull := maskedMAE(x, full, b)
+	maeBasic := maskedMAE(x, basic.SHat, b)
+	maeFull := maskedMAE(x, full.SHat, b)
 	if maeFull > maeBasic*1.5 {
 		t.Fatalf("velocity variant should not be much worse: basic %.1f vs full %.1f", maeBasic, maeFull)
 	}
@@ -147,11 +189,11 @@ func TestReconstructTemporalVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Reconstruct(s, b, nil, testOptions(VariantTemporal))
+	rec, err := Reconstruct(s, b, nil, nil, testOptions(VariantTemporal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mae := maskedMAE(x, rec, b); mae > 150 {
+	if mae := maskedMAE(x, rec.SHat, b); mae > 150 {
 		t.Fatalf("temporal variant MAE = %.1f m, want < 150 m", mae)
 	}
 }
@@ -163,7 +205,7 @@ func TestReconstructPreservesObservedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Reconstruct(s, b, motion.AverageVelocity(v), testOptions(VariantVelocityTemporal))
+	rec, err := Reconstruct(s, b, motion.AverageVelocity(v), nil, testOptions(VariantVelocityTemporal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +213,7 @@ func TestReconstructPreservesObservedCells(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 20; j++ {
 			if b.At(i, j) == 1 {
-				if diff := math.Abs(rec.At(i, j) - x.At(i, j)); diff > 100 {
+				if diff := math.Abs(rec.SHat.At(i, j) - x.At(i, j)); diff > 100 {
 					t.Fatalf("observed cell (%d,%d) off by %.1f m", i, j, diff)
 				}
 			}
@@ -186,7 +228,7 @@ func TestReconstructDetailedDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReconstructDetailed(s, b, nil, testOptions(VariantBasic))
+	res, err := Reconstruct(s, b, nil, nil, testOptions(VariantBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +256,17 @@ func TestReconstructRandomInitStillConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions(VariantBasic)
-	opt.RandomInit = true
 	opt.Rank = 2
 	opt.MaxIters = 10_000
-	rec, err := Reconstruct(s, b, nil, opt)
+	l, r := randomFactors(s, opt.Rank)
+	rec, err := Reconstruct(s, b, nil, &Factors{L: l, R: r}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mae := maskedMAE(x, rec, b); mae > 50 {
+	if !rec.WarmStarted {
+		t.Fatal("the random factors were not used")
+	}
+	if mae := maskedMAE(x, rec.SHat, b); mae > 50 {
 		t.Fatalf("random init MAE = %.1f m, want < 50 m", mae)
 	}
 }
@@ -235,13 +280,13 @@ func TestWarmStartBeatsRandomInitInIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ReconstructDetailed(s, b, nil, testOptions(VariantBasic))
+	warm, err := Reconstruct(s, b, nil, nil, testOptions(VariantBasic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	optRand := testOptions(VariantBasic)
-	optRand.RandomInit = true
-	cold, err := ReconstructDetailed(s, b, nil, optRand)
+	opt := testOptions(VariantBasic)
+	l, r := randomFactors(s, opt.Rank)
+	cold, err := Reconstruct(s, b, nil, &Factors{L: l, R: r}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,15 +304,15 @@ func TestReconstructDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	avgV := motion.AverageVelocity(v)
-	a, err := Reconstruct(s, b, avgV, testOptions(VariantVelocityTemporal))
+	a, err := Reconstruct(s, b, avgV, nil, testOptions(VariantVelocityTemporal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Reconstruct(s, b, avgV, testOptions(VariantVelocityTemporal))
+	c, err := Reconstruct(s, b, avgV, nil, testOptions(VariantVelocityTemporal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(c, 0) {
+	if !a.SHat.Equal(c.SHat, 0) {
 		t.Fatal("reconstruction must be deterministic")
 	}
 }
@@ -281,7 +326,7 @@ func TestReconstructInputsNotMutated(t *testing.T) {
 	}
 	avgV := motion.AverageVelocity(v)
 	sC, bC, vC := s.Clone(), b.Clone(), avgV.Clone()
-	if _, err := Reconstruct(s, b, avgV, testOptions(VariantVelocityTemporal)); err != nil {
+	if _, err := Reconstruct(s, b, avgV, nil, testOptions(VariantVelocityTemporal)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Equal(sC, 0) || !b.Equal(bC, 0) || !avgV.Equal(vC, 0) {
@@ -294,11 +339,11 @@ func TestReconstructRankClamped(t *testing.T) {
 	b := mat.Ones(5, 8)
 	opt := testOptions(VariantBasic)
 	opt.Rank = 100 // exceeds min(n,t); must clamp, not error
-	rec, err := Reconstruct(x, b, nil, opt)
+	rec, err := Reconstruct(x, b, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Equal(x, 1) {
+	if !rec.SHat.Equal(x, 1) {
 		t.Fatal("full-rank reconstruction of complete data should match input")
 	}
 }
@@ -308,7 +353,9 @@ func TestReconstructValidation(t *testing.T) {
 	b := mat.Ones(4, 6)
 	bad := []Options{
 		{Rank: -1, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
-		{Rank: 2, AutoRankEnergy: 1.5, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
+		{Rank: 0, AutoRankEnergy: 1.5, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
+		{Rank: 0, AutoRankEnergy: 0, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
+		{Rank: 0, AutoRankEnergy: -0.5, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
 		{Rank: 2, Lambda1: -1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
 		{Rank: 2, Lambda1: 1, Lambda2: -1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
 		{Rank: 2, Lambda1: 1, Lambda2: 1, Tau: 0, MaxIters: 1, TerminateRatio: 1e-3, Variant: VariantBasic},
@@ -317,20 +364,20 @@ func TestReconstructValidation(t *testing.T) {
 		{Rank: 2, Lambda1: 1, Lambda2: 1, Tau: time.Second, MaxIters: 1, TerminateRatio: 1e-3, Variant: Variant(99)},
 	}
 	for i, opt := range bad {
-		if _, err := Reconstruct(s, b, nil, opt); err == nil {
+		if _, err := Reconstruct(s, b, nil, nil, opt); err == nil {
 			t.Fatalf("options %d should be rejected", i)
 		}
 	}
-	if _, err := Reconstruct(s, mat.New(2, 2), nil, testOptions(VariantBasic)); err == nil {
+	if _, err := Reconstruct(s, mat.New(2, 2), nil, nil, testOptions(VariantBasic)); err == nil {
 		t.Fatal("mismatched B should be rejected")
 	}
-	if _, err := Reconstruct(mat.New(0, 0), mat.New(0, 0), nil, testOptions(VariantBasic)); err == nil {
+	if _, err := Reconstruct(mat.New(0, 0), mat.New(0, 0), nil, nil, testOptions(VariantBasic)); err == nil {
 		t.Fatal("empty input should be rejected")
 	}
-	if _, err := Reconstruct(s, b, nil, testOptions(VariantVelocityTemporal)); err == nil {
+	if _, err := Reconstruct(s, b, nil, nil, testOptions(VariantVelocityTemporal)); err == nil {
 		t.Fatal("velocity variant without V̄ should be rejected")
 	}
-	if _, err := Reconstruct(s, b, mat.New(2, 2), testOptions(VariantVelocityTemporal)); err == nil {
+	if _, err := Reconstruct(s, b, mat.New(2, 2), nil, testOptions(VariantVelocityTemporal)); err == nil {
 		t.Fatal("mismatched V̄ should be rejected")
 	}
 }
@@ -475,11 +522,11 @@ func TestReconstructSingleColumn(t *testing.T) {
 	b.Set(2, 0, 0)
 	s.Set(2, 0, 0)
 	opt := testOptions(VariantTemporal)
-	rec, err := Reconstruct(s, b, nil, opt)
+	rec, err := Reconstruct(s, b, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, c := rec.Dims(); r != 5 || c != 1 {
+	if r, c := rec.SHat.Dims(); r != 5 || c != 1 {
 		t.Fatalf("dims = %dx%d", r, c)
 	}
 }
@@ -496,7 +543,7 @@ func TestOracleMaskQuality(t *testing.T) {
 	for _, maxIters := range []int{DefaultOptions().MaxIters, 1000} {
 		opt := DefaultOptions()
 		opt.MaxIters = maxIters
-		res, err := ReconstructDetailed(f.s, f.b, f.avgV, opt)
+		res, err := Reconstruct(f.s, f.b, f.avgV, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,8 @@ func TestFixedStepStillDescends(t *testing.T) {
 	opt.Rank = 2
 	// The scaled direction is Newton-like for the fitting term, so half
 	// of its natural unit step descends steadily without the line search.
-	opt.FixedStepSize = 0.5
 	opt.MaxIters = 50
-	res, err := ReconstructDetailed(s, b, nil, opt)
+	res, err := runFixedStep(s, b, nil, opt, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,26 +37,16 @@ func TestFixedStepSlowerThanExact(t *testing.T) {
 	base := testOptions(VariantBasic)
 	base.Rank = 2
 	base.MaxIters = 30
-	exact, err := ReconstructDetailed(s, b, nil, base)
+	exact, err := Reconstruct(s, b, nil, nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := base
-	fixed.FixedStepSize = 0.05
-	slow, err := ReconstructDetailed(s, b, nil, fixed)
+	slow, err := runFixedStep(s, b, nil, base, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slow.Objective < exact.Objective {
 		t.Fatalf("fixed step should not beat the exact line search at equal budget: %v vs %v",
 			slow.Objective, exact.Objective)
-	}
-}
-
-func TestFixedStepValidation(t *testing.T) {
-	opt := DefaultOptions()
-	opt.FixedStepSize = -1
-	if err := opt.Validate(); err == nil {
-		t.Fatal("negative fixed step should be rejected")
 	}
 }

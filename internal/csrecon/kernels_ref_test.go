@@ -3,6 +3,7 @@ package csrecon
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"itscs/internal/mat"
@@ -399,10 +400,10 @@ func refFixture(n, t int, variant Variant, seed int64) (s, b, avgV *mat.Dense) {
 
 // TestFusedKernelsBitIdenticalToComposed runs the composed reference and
 // the fused step in lockstep from cloned factors, the fused step once at
-// each worker budget 1 and 2, and demands every step's drop and every L
+// each GOMAXPROCS 1 and 2, and demands every step's drop and every L
 // and R element bit-equal after every sweep. It covers every variant,
 // both step rules and ranks 1–8 (clamped to the shape). 158×240 is above
-// mat's parallel cutoff from rank 2 on, so its budget-2 runs take the
+// mat's parallel cutoff from rank 2 on, so its GOMAXPROCS-2 runs take the
 // split row and column passes.
 //
 // Under -short the paper shape keeps rank 7 alone: one blocked group of
@@ -411,7 +412,7 @@ func refFixture(n, t int, variant Variant, seed int64) (s, b, avgV *mat.Dense) {
 // and for raceSweeps sweeps: the race run is there for the concurrent
 // path, whose bits the plain run already pins.
 func TestFusedKernelsBitIdenticalToComposed(t *testing.T) {
-	defer mat.SetParallelism(mat.SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	shapes := []struct {
 		n, t     int
 		parallel bool
@@ -431,7 +432,7 @@ func TestFusedKernelsBitIdenticalToComposed(t *testing.T) {
 			continue
 		}
 		ranks := make([]int, 0, 8)
-		for rank := 1; rank <= minInt(8, minInt(sh.n, sh.t)); rank++ {
+		for rank := 1; rank <= min(8, sh.n, sh.t); rank++ {
 			ranks = append(ranks, rank)
 		}
 		if sh.parallel && (testing.Short() || raceEnabled) {
@@ -452,20 +453,18 @@ func TestFusedKernelsBitIdenticalToComposed(t *testing.T) {
 }
 
 // compareSweeps runs the given number of sweeps of the composed reference
-// at one worker and of the fused step at one and at two workers.
+// at GOMAXPROCS 1 and of the fused step at GOMAXPROCS 1 and 2, from random
+// factors.
 func compareSweeps(t *testing.T, s, b, avgV *mat.Dense, variant Variant, rank int, fixed bool, sweeps int) {
 	t.Helper()
 	n, tt := s.Dims()
 	opt := DefaultOptions()
 	opt.Variant = variant
 	opt.Rank = rank
-	opt.RandomInit = true
-	l, r, err := initFactors(s, b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, r := randomFactors(s, rank)
 	// Separate problems: each owns its workspace.
-	probs := make([]*problem, 3) // reference, fused at 1 worker, fused at 2
+	probs := make([]*problem, 3) // reference, fused at GOMAXPROCS 1, fused at 2
+	var err error
 	for i := range probs {
 		if probs[i], err = newProblem(s, b, avgV, opt, n, tt); err != nil {
 			t.Fatal(err)
@@ -510,19 +509,19 @@ func compareSweeps(t *testing.T, s, b, avgV *mat.Dense, variant Variant, rank in
 	rs := []*mat.Dense{r.Clone(), r.Clone(), r}
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for _, updateL := range []bool{true, false} {
-			mat.SetParallelism(1)
+			runtime.GOMAXPROCS(1)
 			want, err := ref.step(probs[0], ls[0], rs[0], updateL)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for run := 1; run <= 2; run++ {
-				mat.SetParallelism(run)
+				runtime.GOMAXPROCS(run)
 				got, err := probs[run].step(ls[run], rs[run], updateL)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("workers %d, sweep %d (updateL=%v): drop %v, composed %v", run, sweep, updateL, got, want)
+					t.Fatalf("GOMAXPROCS %d, sweep %d (updateL=%v): drop %v, composed %v", run, sweep, updateL, got, want)
 				}
 			}
 		}
@@ -538,12 +537,12 @@ func compareSweeps(t *testing.T, s, b, avgV *mat.Dense, variant Variant, rank in
 	}
 }
 
-func sameBits(t *testing.T, workers, sweep int, name string, got, want *mat.Dense) {
+func sameBits(t *testing.T, procs, sweep int, name string, got, want *mat.Dense) {
 	t.Helper()
 	g, w := got.RawData(), want.RawData()
 	for i := range w {
 		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-			t.Fatalf("workers %d, sweep %d: %s[%d] = %v, composed %v", workers, sweep, name, i, g[i], w[i])
+			t.Fatalf("GOMAXPROCS %d, sweep %d: %s[%d] = %v, composed %v", procs, sweep, name, i, g[i], w[i])
 		}
 	}
 }
@@ -554,23 +553,19 @@ func sameBits(t *testing.T, workers, sweep int, name string, got, want *mat.Dens
 // column of the fixed factor at λ₁ = 0) leaves the gradient as the step's
 // direction, which still lowers the objective.
 func TestPreconditioner(t *testing.T) {
-	defer mat.SetParallelism(mat.SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, sh := range []struct{ n, t, rank int }{{16, 48, 4}, {5, 7, 5}, {158, 240, 7}} {
 		for _, lambda1 := range []float64{DefaultOptions().Lambda1, 0, 50} {
 			t.Run(fmt.Sprintf("%dx%d/rank%d/lambda%v", sh.n, sh.t, sh.rank, lambda1), func(t *testing.T) {
 				s, b, avgV := refFixture(sh.n, sh.t, VariantVelocityTemporal, 7)
 				opt := DefaultOptions()
 				opt.Rank = sh.rank
-				opt.RandomInit = true
 				opt.Lambda1 = lambda1
 				p, err := newProblem(s, b, avgV, opt, sh.n, sh.t)
 				if err != nil {
 					t.Fatal(err)
 				}
-				l, r, err := initFactors(s, b, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
+				l, r := randomFactors(s, sh.rank)
 				e1, g, err := p.residuals(l, r)
 				if err != nil {
 					t.Fatal(err)
@@ -626,16 +621,12 @@ func TestPreconditioner(t *testing.T) {
 		s, b, avgV := refFixture(16, 48, VariantVelocityTemporal, 9)
 		opt := DefaultOptions()
 		opt.Rank = 4
-		opt.RandomInit = true
 		opt.Lambda1 = 0
 		p, err := newProblem(s, b, avgV, opt, 16, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, r, err := initFactors(s, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l, r := randomFactors(s, opt.Rank)
 		for j := 0; j < r.Rows(); j++ {
 			r.Set(j, 2, 0)
 		}

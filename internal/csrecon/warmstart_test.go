@@ -80,7 +80,7 @@ func TestWarmStartConvergesFasterOnOverlappingWindow(t *testing.T) {
 	s1, b1, _, _ := slidingWindows(t, 40, 200, 120, 40)
 	opt := warmTestOptions()
 
-	prev, err := ReconstructDetailed(s1, b1, nil, opt)
+	prev, err := Reconstruct(s1, b1, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestWarmStartConvergesFasterOnOverlappingWindow(t *testing.T) {
 	}
 
 	b2 := remask(b1)
-	cold, err := ReconstructDetailed(s1, b2, nil, opt)
+	cold, err := Reconstruct(s1, b2, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ReconstructWarm(s1, b2, nil, &prev.Factors, opt)
+	warm, err := Reconstruct(s1, b2, nil, &prev.Factors, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWarmStartFallsBackOnIncompatibleFactors(t *testing.T) {
 	s1, b1, _, _ := slidingWindows(t, 20, 120, 80, 40)
 	opt := warmTestOptions()
 	opt.Rank = 4
-	base, err := ReconstructDetailed(s1, b1, nil, opt)
+	base, err := Reconstruct(s1, b1, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWarmStartFallsBackOnIncompatibleFactors(t *testing.T) {
 		"ragged ranks":  {L: mat.New(n, 4), R: mat.New(80, 3)},
 	}
 	for name, warm := range cases {
-		res, err := ReconstructWarm(s1, b1, nil, warm, opt)
+		res, err := Reconstruct(s1, b1, nil, warm, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -151,13 +151,13 @@ func TestWarmStartFallsBackOnIncompatibleFactors(t *testing.T) {
 func TestWarmStartDoesNotMutateCallerFactors(t *testing.T) {
 	s1, b1, s2, b2 := slidingWindows(t, 20, 120, 80, 40)
 	opt := warmTestOptions()
-	prev, err := ReconstructDetailed(s1, b1, nil, opt)
+	prev, err := Reconstruct(s1, b1, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lCopy := prev.Factors.L.Clone()
 	rCopy := prev.Factors.R.Clone()
-	if _, err := ReconstructWarm(s2, b2, nil, &prev.Factors, opt); err != nil {
+	if _, err := Reconstruct(s2, b2, nil, &prev.Factors, opt); err != nil {
 		t.Fatal(err)
 	}
 	if !prev.Factors.L.Equal(lCopy, 0) || !prev.Factors.R.Equal(rCopy, 0) {
@@ -171,21 +171,21 @@ func TestWarmStartDoesNotMutateCallerFactors(t *testing.T) {
 func BenchmarkWarmVsCold(b *testing.B) {
 	s1, b1, _, _ := slidingWindows(b, 80, 300, 240, 60)
 	opt := warmTestOptions()
-	prev, err := ReconstructDetailed(s1, b1, nil, opt)
+	prev, err := Reconstruct(s1, b1, nil, nil, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b2 := remask(b1)
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ReconstructDetailed(s1, b2, nil, opt); err != nil {
+			if _, err := Reconstruct(s1, b2, nil, nil, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ReconstructWarm(s1, b2, nil, &prev.Factors, opt); err != nil {
+			if _, err := Reconstruct(s1, b2, nil, &prev.Factors, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -166,15 +166,15 @@ func runTMM(cfg Config, w *workload) (*mat.Dense, error) {
 func runPlainCS(cfg Config, w *workload) (xHat, yHat *mat.Dense, err error) {
 	opt := cfg.Framework.Reconstruct
 	opt.Variant = csrecon.VariantVelocityTemporal
-	xHat, err = csrecon.Reconstruct(w.cor.SX, w.cor.Existence, motion.AverageVelocity(w.vx), opt)
+	x, err := csrecon.Reconstruct(w.cor.SX, w.cor.Existence, motion.AverageVelocity(w.vx), nil, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiment: plain CS X: %w", err)
 	}
-	yHat, err = csrecon.Reconstruct(w.cor.SY, w.cor.Existence, motion.AverageVelocity(w.vy), opt)
+	y, err := csrecon.Reconstruct(w.cor.SY, w.cor.Existence, motion.AverageVelocity(w.vy), nil, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiment: plain CS Y: %w", err)
 	}
-	return xHat, yHat, nil
+	return x.SHat, y.SHat, nil
 }
 
 // mae evaluates Eq. (29) for a reconstruction and detection.

@@ -167,10 +167,3 @@ func (in *Injector) Faults() []Record {
 	defer in.mu.Unlock()
 	return append([]Record(nil), in.log...)
 }
-
-// Ops reports how many operations have consulted the injector.
-func (in *Injector) Ops() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
-}

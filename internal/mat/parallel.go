@@ -3,32 +3,7 @@ package mat
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// parallelism is the number of worker goroutines the row-block driver may
-// use. It defaults to GOMAXPROCS at package init and is read atomically so
-// tests and tools can retune it concurrently with running kernels.
-var parallelism atomic.Int64
-
-func init() {
-	parallelism.Store(int64(runtime.GOMAXPROCS(0)))
-}
-
-// SetParallelism sets the worker-goroutine budget for the parallel kernels
-// and returns the previous value. n <= 0 resets to GOMAXPROCS. A budget of
-// 1 forces every kernel onto the caller's goroutine, which also makes the
-// hot paths allocation-free (the fork/join bookkeeping is the only
-// allocation the parallel path performs).
-func SetParallelism(n int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(parallelism.Swap(int64(n)))
-}
-
-// Parallelism reports the current worker-goroutine budget.
-func Parallelism() int { return int(parallelism.Load()) }
 
 // minParallelFlops is the approximate amount of arithmetic below which the
 // row-block driver stays sequential: at roughly 1–2 µs of goroutine
@@ -40,29 +15,26 @@ const minParallelFlops = 1 << 16
 
 // ParallelRows partitions rows [0, n) into contiguous blocks and invokes
 // fn(lo, hi) for each, concurrently when the estimated total work
-// (n·flopsPerRow) justifies the goroutine overhead and the parallelism
-// budget allows it. fn must be safe to run concurrently on disjoint row
-// ranges. The partition is deterministic but the execution order is not;
-// callers needing bit-identical results across budgets must ensure each
-// row's computation is independent of the others (all kernels in this
-// package preserve their sequential per-element accumulation order, so
-// their results are bit-identical at any parallelism level).
+// (n·flopsPerRow) justifies the goroutine overhead and GOMAXPROCS allows
+// it. The worker budget is runtime.GOMAXPROCS: GOMAXPROCS=1 forces every
+// kernel onto the caller's goroutine, which also makes the hot paths
+// allocation-free (the fork/join bookkeeping is the only allocation the
+// parallel path performs). fn must be safe to run concurrently on
+// disjoint row ranges. The partition is deterministic but the execution
+// order is not; callers needing bit-identical results across budgets must
+// ensure each row's computation is independent of the others (all kernels
+// in this package preserve their sequential per-element accumulation
+// order, so their results are bit-identical at any GOMAXPROCS).
 func ParallelRows(n, flopsPerRow int, fn func(lo, hi int)) {
 	if !ParallelWorthwhile(n, flopsPerRow) {
 		fn(0, n)
 		return
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	block := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+block, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -76,7 +48,8 @@ func ParallelRows(n, flopsPerRow int, fn func(lo, hi int)) {
 // flopsPerRow work each across goroutines. Kernels check it *before*
 // building their closure so the sequential hot path stays allocation-free
 // (a func literal that captures variables is a heap allocation even if the
-// work ends up running inline).
+// work ends up running inline). The size test comes first, so a problem
+// below the cutoff never reads GOMAXPROCS, which takes the scheduler lock.
 func ParallelWorthwhile(n, flopsPerRow int) bool {
-	return Parallelism() > 1 && n > 1 && n*flopsPerRow >= minParallelFlops
+	return n > 1 && n*flopsPerRow >= minParallelFlops && runtime.GOMAXPROCS(0) > 1
 }

@@ -3,6 +3,8 @@ package mat
 import (
 	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -21,10 +23,10 @@ func sparseRandom(r, c int, seed int64) *Dense {
 }
 
 // TestParallelKernelsBitIdenticalToSequential verifies that MulT produces
-// bit-identical results at every parallelism level: the row-block split
-// never reorders any per-element accumulation.
+// bit-identical results at every GOMAXPROCS: the row-block split never
+// reorders any per-element accumulation.
 func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
 		{1, 7, 5},   // single-row edge
@@ -39,13 +41,13 @@ func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
 		a := sparseRandom(sh.m, sh.k, int64(sh.m*1000+sh.k))
 		bt := sparseRandom(sh.n, sh.k, int64(sh.n*1000+sh.k+1))
 
-		SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		seqMulT, err := a.MulT(bt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			SetParallelism(workers)
+			runtime.GOMAXPROCS(workers)
 			parMulT, err := a.MulT(bt)
 			if err != nil {
 				t.Fatal(err)
@@ -57,19 +59,50 @@ func TestParallelKernelsBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestSetParallelism covers the knob semantics: previous value returned,
-// non-positive resets to GOMAXPROCS.
-func TestSetParallelism(t *testing.T) {
-	orig := Parallelism()
-	defer SetParallelism(orig)
-	if prev := SetParallelism(3); prev != orig {
-		t.Fatalf("SetParallelism returned %d, want previous value %d", prev, orig)
+// rowBlocks records the [lo, hi) blocks ParallelRows hands to fn, sorted
+// by lo.
+func rowBlocks(n, flopsPerRow int) [][2]int {
+	var mu sync.Mutex
+	var blocks [][2]int
+	ParallelRows(n, flopsPerRow, func(lo, hi int) {
+		mu.Lock()
+		blocks = append(blocks, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i][0] < blocks[j][0] })
+	return blocks
+}
+
+// TestParallelRowsBudget pins the split to GOMAXPROCS: one inline call at
+// GOMAXPROCS 1, one contiguous block per worker above the flop cutoff, and
+// one inline call below the cutoff at any GOMAXPROCS.
+func TestParallelRowsBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 100
+	if got := rowBlocks(n, minParallelFlops); len(got) != 1 || got[0] != [2]int{0, n} {
+		t.Fatalf("GOMAXPROCS 1: blocks %v, want one call on [0, %d)", got, n)
 	}
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
+
+	runtime.GOMAXPROCS(3)
+	got := rowBlocks(n, minParallelFlops)
+	if len(got) != 3 {
+		t.Fatalf("GOMAXPROCS 3: %d blocks %v, want 3", len(got), got)
 	}
-	SetParallelism(0)
-	if got := Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Parallelism() after reset = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	next := 0
+	for _, b := range got {
+		if b[0] != next || b[1] <= b[0] {
+			t.Fatalf("GOMAXPROCS 3: blocks %v are not contiguous and disjoint", got)
+		}
+		next = b[1]
+	}
+	if next != n {
+		t.Fatalf("GOMAXPROCS 3: blocks %v cover [0, %d), want [0, %d)", got, next, n)
+	}
+
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := rowBlocks(n, minParallelFlops/n-1); len(got) != 1 || got[0] != [2]int{0, n} {
+			t.Fatalf("GOMAXPROCS %d below the cutoff: blocks %v, want one call on [0, %d)", procs, got, n)
+		}
 	}
 }

@@ -111,11 +111,14 @@ type durable struct {
 	log   *wal.Log
 	every uint64 // checkpoint every N closed windows
 
-	// kick is signaled by the engine's OnWindowClose hook; the
-	// checkpointer goroutine waits on it until stop closes.
-	kick chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// closed is the largest cumulative closed-window count the engine's
+	// OnWindowClose hook has reported: the checkpoint cadence's only
+	// source. kick is signaled by the same hook; the checkpointer
+	// goroutine waits on it until stop closes.
+	closed atomic.Uint64
+	kick   chan struct{}
+	stop   chan struct{}
+	wg     sync.WaitGroup
 
 	// ckMu serializes whole checkpoints (the checkpointer, Close and
 	// Node.Checkpoint may race); mu guards the counters below.
@@ -179,7 +182,14 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.dur = d
 		ecfg.Log = log
-		ecfg.OnWindowClose = func(uint64) {
+		ecfg.OnWindowClose = func(total uint64) {
+			// Concurrent ingests may report out of order; keep the largest.
+			for {
+				cur := d.closed.Load()
+				if total <= cur || d.closed.CompareAndSwap(cur, total) {
+					break
+				}
+			}
 			select {
 			case d.kick <- struct{}{}:
 			default:
@@ -350,7 +360,7 @@ func (n *Node) checkpointer() {
 			return
 		case <-d.kick:
 		}
-		closed := n.engine.Stats().WindowsClosed
+		closed := d.closed.Load()
 		d.mu.Lock()
 		due := closed >= d.lastCkpt+d.every
 		d.mu.Unlock()
@@ -377,7 +387,7 @@ func (n *Node) Checkpoint() error {
 	}
 	d.ckMu.Lock()
 	defer d.ckMu.Unlock()
-	closed := n.engine.Stats().WindowsClosed
+	closed := d.closed.Load()
 	err := Checkpoint(d.fs, d.dir, d.log, n.engine, n.ledger)
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -227,9 +227,9 @@ func (r *runner) drainClosed() error {
 
 // take scores one window and records it. A window re-processed after a
 // crash overwrites its first outcome; determinism makes them identical,
-// and verifyWindows compares the survivor against the golden run.
+// and VerifyWindows compares the survivor against the golden run.
 func (r *runner) take(res *pipeline.WindowResult) error {
-	out, err := outcome(res, r.truth)
+	out, err := Outcome(res, r.truth)
 	if err != nil {
 		return err
 	}

@@ -32,14 +32,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"itscs/internal/corrupt"
 	"itscs/internal/fault"
 	"itscs/internal/mcs"
-	"itscs/internal/metrics"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
 	"itscs/internal/trace"
@@ -238,7 +236,7 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	res.WAL = r.finalWAL
 	res.Reputation = r.finalLedgerStats
 
-	violations := append(r.violations, verifyWindows(res.Golden, res.Recovered)...)
+	violations := append(r.violations, VerifyWindows(res.Golden, res.Recovered)...)
 	if sc.Reputation && !bytes.Equal(goldenLedger, r.finalLedger) {
 		violations = append(violations, fmt.Sprintf(
 			"reputation ledger diverges from golden after recovery: %d vs %d bytes",
@@ -349,7 +347,7 @@ func goldenRun(sc Scenario, reports []mcs.Report, truth *corrupt.Result) (map[in
 				}
 				return golden, blob, nil
 			}
-			out, err := outcome(res, truth)
+			out, err := Outcome(res, truth)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -358,72 +356,4 @@ func goldenRun(sc Scenario, reports []mcs.Report, truth *corrupt.Result) (map[in
 			return nil, nil, errors.New("timed out collecting windows")
 		}
 	}
-}
-
-// outcome scores one window result against the ground truth.
-func outcome(res *pipeline.WindowResult, truth *corrupt.Result) (WindowOutcome, error) {
-	n, slots := truth.Faulty.Dims()
-	if res.EndSlot > slots {
-		return WindowOutcome{}, fmt.Errorf("window [%d,%d) exceeds ground truth width %d",
-			res.StartSlot, res.EndSlot, slots)
-	}
-	f, err := truth.Faulty.Slice(0, n, res.StartSlot, res.EndSlot)
-	if err != nil {
-		return WindowOutcome{}, err
-	}
-	ex, err := truth.Existence.Slice(0, n, res.StartSlot, res.EndSlot)
-	if err != nil {
-		return WindowOutcome{}, err
-	}
-	conf, err := metrics.Compare(res.Output.Detection, f, ex)
-	if err != nil {
-		return WindowOutcome{}, err
-	}
-	return WindowOutcome{
-		Seq:       res.Seq,
-		StartSlot: res.StartSlot,
-		EndSlot:   res.EndSlot,
-		Flags:     res.Flags,
-		F1:        conf.F1(),
-	}, nil
-}
-
-// verifyWindows checks the per-window F1/flag equality invariant.
-func verifyWindows(golden, recovered map[int]WindowOutcome) []string {
-	var v []string
-	if len(recovered) != len(golden) {
-		v = append(v, fmt.Sprintf("recovered %d windows, golden %d", len(recovered), len(golden)))
-	}
-	for seq, g := range golden {
-		got, ok := recovered[seq]
-		if !ok {
-			v = append(v, fmt.Sprintf("window seq %d missing after recovery", seq))
-			continue
-		}
-		if got.StartSlot != g.StartSlot || got.EndSlot != g.EndSlot {
-			v = append(v, fmt.Sprintf("window seq %d spans [%d,%d), golden [%d,%d)",
-				seq, got.StartSlot, got.EndSlot, g.StartSlot, g.EndSlot))
-			continue
-		}
-		if !flagsEqual(got.Flags, g.Flags) {
-			v = append(v, fmt.Sprintf("window seq %d flags diverge: %d flagged vs golden %d",
-				seq, len(got.Flags), len(g.Flags)))
-		}
-		if math.Float64bits(got.F1) != math.Float64bits(g.F1) {
-			v = append(v, fmt.Sprintf("window seq %d F1 %.6f != golden %.6f", seq, got.F1, g.F1))
-		}
-	}
-	return v
-}
-
-func flagsEqual(a, b []pipeline.CellFlag) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

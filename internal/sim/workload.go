@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"itscs/internal/corrupt"
 	"itscs/internal/mcs"
+	"itscs/internal/metrics"
 	"itscs/internal/pipeline"
 )
 
@@ -39,14 +41,72 @@ func BuildWorkload(fleet string, sc Scenario) (*FleetWorkload, error) {
 
 // Outcome scores one window result against the workload's ground truth.
 func Outcome(res *pipeline.WindowResult, truth *corrupt.Result) (WindowOutcome, error) {
-	return outcome(res, truth)
+	n, slots := truth.Faulty.Dims()
+	if res.EndSlot > slots {
+		return WindowOutcome{}, fmt.Errorf("window [%d,%d) exceeds ground truth width %d",
+			res.StartSlot, res.EndSlot, slots)
+	}
+	f, err := truth.Faulty.Slice(0, n, res.StartSlot, res.EndSlot)
+	if err != nil {
+		return WindowOutcome{}, err
+	}
+	ex, err := truth.Existence.Slice(0, n, res.StartSlot, res.EndSlot)
+	if err != nil {
+		return WindowOutcome{}, err
+	}
+	conf, err := metrics.Compare(res.Output.Detection, f, ex)
+	if err != nil {
+		return WindowOutcome{}, err
+	}
+	return WindowOutcome{
+		Seq:       res.Seq,
+		StartSlot: res.StartSlot,
+		EndSlot:   res.EndSlot,
+		Flags:     res.Flags,
+		F1:        conf.F1(),
+	}, nil
 }
 
 // VerifyWindows checks two runs of the same workload window for window —
 // same spans, bitwise-equal flags and F1 — returning human-readable
 // violations (empty means identical).
-func VerifyWindows(golden, got map[int]WindowOutcome) []string {
-	return verifyWindows(golden, got)
+func VerifyWindows(golden, recovered map[int]WindowOutcome) []string {
+	var v []string
+	if len(recovered) != len(golden) {
+		v = append(v, fmt.Sprintf("recovered %d windows, golden %d", len(recovered), len(golden)))
+	}
+	for seq, g := range golden {
+		got, ok := recovered[seq]
+		if !ok {
+			v = append(v, fmt.Sprintf("window seq %d missing after recovery", seq))
+			continue
+		}
+		if got.StartSlot != g.StartSlot || got.EndSlot != g.EndSlot {
+			v = append(v, fmt.Sprintf("window seq %d spans [%d,%d), golden [%d,%d)",
+				seq, got.StartSlot, got.EndSlot, g.StartSlot, g.EndSlot))
+			continue
+		}
+		if !flagsEqual(got.Flags, g.Flags) {
+			v = append(v, fmt.Sprintf("window seq %d flags diverge: %d flagged vs golden %d",
+				seq, len(got.Flags), len(g.Flags)))
+		}
+		if math.Float64bits(got.F1) != math.Float64bits(g.F1) {
+			v = append(v, fmt.Sprintf("window seq %d F1 %.6f != golden %.6f", seq, got.F1, g.F1))
+		}
+	}
+	return v
+}
+
+func flagsEqual(a, b []pipeline.CellFlag) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // GoldenRun streams the workload through a fresh single-node engine at the
