@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -42,5 +43,23 @@ func BenchmarkFrobeniusNorm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.FrobeniusNorm2()
+	}
+}
+
+// BenchmarkReadBinary decodes one checkpoint ring at the paper's stream
+// shape, (W+H)×participants = 300×158, as recovery does for every ring of
+// every shard.
+func BenchmarkReadBinary(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, benchMatrix(300, 158)); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(bytes.NewReader(enc)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -129,9 +130,12 @@ func ReadBinary(r io.Reader) (*Dense, error) {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("read binary row %d: %w", i, err)
 		}
-		for j := 0; j < cols; j++ {
-			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
+		data = slices.Grow(data, cols)
+		row := data[len(data) : len(data)+cols]
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
 		}
+		data = data[:len(data)+cols]
 	}
 	return &Dense{rows: rows, cols: cols, data: data}, nil
 }

@@ -82,7 +82,7 @@ func (o Origin) String() string {
 }
 
 // Stamped reports whether the report carries an ingest freshness stamp.
-func (r Report) Stamped() bool { return r.IngestUnixMicro != 0 }
+func (r *Report) Stamped() bool { return r.IngestUnixMicro != 0 }
 
 // StampIngest fills the freshness stamp and origin, and assigns a trace ID
 // if the report has none. It is a no-op on an already-stamped report, which

@@ -71,29 +71,30 @@ func (s Span) LogValue() slog.Value {
 }
 
 // ring is the fixed-capacity FIFO behind Ring and TraceTable: push
-// appends, evicting the oldest value once full, and a zero-capacity ring
-// keeps nothing. Callers hold their own lock.
+// claims the next position, evicting the oldest value once full, and a
+// zero-capacity ring keeps nothing. Callers hold their own lock.
 type ring[T any] struct {
 	buf  []T
-	next int // index the next push writes
+	next int // index the next push claims
 	n    int // live values, ≤ len(buf)
 }
 
 func newRing[T any](depth int) ring[T] { return ring[T]{buf: make([]T, max(depth, 0))} }
 
-// push appends v and, when the ring was full, returns the value it evicted.
-func (r *ring[T]) push(v T) (evicted T, full bool) {
+// push claims the next position as the newest value and returns it in
+// place for the caller to overwrite: it still holds the evicted oldest
+// value when the ring was full, its zero value before. A zero-capacity
+// ring returns nil.
+func (r *ring[T]) push() *T {
 	if len(r.buf) == 0 {
-		return v, true
+		return nil
 	}
-	if r.n == len(r.buf) {
-		evicted, full = r.buf[r.next], true
-	} else {
-		r.n++
+	v := &r.buf[r.next]
+	r.n = min(r.n+1, len(r.buf))
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
 	}
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	return evicted, full
+	return v
 }
 
 // at returns the i-th oldest live value, 0 ≤ i < n, in place.
@@ -114,7 +115,9 @@ func NewRing(depth int) *Ring { return &Ring{spans: newRing[Span](depth)} }
 func (r *Ring) Add(s Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans.push(s)
+	if v := r.spans.push(); v != nil {
+		*v = s
+	}
 }
 
 // Snapshot copies the retained spans, newest first.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -83,36 +84,95 @@ func (rec *traceRec) trace() Trace {
 // TraceTable is a bounded, concurrency-safe table of live traces keyed by
 // trace ID. When full, Begin evicts the oldest trace FIFO, as the span Ring
 // does. A nil table ignores every call, so call sites need no guards.
+//
+// The records live in a ring; index finds one by ID without a map. It is
+// an open-addressing table of ring positions (-1 empty), a power of two at
+// least twice the depth long, so it is never more than half full: a key's
+// home slot is its Fibonacci hash, a collision probes the following
+// slots, and removal shifts the rest of the probe run back instead of
+// leaving a tombstone, so the run stays as short as if the removed key had
+// never been there.
 type TraceTable struct {
-	mu   sync.Mutex
-	recs ring[traceRec] // oldest first
-	byID map[uint64]int // index into recs.buf
+	mu    sync.Mutex
+	recs  ring[traceRec] // oldest first; a position's id is 0 until first used
+	index []int32        // ring positions by ID, -1 where empty
+	shift uint           // 64 − log₂ len(index): the hash keeps the top bits
 }
 
 // NewTraceTable retains up to depth traces (≤ 0: none, every call a no-op).
 func NewTraceTable(depth int) *TraceTable {
-	return &TraceTable{recs: newRing[traceRec](depth), byID: make(map[uint64]int, max(depth, 0))}
+	t := &TraceTable{recs: newRing[traceRec](depth)}
+	if depth > 0 {
+		logLen := uint(bits.Len(uint(2*depth - 1)))
+		t.index, t.shift = make([]int32, 1<<logLen), 64-logLen
+		for i := range t.index {
+			t.index[i] = -1
+		}
+	}
+	return t
+}
+
+// home is id's first index slot: the top bits of id·2⁶⁴/φ.
+func (t *TraceTable) home(id uint64) int { return int(id * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// find returns the index slot holding id, or the empty slot that ends id's
+// probe run and whether id was found there.
+func (t *TraceTable) find(id uint64) (slot int, ok bool) {
+	mask := len(t.index) - 1
+	for i := t.home(id); ; i = (i + 1) & mask {
+		p := t.index[i]
+		if p < 0 {
+			return i, false
+		}
+		if t.recs.buf[p].id == id {
+			return i, true
+		}
+	}
+}
+
+// remove empties index slot i and shifts back each later entry of its
+// probe run that may sit closer to its home: an entry at j whose home h
+// lies cyclically at or before i moves into the hole.
+func (t *TraceTable) remove(i int) {
+	mask := len(t.index) - 1
+	for j := (i + 1) & mask; t.index[j] >= 0; j = (j + 1) & mask {
+		h := t.home(t.recs.buf[t.index[j]].id)
+		if (j-h)&mask >= (j-i)&mask {
+			t.index[i], i = t.index[j], j
+		}
+	}
+	t.index[i] = -1
 }
 
 // Begin opens the trace for id with its ingest stage at the door's stamp
 // and, if commit is non-nil, its wal_commit stage (commit's time and
 // detail) in one call, so no racing window close links it half-built. A
-// retained id (replay re-delivers records) keeps its original trace.
+// retained id (replay re-delivers records) keeps its original trace. The
+// record is written in place over the oldest one it evicts.
 func (t *TraceTable) Begin(id uint64, fleet string, participant, slot int, origin string, atUnixMicro int64, commit *TraceStage) {
 	if t == nil || len(t.recs.buf) == 0 || id == 0 {
 		return
 	}
-	rec := traceRec{id: id, fleet: fleet, origin: origin, participant: participant, slot: slot, seq: -1,
-		at: [...]int64{atUnixMicro, notReached, notReached, notReached, notReached}}
-	if commit != nil {
-		rec.at[walCommit], rec.commitDetail = commit.AtUnixMicro, commit.Detail
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.byID[id]; !ok {
-		delete(t.byID, t.recs.buf[t.recs.next].id) // the record push evicts (id 0: none)
-		t.byID[id] = t.recs.next
-		t.recs.push(rec)
+	if _, ok := t.find(id); ok {
+		return
+	}
+	pos := t.recs.next
+	rec := t.recs.push()
+	if rec.id != 0 { // full: rec is the oldest trace, evicted
+		evicted, _ := t.find(rec.id)
+		t.remove(evicted)
+	}
+	// Removal may have moved the hole that ended id's probe run.
+	free, _ := t.find(id)
+	t.index[free] = int32(pos)
+	rec.id, rec.fleet, rec.origin = id, fleet, origin
+	rec.participant, rec.slot, rec.seq = participant, slot, -1
+	rec.at = [...]int64{atUnixMicro, notReached, notReached, notReached, notReached}
+	rec.commitDetail, rec.flagged = "", 0
+	if commit != nil {
+		rec.at[walCommit], rec.commitDetail = commit.AtUnixMicro, commit.Detail
 	}
 }
 
@@ -161,13 +221,17 @@ func (t *TraceTable) each(fn func(*traceRec)) {
 }
 
 // Lookup renders the trace for id, if retained.
-func (t *TraceTable) Lookup(id uint64) (tr Trace, ok bool) {
-	t.each(func(rec *traceRec) {
-		if rec.id == id {
-			tr, ok = rec.trace(), true
-		}
-	})
-	return tr, ok
+func (t *TraceTable) Lookup(id uint64) (Trace, bool) {
+	if t == nil || len(t.recs.buf) == 0 || id == 0 {
+		return Trace{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.find(id)
+	if !ok {
+		return Trace{}, false
+	}
+	return t.recs.buf[t.index[i]].trace(), true
 }
 
 // Snapshot renders the retained traces, newest first.

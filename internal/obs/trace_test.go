@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -234,6 +235,73 @@ func TestTraceTableConcurrentWindowCloses(t *testing.T) {
 			t.Errorf("trace %s: window_close stage %v but seq %d", tr.ID, hasClose, tr.WindowSeq)
 		}
 	}
+}
+
+// FuzzTraceTable checks Begin against a FIFO model: the table retains
+// exactly the last depth distinct IDs begun, each with the trace of its
+// first Begin, in Begin order, at depths 1–100. An even op byte begins one
+// of 128 small IDs; an odd one begins an ID from a pool whose home is the
+// index's first or last slot, so probe runs collide, wrap around the end
+// and are cut by evictions.
+func FuzzTraceTable(f *testing.F) {
+	f.Add(uint8(0), []byte{2, 4, 2, 6})
+	f.Add(uint8(3), []byte{1, 3, 5, 7, 9, 11, 1, 13, 2, 15, 17})
+	f.Add(uint8(2), []byte{32, 42, 48, 49}) // an eviction's hole is the next entry's home
+	f.Add(uint8(63), bytes.Repeat([]byte{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 0, 2}, 40))
+	f.Add(uint8(99), bytes.Repeat([]byte{255, 253, 251, 6, 8, 249}, 60))
+	f.Fuzz(func(t *testing.T, d uint8, ops []byte) {
+		depth := int(d)%100 + 1
+		tab := NewTraceTable(depth)
+		var pool []uint64
+		for id, last := uint64(1), len(tab.index)-1; len(pool) < 64; id++ {
+			if h := tab.home(id); h == 0 || h == last {
+				pool = append(pool, id)
+			}
+		}
+		var fifo []uint64         // retained IDs, oldest first
+		begun := map[uint64]int{} // op that began each retained ID
+		for op, b := range ops {
+			id := uint64(b>>1) + 1
+			if b&1 == 1 {
+				id = pool[int(b>>1)%len(pool)]
+			}
+			tab.Begin(id, "cab", 0, op, "router", int64(op), nil)
+			evicted := uint64(0)
+			if _, ok := begun[id]; !ok {
+				fifo, begun[id] = append(fifo, id), op
+				if len(fifo) > depth {
+					evicted, fifo = fifo[0], fifo[1:]
+					delete(begun, evicted)
+				}
+			}
+			if got := tab.Len(); got != len(fifo) {
+				t.Fatalf("op %d: Len = %d, model holds %d", op, got, len(fifo))
+			}
+			if _, ok := tab.Lookup(evicted); evicted != 0 && ok {
+				t.Fatalf("op %d: evicted trace %d still found", op, evicted)
+			}
+			for _, id := range fifo {
+				if i, ok := tab.find(id); !ok || tab.recs.buf[tab.index[i]].slot != begun[id] {
+					t.Fatalf("op %d: trace %d found %v, not the one begun at op %d", op, id, ok, begun[id])
+				}
+			}
+			used := 0
+			for _, p := range tab.index {
+				if p >= 0 {
+					used++
+				}
+			}
+			if used != len(fifo) {
+				t.Fatalf("op %d: index holds %d positions for %d traces", op, used, len(fifo))
+			}
+		}
+		snap := tab.Snapshot()
+		for i, tr := range snap {
+			if want := TraceIDString(fifo[len(fifo)-1-i]); tr.ID != want {
+				t.Fatalf("snapshot[%d] = %s, want %s (newest first)", i, tr.ID, want)
+			}
+		}
+	})
 }
 
 // BenchmarkTraceTableBegin measures opening one stamped report's trace at

@@ -132,7 +132,7 @@ type Config struct {
 	// dropped and counted.
 	QueueDepth int
 	// MaxFleets bounds how many fleet shards may be materialized
-	// (default 64); each shard holds five Participants×(W+H) matrices.
+	// (default 64); each shard holds six (W+H)×Participants rings.
 	MaxFleets int
 	// Log, when set, makes ingestion write-ahead: a report is appended to
 	// the log before it mutates any shard, and an append failure rejects
@@ -276,9 +276,11 @@ type job struct {
 }
 
 // shard is one fleet's ring-buffered stream state. The rings are
-// Participants×(W+H); a slot lives at column slot%(W+H). Because writes are
-// confined to [start, start+W) and the outgoing hop is zeroed on every
-// slide, distinct live slots never collide modulo the capacity.
+// slot-major, (W+H)×Participants: a slot lives at row slot%(W+H), so the
+// reports of one slot, which arrive together, write neighbouring cells.
+// Because writes are confined to [start, start+W) and the outgoing hop is
+// zeroed on every slide, distinct live slots never collide modulo the
+// capacity.
 type shard struct {
 	fleet string
 
@@ -358,6 +360,12 @@ type Engine struct {
 	hist struct {
 		detect, correct, check, run, wait *metrics.Histogram
 	}
+
+	// replayStamped counts stamped replayed records and replayCommitUS
+	// holds the newest clock reading their wal_commit stages share (see
+	// replayCommitTime).
+	replayStamped  atomic.Uint64
+	replayCommitUS atomic.Int64
 }
 
 // New validates the configuration and starts the worker pool. The caller
@@ -529,7 +537,11 @@ func (e *Engine) check(r *mcs.Report) (*shard, error) {
 // commit stage, if there is one; its time is read on first use.
 func (e *Engine) apply(sh *shard, r *mcs.Report, replay bool, commit *obs.TraceStage) error {
 	if r.Stamped() && commit != nil && commit.AtUnixMicro == 0 {
-		commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
+		if replay {
+			commit.AtUnixMicro = e.replayCommitTime()
+		} else {
+			commit.AtUnixMicro = e.cfg.Clock.Now().UnixMicro()
+		}
 	}
 	closedBefore := e.c.windowsClosed.Load()
 	jobs, err := sh.ingest(r, &e.cfg, &e.c, commit)
@@ -567,6 +579,26 @@ func (e *Engine) apply(sh *shard, r *mcs.Report, replay bool, commit *obs.TraceS
 		e.c.replayed.Add(1)
 	}
 	return nil
+}
+
+// replayClockEvery is how many stamped replayed records share one clock
+// reading as their wal_commit time.
+const replayClockEvery = 1024
+
+// replayCommitTime is the wal_commit time of a stamped replayed record.
+// Replay is one call per record, so reading the clock for each would cost
+// a clock read per record of the log tail; instead the first of every
+// replayClockEvery such records reads it and the others reuse the newest
+// reading. Each reading is taken before any record that uses it is applied,
+// so a stage is never later than its record's apply, only earlier by at
+// most the time the records in between take to replay.
+func (e *Engine) replayCommitTime() int64 {
+	at := e.replayCommitUS.Load()
+	if e.replayStamped.Add(1)%replayClockEvery == 1 || at == 0 {
+		at = e.cfg.Clock.Now().UnixMicro()
+		e.replayCommitUS.Store(at)
+	}
+	return at
 }
 
 // Flush closes the fleet's open window early — regardless of how far it has
@@ -763,7 +795,7 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 			ErrNotRestorable, ck.Participants, ck.WindowSlots, ck.HopSlots,
 			e.cfg.Participants, e.cfg.WindowSlots, e.cfg.HopSlots)
 	}
-	n, capSlots := e.cfg.Participants, e.cfg.WindowSlots+e.cfg.HopSlots
+	capSlots, n := e.cfg.WindowSlots+e.cfg.HopSlots, e.cfg.Participants
 	for i := range ck.Shards {
 		sc := &ck.Shards[i]
 		for _, r := range []struct {
@@ -773,9 +805,9 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 			if r.m == nil {
 				return fmt.Errorf("%w: shard %q missing ring %s", ErrNotRestorable, sc.Fleet, r.name)
 			}
-			if mr, mc := r.m.Dims(); mr != n || mc != capSlots {
+			if mr, mc := r.m.Dims(); mr != capSlots || mc != n {
 				return fmt.Errorf("%w: shard %q ring %s is %dx%d, want %dx%d",
-					ErrNotRestorable, sc.Fleet, r.name, mr, mc, n, capSlots)
+					ErrNotRestorable, sc.Fleet, r.name, mr, mc, capSlots, n)
 			}
 		}
 	}
@@ -982,16 +1014,16 @@ func (e *Engine) shard(fleet string) (*shard, error) {
 	if len(e.shards) >= e.cfg.MaxFleets {
 		return nil, fmt.Errorf("%w: %d shards live, fleet %q refused", ErrTooManyFleets, len(e.shards), fleet)
 	}
-	n, capSlots := e.cfg.Participants, e.cfg.WindowSlots+e.cfg.HopSlots
+	capSlots, n := e.cfg.WindowSlots+e.cfg.HopSlots, e.cfg.Participants
 	sh := &shard{
 		fleet:   fleet,
 		warmSeq: -1,
-		sx:      mat.New(n, capSlots),
-		sy:      mat.New(n, capSlots),
-		vx:      mat.New(n, capSlots),
-		vy:      mat.New(n, capSlots),
-		ex:      mat.New(n, capSlots),
-		ts:      mat.New(n, capSlots),
+		sx:      mat.New(capSlots, n),
+		sy:      mat.New(capSlots, n),
+		vx:      mat.New(capSlots, n),
+		vy:      mat.New(capSlots, n),
+		ex:      mat.New(capSlots, n),
+		ts:      mat.New(capSlots, n),
 	}
 	e.addShard(sh)
 	return sh, nil
@@ -1068,10 +1100,10 @@ func (sh *shard) ingest(r *mcs.Report, cfg *Config, c *counters, commit *obs.Tra
 	for closes := 0; r.Slot >= sh.start+w; closes++ {
 		if closes >= maxCatchUpCloses {
 			// Fast-forward past the gap: skip whole hops until the slot
-			// fits the open window again. Only live columns need zeroing,
+			// fits the open window again. Only live slots need zeroing,
 			// and writes are confined to [start, start+w).
 			k := (r.Slot-(sh.start+w))/h + 1
-			sh.zeroCols(sh.start, minInt(k*h, w), capSlots)
+			sh.zeroSlots(sh.start, minInt(k*h, w), capSlots)
 			sh.start += k * h
 			sh.seq += k
 			c.windowsSkipped.Add(uint64(k))
@@ -1081,17 +1113,16 @@ func (sh *shard) ingest(r *mcs.Report, cfg *Config, c *counters, commit *obs.Tra
 			jobs = append(jobs, j)
 		}
 	}
-	col := r.Slot % capSlots
-	if sh.ex.At(r.Participant, col) != 0 {
+	row, p := r.Slot%capSlots, r.Participant
+	ex := sh.ex.RowView(row)
+	if ex[p] != 0 {
 		c.duplicates.Add(1)
 		return jobs, fmt.Errorf("%w: participant %d slot %d", mcs.ErrDuplicateReport, r.Participant, r.Slot)
 	}
-	sh.sx.Set(r.Participant, col, r.X)
-	sh.sy.Set(r.Participant, col, r.Y)
-	sh.vx.Set(r.Participant, col, r.VX)
-	sh.vy.Set(r.Participant, col, r.VY)
-	sh.ex.Set(r.Participant, col, 1)
-	sh.ts.Set(r.Participant, col, float64(r.IngestUnixMicro))
+	ex[p] = 1
+	sh.sx.RowView(row)[p], sh.sy.RowView(row)[p] = r.X, r.Y
+	sh.vx.RowView(row)[p], sh.vy.RowView(row)[p] = r.VX, r.VY
+	sh.ts.RowView(row)[p] = float64(r.IngestUnixMicro)
 	if r.Stamped() {
 		// The ingest stage carries the door's stamp time, not ours; the
 		// engine never stamps, so replay re-delivers the original timeline.
@@ -1120,25 +1151,27 @@ func (sh *shard) closeWindow(cfg *Config, c *counters) (job, bool) {
 	closedAt := cfg.clock().Now()
 	closedUS := closedAt.UnixMicro()
 	observed := 0
-	for i := 0; i < n; i++ {
-		sxr, syr := sh.sx.RowView(i), sh.sy.RowView(i)
-		vxr, vyr, exr := sh.vx.RowView(i), sh.vy.RowView(i), sh.ex.RowView(i)
-		tsr := sh.ts.RowView(i)
-		dx, dy := in.SX.RowView(i), in.SY.RowView(i)
-		dvx, dvy, de := in.VX.RowView(i), in.VY.RowView(i), in.Existence.RowView(i)
-		dts := stamps.RowView(i)
-		for t := 0; t < w; t++ {
-			src := (sh.start + t) % capSlots
-			if exr[src] == 0 {
+	// Gather each slot's ring row into column t of the participant-major
+	// window matrices.
+	dx, dy, dts := in.SX.RawData(), in.SY.RawData(), stamps.RawData()
+	dvx, dvy, de := in.VX.RawData(), in.VY.RawData(), in.Existence.RawData()
+	for t := 0; t < w; t++ {
+		src := (sh.start + t) % capSlots
+		sxr, syr := sh.sx.RowView(src), sh.sy.RowView(src)
+		vxr, vyr, exr := sh.vx.RowView(src), sh.vy.RowView(src), sh.ex.RowView(src)
+		tsr := sh.ts.RowView(src)
+		for i := 0; i < n; i++ {
+			if exr[i] == 0 {
 				continue
 			}
-			dx[t], dy[t] = sxr[src], syr[src]
-			dvx[t], dvy[t] = vxr[src], vyr[src]
-			de[t] = 1
+			d := i*w + t
+			dx[d], dy[d] = sxr[i], syr[i]
+			dvx[d], dvy[d] = vxr[i], vyr[i]
+			de[d] = 1
 			observed++
-			if st := tsr[src]; st > 0 {
-				dts[t] = st
-				tsr[src] = -st
+			if st := tsr[i]; st > 0 {
+				dts[d] = st
+				tsr[i] = -st
 				age := time.Duration(closedUS-int64(st)) * time.Microsecond
 				sh.ageAtClose.Observe(age)
 				c.ageAtClose.Observe(age)
@@ -1162,7 +1195,7 @@ func (sh *shard) closeWindow(cfg *Config, c *counters) (job, bool) {
 		traceID:  traceID,
 		enqueued: closedAt,
 	}
-	sh.zeroCols(sh.start, h, capSlots)
+	sh.zeroSlots(sh.start, h, capSlots)
 	sh.start += h
 	sh.seq++
 	c.windowsClosed.Add(1)
@@ -1173,16 +1206,12 @@ func (sh *shard) closeWindow(cfg *Config, c *counters) (job, bool) {
 	return j, true
 }
 
-// zeroCols clears count ring columns starting at absolute slot from.
-func (sh *shard) zeroCols(from, count, capSlots int) {
-	n, _ := sh.ex.Dims()
-	mats := [...]*mat.Dense{sh.sx, sh.sy, sh.vx, sh.vy, sh.ex, sh.ts}
-	for i := 0; i < n; i++ {
-		for _, m := range mats {
-			row := m.RowView(i)
-			for t := 0; t < count; t++ {
-				row[(from+t)%capSlots] = 0
-			}
+// zeroSlots clears the ring rows of count slots starting at absolute slot from.
+func (sh *shard) zeroSlots(from, count, capSlots int) {
+	for t := 0; t < count; t++ {
+		row := (from + t) % capSlots
+		for _, m := range [...]*mat.Dense{sh.sx, sh.sy, sh.vx, sh.vy, sh.ex, sh.ts} {
+			clear(m.RowView(row))
 		}
 	}
 }

@@ -1,8 +1,13 @@
 package pipeline
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"itscs/internal/fault"
 	"itscs/internal/mcs"
 )
 
@@ -93,5 +98,71 @@ func TestIngestBatchAllocs(t *testing.T) {
 	}
 	if n := e.lookup("f").traces.Len(); n != e.cfg.TraceDepth {
 		t.Errorf("trace table holds %d traces, want a full table of %d", n, e.cfg.TraceDepth)
+	}
+}
+
+// tickingClock advances one microsecond on every Now, so a reading's value
+// tells which read it was.
+type tickingClock struct {
+	fault.Clock
+	reads atomic.Int64
+}
+
+func (c *tickingClock) Now() time.Time { return time.UnixMicro(c.reads.Add(1)) }
+
+// TestReplayCommitClockConcurrent pins the replayed wal_commit stage: the
+// clock is read once per replayClockEvery stamped replayed records (plus
+// at most once per goroutine that races the first read), and every
+// record's stage is a reading taken before its Replay returned. Each
+// goroutine replays its own fleet, as recovery's callers may run side by
+// side; run under -race this also pins the shared reading's publication.
+func TestReplayCommitClockConcurrent(t *testing.T) {
+	for _, goroutines := range []int{1, 4} {
+		t.Run(fmt.Sprintf("goroutines=%d", goroutines), func(t *testing.T) {
+			const participants, perG = 4, 2500
+			clock := &tickingClock{Clock: fault.RealClock()}
+			cfg := mechConfig(participants, perG, 1)
+			cfg.Clock, cfg.TraceDepth = clock, perG
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(fleet string) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						r := stampedReport(i, participants, true)
+						r.Fleet = fleet
+						if err := e.Replay(r); err != nil {
+							errs <- err
+							return
+						}
+						after := clock.reads.Load()
+						tr, ok := e.FindTrace(fleet, r.TraceID)
+						if !ok || len(tr.Stages) < 2 || tr.Stages[1].Name != "wal_commit" {
+							errs <- fmt.Errorf("record %d of %s: trace %+v, %v", i, fleet, tr, ok)
+							return
+						}
+						if at := tr.Stages[1].AtUnixMicro; at < 1 || at > after {
+							errs <- fmt.Errorf("record %d of %s: wal_commit read %d, but only %d reads before its Replay returned", i, fleet, at, after)
+							return
+						}
+					}
+				}(fmt.Sprintf("f%d", g))
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			records := goroutines * perG
+			if reads, most := clock.reads.Load(), int64((records+replayClockEvery-1)/replayClockEvery+goroutines-1); reads > most {
+				t.Errorf("%d stamped replays read the clock %d times, want at most %d", records, reads, most)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 // Checkpoint file layout ("checkpoint-<hex LogIndex>.ckpt"):
 //
 //	8 bytes  magic "ITSCSCKP"
-//	u32      version (3; any other version is refused)
+//	u32      version (4; any other version is refused)
 //	body     (CRC32C-protected):
 //	  u64    LogIndex — replay origin: every record with index below this
 //	         is reflected in the shard snapshots
@@ -31,13 +31,18 @@ import (
 //	    u64        Start (open window's first slot)
 //	    u64        Seq (sequence the open window will get)
 //	    u64        WarmSeq+1 (0 encodes "no warm state yet")
-//	    5×matrix   SX SY VX VY EX rings (mat binary framing)
-//	    matrix     TS ingest-stamp ring (unix micros)
+//	    5×matrix   SX SY VX VY EX rings, slot-major (mat binary framing)
+//	    matrix     TS ingest-stamp ring (unix micros), slot-major
 //	    u8         warm-present flag, then 4×matrix L/R factors per axis
 //	  u32+bytes  opaque reputation-ledger blob; the WAL
 //	             layer never interprets it, it just carries the bytes so
 //	             the trust ledger shares the shards' crash consistency
 //	u32      CRC32C of the body
+//
+// Version 4 stores the rings slot-major, (W+H)×Participants. Version 3
+// had the same bytes but participant-major rings; its files are refused,
+// not transposed, because when Participants = W+H the shape cannot tell
+// the two orientations apart.
 //
 // Files are written to a temp name, fsynced, renamed into place, and the
 // directory fsynced — a crash mid-write leaves either the old checkpoint
@@ -47,7 +52,7 @@ const (
 	ckptPrefix  = "checkpoint-"
 	ckptSuffix  = ".ckpt"
 	ckptMagic   = "ITSCSCKP"
-	ckptVersion = 3
+	ckptVersion = 4
 	// maxReputationBlob bounds the reputation section's claimed size before
 	// allocation, like maxShards and maxFleetNameLen bound theirs.
 	maxReputationBlob = 1 << 26
@@ -66,7 +71,8 @@ type ShardCheckpoint struct {
 	Seq     int
 	WarmSeq int // -1 when no window has completed yet
 
-	// SX, SY, VX, VY, EX are the Participants×(W+H) ring buffers.
+	// SX, SY, VX, VY, EX are the ring buffers, slot-major: (W+H)×
+	// Participants, slot s in row s mod (W+H).
 	SX, SY, VX, VY, EX *mat.Dense
 
 	// TS is the ingest-stamp ring (unix microseconds as float64, exact

@@ -190,10 +190,15 @@ func TestCheckpointV1Compat(t *testing.T) { checkVersionRefused(t, 1) }
 // stamp rings) is retired, so its header is refused.
 func TestCheckpointV2Compat(t *testing.T) { checkVersionRefused(t, 2) }
 
+// TestCheckpointV3Compat: the version-3 layout (participant-major rings)
+// is retired, so its header is refused; with as many participants as ring
+// slots its rings would pass for slot-major ones.
+func TestCheckpointV3Compat(t *testing.T) { checkVersionRefused(t, 3) }
+
 // TestCheckpointRefusesOtherVersions: versions that never existed, below
 // and above the current one, are refused the same way.
 func TestCheckpointRefusesOtherVersions(t *testing.T) {
-	for _, version := range []uint32{0, 4} {
+	for _, version := range []uint32{0, 5} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			checkVersionRefused(t, version)
 		})

@@ -500,7 +500,9 @@ func openSegment(fsys fault.FS, path string) (*segmentReader, error) {
 
 // next returns the next frame's checksummed payload, valid until the
 // following call: io.EOF at a clean end of the segment, a descriptive
-// error for a torn or damaged frame.
+// error for a torn or damaged frame. A payload that fits the buffer is
+// returned from it in place; a larger one, or one cut short by the end of
+// the file, is copied out so the error names what was missing.
 func (r *segmentReader) next() ([]byte, error) {
 	if _, err := io.ReadFull(r.br, r.fh[:]); err != nil {
 		if err == io.EOF {
@@ -513,18 +515,23 @@ func (r *segmentReader) next() ([]byte, error) {
 	if plen == 0 || plen > maxPayload {
 		return nil, fmt.Errorf("wal: implausible frame length %d", plen)
 	}
-	if cap(r.payload) < int(plen) {
-		r.payload = make([]byte, plen)
+	payload, err := r.br.Peek(int(plen))
+	if err == nil {
+		r.br.Discard(len(payload)) // cannot fail: Peek buffered the bytes
+	} else {
+		if cap(r.payload) < int(plen) {
+			r.payload = make([]byte, plen)
+		}
+		payload = r.payload[:plen]
+		if _, err := io.ReadFull(r.br, payload); err != nil {
+			return nil, fmt.Errorf("wal: torn frame payload: %w", err)
+		}
 	}
-	r.payload = r.payload[:plen]
-	if _, err := io.ReadFull(r.br, r.payload); err != nil {
-		return nil, fmt.Errorf("wal: torn frame payload: %w", err)
-	}
-	if crc32.Checksum(r.payload, castagnoli) != want {
+	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, errors.New("wal: frame checksum mismatch")
 	}
 	r.off += int64(frameHdr) + int64(plen)
-	return r.payload, nil
+	return payload, nil
 }
 
 // AppendBatch frames the reports, in order, and hands them to the

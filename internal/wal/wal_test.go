@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -478,5 +481,58 @@ func TestSegmentNaming(t *testing.T) {
 	}
 	if base := filepath.Base(p); base != fmt.Sprintf("wal-%016x.seg", 7) {
 		t.Errorf("segment name = %q", base)
+	}
+}
+
+// TestSegmentReaderFrameSizes reads frames that fit the reader's buffer,
+// which next returns in place, and frames larger than it, which it copies
+// out, interleaved, and checks each payload and the offset past it; a
+// payload cut short by the end of the file is reported torn.
+func TestSegmentReaderFrameSizes(t *testing.T) {
+	seg := make([]byte, segHdrLen)
+	copy(seg, segMagic)
+	binary.LittleEndian.PutUint32(seg[len(segMagic):], segVersion)
+	var payloads [][]byte
+	for i, n := range []int{100, 1 << 17, 7, 1<<16 - frameHdr, 1 << 16, 3} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(n))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(p, castagnoli))
+		seg = append(seg, p...)
+		payloads = append(payloads, p)
+	}
+	path := filepath.Join(t.TempDir(), "wal-0000000000000000.seg")
+	torn := binary.LittleEndian.AppendUint32(append([]byte{}, seg...), 1<<17)
+	torn = append(binary.LittleEndian.AppendUint32(torn, 0), make([]byte, 1<<16)...)
+	for _, tc := range []struct {
+		file    []byte
+		wantErr string
+	}{{seg, "EOF"}, {torn, "wal: torn frame payload: unexpected EOF"}} {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := openSegment(fault.OS(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int64(segHdrLen)
+		for i, want := range payloads {
+			got, err := r.next()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("frame %d (%d bytes): got %d bytes, err %v", i, len(want), len(got), err)
+			}
+			if off += int64(frameHdr + len(want)); r.off != off {
+				t.Fatalf("frame %d: off %d, want %d", i, r.off, off)
+			}
+		}
+		if _, err := r.next(); err == nil || err.Error() != tc.wantErr {
+			t.Fatalf("after the last frame: err %v, want %q", err, tc.wantErr)
+		}
+		if r.off != off {
+			t.Fatalf("off %d after the end, want %d", r.off, off)
+		}
+		r.f.Close()
 	}
 }
