@@ -80,60 +80,63 @@ func (r Report) appendBodyV1(dst []byte) []byte {
 	return dst
 }
 
-// DecodeBinary parses one binary-encoded report from the front of b,
-// returning the number of bytes consumed. It accepts both layouts — v1
+// DecodeBinary parses one binary-encoded report from the front of b into
+// r, returning the number of bytes consumed. It accepts both layouts — v1
 // frames yield a zero stamp — and rejects unknown future versions. It
 // never panics on malformed input and rejects trailing garbage only
-// implicitly (callers compare n to the frame's payload length). When the
-// encoded fleet equals fleet, the report shares that string rather than
-// allocating a copy: a reader of many records passes the previous one's.
-func DecodeBinary(b []byte, fleet string) (r Report, n int, err error) {
+// implicitly (callers compare n to the frame's payload length); on error
+// r is left partly written. When the encoded fleet equals fleet, the
+// report shares that string rather than allocating a copy: a reader of
+// many records passes the previous one's.
+func DecodeBinary(b []byte, fleet string, r *Report) (n int, err error) {
 	if len(b) >= 2 && b[0] == binSentinel[0] && b[1] == binSentinel[1] {
-		return decodeStamped(b, fleet)
+		return decodeStamped(b, fleet, r)
 	}
-	return decodeBodyV1(b, fleet)
+	r.IngestUnixMicro, r.Origin, r.TraceID = 0, OriginUnknown, 0
+	return decodeBodyV1(b, fleet, r)
 }
 
-func decodeStamped(b []byte, fleet string) (r Report, n int, err error) {
+func decodeStamped(b []byte, fleet string, r *Report) (n int, err error) {
 	n = 2 // sentinel
 	v, k := binary.Uvarint(b[n:])
 	if k <= 0 {
-		return Report{}, 0, fmt.Errorf("mcs: bad version in binary report")
+		return 0, fmt.Errorf("mcs: bad version in binary report")
 	}
 	if v != binVersionStamped {
-		return Report{}, 0, fmt.Errorf("mcs: unsupported binary report version %d", v)
+		return 0, fmt.Errorf("mcs: unsupported binary report version %d", v)
 	}
 	n += k
-	r, k, err = decodeBodyV1(b[n:], fleet)
-	if err != nil {
-		return Report{}, 0, err
+	if k, err = decodeBodyV1(b[n:], fleet, r); err != nil {
+		return 0, err
 	}
 	n += k
 
 	us, k := binary.Uvarint(b[n:])
 	if k <= 0 {
-		return Report{}, 0, fmt.Errorf("mcs: bad ingest stamp in binary report")
+		return 0, fmt.Errorf("mcs: bad ingest stamp in binary report")
 	}
 	r.IngestUnixMicro = int64(us)
 	n += k
 	if len(b)-n < 1+8 {
-		return Report{}, 0, fmt.Errorf("mcs: truncated stamp in binary report")
+		return 0, fmt.Errorf("mcs: truncated stamp in binary report")
 	}
 	r.Origin = Origin(b[n])
 	n++
 	r.TraceID = binary.LittleEndian.Uint64(b[n:])
 	n += 8
-	return r, n, nil
+	return n, nil
 }
 
-func decodeBodyV1(b []byte, fleet string) (r Report, n int, err error) {
+// decodeBodyV1 writes the v1 body's fields of r; the stamp fields are the
+// caller's.
+func decodeBodyV1(b []byte, fleet string, r *Report) (n int, err error) {
 	flen, k := binary.Uvarint(b)
 	if k <= 0 || flen > maxFleetLen {
-		return Report{}, 0, fmt.Errorf("mcs: bad fleet length in binary report")
+		return 0, fmt.Errorf("mcs: bad fleet length in binary report")
 	}
 	n += k
 	if uint64(len(b)-n) < flen {
-		return Report{}, 0, fmt.Errorf("mcs: truncated fleet in binary report")
+		return 0, fmt.Errorf("mcs: truncated fleet in binary report")
 	}
 	if name := b[n : n+int(flen)]; string(name) == fleet {
 		r.Fleet = fleet
@@ -144,19 +147,19 @@ func decodeBodyV1(b []byte, fleet string) (r Report, n int, err error) {
 
 	p, k := binary.Uvarint(b[n:])
 	if k <= 0 || p > math.MaxInt32 {
-		return Report{}, 0, fmt.Errorf("mcs: bad participant in binary report")
+		return 0, fmt.Errorf("mcs: bad participant in binary report")
 	}
 	r.Participant = int(p)
 	n += k
 	s, k := binary.Uvarint(b[n:])
 	if k <= 0 || s > math.MaxInt32 {
-		return Report{}, 0, fmt.Errorf("mcs: bad slot in binary report")
+		return 0, fmt.Errorf("mcs: bad slot in binary report")
 	}
 	r.Slot = int(s)
 	n += k
 
 	if len(b)-n < 32 {
-		return Report{}, 0, fmt.Errorf("mcs: truncated values in binary report")
+		return 0, fmt.Errorf("mcs: truncated values in binary report")
 	}
 	vals := [4]float64{}
 	for i := range vals {
@@ -164,5 +167,5 @@ func decodeBodyV1(b []byte, fleet string) (r Report, n int, err error) {
 		n += 8
 	}
 	r.X, r.Y, r.VX, r.VY = vals[0], vals[1], vals[2], vals[3]
-	return r, n, nil
+	return n, nil
 }

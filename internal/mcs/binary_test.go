@@ -19,15 +19,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, r := range reports {
 		buf = r.AppendBinary(buf)
 	}
-	prev := ""
+	// One report is decoded into again and again, as the log's replay
+	// does: a v1 record after a stamped one must read back unstamped.
+	var got Report
 	for i, want := range reports {
-		got, n, err := DecodeBinary(buf, prev)
-		prev = got.Fleet
+		n, err := DecodeBinary(buf, got.Fleet, &got)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		buf = buf[n:]
-		if got.Fleet != want.Fleet || got.Participant != want.Participant || got.Slot != want.Slot {
+		if got.Fleet != want.Fleet || got.Participant != want.Participant || got.Slot != want.Slot ||
+			got.IngestUnixMicro != want.IngestUnixMicro || got.Origin != want.Origin || got.TraceID != want.TraceID {
 			t.Fatalf("record %d identity: %+v != %+v", i, got, want)
 		}
 		pairs := [4][2]float64{{want.X, got.X}, {want.Y, got.Y}, {want.VX, got.VX}, {want.VY, got.VY}}
@@ -57,7 +59,8 @@ func TestDecodeBinaryReusesFleet(t *testing.T) {
 			want float64
 		}{{fleet, 0}, {"taxi", 1}} {
 			got := testing.AllocsPerRun(10, func() {
-				if back, _, err := DecodeBinary(b, tc.prev); err != nil || back.Fleet != fleet {
+				var back Report
+				if _, err := DecodeBinary(b, tc.prev, &back); err != nil || back.Fleet != fleet {
 					t.Fatalf("decode = %+v, %v", back, err)
 				}
 			})
@@ -81,7 +84,7 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 		),
 	}
 	for name, b := range cases {
-		if _, _, err := DecodeBinary(b, "cab"); err == nil {
+		if _, err := DecodeBinary(b, "cab", new(Report)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

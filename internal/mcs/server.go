@@ -313,11 +313,11 @@ func (c *connState) decode(b []byte, r *Report) bool {
 		c.fleet = r.Fleet
 		return true
 	}
-	d, n, err := DecodeBinary(b, c.fleet)
+	n, err := DecodeBinary(b, c.fleet, r)
 	if err != nil || n != len(b) {
 		return false
 	}
-	*r, c.fleet = d, d.Fleet
+	c.fleet = r.Fleet
 	return true
 }
 

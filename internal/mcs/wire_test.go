@@ -320,7 +320,8 @@ func FuzzServeBinary(f *testing.F) {
 			}
 			p := b[k : k+int(n)]
 			b = b[k+int(n):]
-			if r, used, err := DecodeBinary(p, ""); err == nil && used == len(p) {
+			var r Report
+			if used, err := DecodeBinary(p, "", &r); err == nil && used == len(p) {
 				want = append(want, r)
 				wantAcks = append(wantAcks, "ok")
 			} else {

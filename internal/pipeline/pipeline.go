@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"itscs/internal/core"
 	"itscs/internal/csrecon"
@@ -340,8 +341,12 @@ type Engine struct {
 	lifeMu sync.RWMutex
 	closed bool
 
+	// shards maps fleet to shard (nil before the first). The map is
+	// copy-on-write: readers load it without a lock, and addShard, holding
+	// shardMu, publishes a new map with the shard added. shardMu serializes
+	// materialization, so the MaxFleets check and the publish are one step.
 	shardMu sync.Mutex
-	shards  map[string]*shard
+	shards  atomic.Pointer[map[string]*shard]
 
 	lanes []*lane
 	wg    sync.WaitGroup
@@ -390,10 +395,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:    cfg,
-		shards: make(map[string]*shard),
-		lanes:  make([]*lane, cfg.Workers),
-		subs:   make(map[int]chan *WindowResult),
+		cfg:   cfg,
+		lanes: make([]*lane, cfg.Workers),
+		subs:  make(map[int]chan *WindowResult),
 	}
 	e.settled = sync.NewCond(&e.settleMu)
 	for i := range e.lanes {
@@ -419,9 +423,7 @@ func New(cfg Config) (*Engine, error) {
 // changes, so every acked report is as durable as the log's fsync policy.
 // It is IngestBatch of one report.
 func (e *Engine) Ingest(r mcs.Report) error {
-	rs, errs := [1]mcs.Report{r}, [1]error{}
-	e.ingest(rs[:], errs[:], false)
-	return errs[0]
+	return e.ingestOne(&r, false)
 }
 
 // IngestBatch is Ingest for many reports: report i's verdict goes to
@@ -439,9 +441,15 @@ func (e *Engine) IngestBatch(rs []mcs.Report, errs []error) {
 // Rejections (duplicates of cells the checkpoint already holds, slots
 // behind a restored watermark) are expected and harmless.
 func (e *Engine) Replay(r mcs.Report) error {
-	rs, errs := [1]mcs.Report{r}, [1]error{}
-	e.ingest(rs[:], errs[:], true)
-	return errs[0]
+	return e.ingestOne(&r, true)
+}
+
+// ingestOne is ingest of one report, handed over in place: the one-element
+// slices alias r and the returned error, so the report is not copied again
+// on its way in (replay feeds every record of the log tail through here).
+func (e *Engine) ingestOne(r *mcs.Report, replay bool) (err error) {
+	e.ingest(unsafe.Slice(r, 1), unsafe.Slice(&err, 1), replay)
+	return err
 }
 
 // ingest is the one ingest path, in three passes under one read lock of
@@ -689,19 +697,24 @@ func (e *Engine) shutdown(drain bool) {
 	e.subMu.Unlock()
 }
 
+// shardMap returns the published fleet → shard map; callers only read it.
+func (e *Engine) shardMap() map[string]*shard {
+	if m := e.shards.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
 // lookup returns the fleet's shard, or nil for a fleet never seen.
 func (e *Engine) lookup(fleet string) *shard {
-	e.shardMu.Lock()
-	defer e.shardMu.Unlock()
-	return e.shards[fleet]
+	return e.shardMap()[fleet]
 }
 
 // allShards snapshots the shard list.
 func (e *Engine) allShards() []*shard {
-	e.shardMu.Lock()
-	defer e.shardMu.Unlock()
-	shards := make([]*shard, 0, len(e.shards))
-	for _, sh := range e.shards {
+	m := e.shardMap()
+	shards := make([]*shard, 0, len(m))
+	for _, sh := range m {
 		shards = append(shards, sh)
 	}
 	return shards
@@ -822,8 +835,8 @@ func (e *Engine) Restore(ck *wal.Checkpoint) error {
 	}
 	e.shardMu.Lock()
 	defer e.shardMu.Unlock()
-	if len(e.shards) != 0 {
-		return fmt.Errorf("%w: %d shards already live", ErrNotRestorable, len(e.shards))
+	if n := len(e.shardMap()); n != 0 {
+		return fmt.Errorf("%w: %d shards already live", ErrNotRestorable, n)
 	}
 	for i := range ck.Shards {
 		sc := &ck.Shards[i]
@@ -929,10 +942,9 @@ func (e *Engine) FindTrace(fleet string, id uint64) (obs.Trace, bool) {
 
 // Fleets lists the materialized fleet IDs, sorted.
 func (e *Engine) Fleets() []string {
-	e.shardMu.Lock()
-	defer e.shardMu.Unlock()
-	names := make([]string, 0, len(e.shards))
-	for name := range e.shards {
+	m := e.shardMap()
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -1004,15 +1016,20 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// shard returns the fleet's shard, materializing it on first sight.
+// shard returns the fleet's shard, materializing it on first sight. A
+// known fleet's shard is found without a lock.
 func (e *Engine) shard(fleet string) (*shard, error) {
-	e.shardMu.Lock()
-	defer e.shardMu.Unlock()
-	if sh, ok := e.shards[fleet]; ok {
+	if sh := e.lookup(fleet); sh != nil {
 		return sh, nil
 	}
-	if len(e.shards) >= e.cfg.MaxFleets {
-		return nil, fmt.Errorf("%w: %d shards live, fleet %q refused", ErrTooManyFleets, len(e.shards), fleet)
+	e.shardMu.Lock()
+	defer e.shardMu.Unlock()
+	m := e.shardMap()
+	if sh, ok := m[fleet]; ok {
+		return sh, nil
+	}
+	if len(m) >= e.cfg.MaxFleets {
+		return nil, fmt.Errorf("%w: %d shards live, fleet %q refused", ErrTooManyFleets, len(m), fleet)
 	}
 	capSlots, n := e.cfg.WindowSlots+e.cfg.HopSlots, e.cfg.Participants
 	sh := &shard{
@@ -1031,14 +1048,21 @@ func (e *Engine) shard(fleet string) (*shard, error) {
 
 // addShard registers a shard holding its stream state: it gets fresh trace
 // and freshness state and the next lane, round-robin, which it keeps for
-// life. Callers hold shardMu.
+// life. It publishes a copy of the shard map with the shard added, so
+// lock-free readers see either map whole. Callers hold shardMu.
 func (e *Engine) addShard(sh *shard) {
-	sh.lane = e.lanes[len(e.shards)%len(e.lanes)]
+	old := e.shardMap()
+	sh.lane = e.lanes[len(old)%len(e.lanes)]
 	sh.spans = obs.NewRing(e.cfg.TraceDepth)
 	sh.traces = obs.NewTraceTable(e.cfg.TraceDepth)
 	sh.ageAtClose = metrics.NewHistogram(metrics.AgeBuckets)
 	sh.ingestToResult = metrics.NewHistogram(metrics.AgeBuckets)
-	e.shards[sh.fleet] = sh
+	m := make(map[string]*shard, len(old)+1)
+	for name, s := range old {
+		m[name] = s
+	}
+	m[sh.fleet] = sh
+	e.shards.Store(&m)
 }
 
 // enqueue places a job on its fleet's lane, evicting the lane's oldest

@@ -207,9 +207,8 @@ func TestEnqueueDropOldest(t *testing.T) {
 	cfg := mechConfig(2, 4, 2)
 	cfg.Obs = rec
 	e := &Engine{
-		cfg:    cfg,
-		lanes:  []*lane{{q: make(chan job, 2)}},
-		shards: make(map[string]*shard),
+		cfg:   cfg,
+		lanes: []*lane{{q: make(chan job, 2)}},
 	}
 	sh, err := e.shard("cab")
 	if err != nil {

@@ -28,7 +28,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0x03, 'c', 'a'})                                             // truncated fleet
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := mcs.DecodeBinary(data, "cab")
+		var r mcs.Report
+		n, err := mcs.DecodeBinary(data, "cab", &r)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -36,7 +37,8 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		enc := r.AppendBinary(nil)
-		back, m, err := mcs.DecodeBinary(enc, r.Fleet)
+		var back mcs.Report
+		m, err := mcs.DecodeBinary(enc, r.Fleet, &back)
 		if err != nil {
 			t.Fatalf("re-decode own encoding: %v", err)
 		}
