@@ -17,10 +17,13 @@ import (
 	"itscs/internal/wal"
 )
 
-// bootDaemon starts a small node and registers its shutdown.
+// bootDaemon starts a small node and registers its shutdown. Of
+// cfg.Engine it keeps only the Clock.
 func bootDaemon(t *testing.T, cfg node.Config) *node.Node {
 	t.Helper()
+	clock := cfg.Engine.Clock // nil: the wall clock
 	cfg.Engine = pipeline.DefaultConfig()
+	cfg.Engine.Clock = clock
 	cfg.Engine.Participants = 8
 	cfg.Engine.WindowSlots = 16
 	cfg.Engine.HopSlots = 8

@@ -1,7 +1,10 @@
 package cluster_test
 
 import (
+	"bufio"
 	"context"
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -84,6 +87,57 @@ func TestForwarderStampsIngest(t *testing.T) {
 	}
 	if kept.ID != obs.TraceIDString(pre.TraceID) {
 		t.Errorf("trace id %s, want the pre-assigned %s", kept.ID, obs.TraceIDString(pre.TraceID))
+	}
+}
+
+// TestRouterDoorStampsParticipantLine sends the router's door a
+// participant JSON line that also carries ingest_us, origin and trace_id:
+// the door ignores them, and the forwarder stamps the report with its own
+// clock, origin router and a newly minted trace ID, which reach the
+// backend.
+func TestRouterDoorStampsParticipantLine(t *testing.T) {
+	backends := startBackends(t, 1)
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	fwd := cluster.NewForwarder(specs(backends), cluster.NewRing(64), cluster.ForwarderOptions{Clock: fault.NewVirtualClock(t0)})
+	defer fwd.Close()
+	door := mcs.NewServer(fwd)
+	addr, err := door.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go door.Serve()
+	defer door.Close()
+
+	const forged = 0x0123456789abcdef
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	fmt.Fprintf(conn, `{"fleet":"stampy","participant":0,"slot":0,"x":1,"y":1,"vx":0,"vy":0,"ingest_us":5,"origin":1,"trace_id":%d}`+"\n", uint64(forged))
+	if ack, err := bufio.NewReader(conn).ReadString('\n'); err != nil || ack != "ok\n" {
+		t.Fatalf("ack %q, %v", ack, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := fwd.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	traces, err := backends[0].Engine().Traces("stampy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 1 {
+		t.Fatalf("backend retained %d traces, want 1", len(traces))
+	}
+	tr := traces[0]
+	if tr.Origin != mcs.OriginRouter.String() || tr.Stages[0].AtUnixMicro != t0.UnixMicro() {
+		t.Errorf("trace origin %q at %d, want router at the forwarder clock %d", tr.Origin, tr.Stages[0].AtUnixMicro, t0.UnixMicro())
+	}
+	if tr.ID == obs.TraceIDString(forged) || tr.ID == obs.TraceIDString(0) {
+		t.Errorf("trace id %s, want a newly minted one", tr.ID)
 	}
 }
 

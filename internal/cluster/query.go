@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"itscs/internal/metrics"
 	"itscs/internal/pipeline"
 	"itscs/internal/reputation"
 )
@@ -412,10 +413,10 @@ func MergeStats(dst *pipeline.Stats, src pipeline.Stats) {
 		if dst.PhaseLatency == nil {
 			dst.PhaseLatency = make(map[string]pipeline.HistogramSnapshot)
 		}
-		dst.PhaseLatency[phase] = mergeHistogram(dst.PhaseLatency[phase], h)
+		dst.PhaseLatency[phase] = metrics.MergeHistogram(dst.PhaseLatency[phase], h)
 	}
-	dst.AgeAtClose = mergeHistogram(dst.AgeAtClose, src.AgeAtClose)
-	dst.IngestToResult = mergeHistogram(dst.IngestToResult, src.IngestToResult)
+	dst.AgeAtClose = metrics.MergeHistogram(dst.AgeAtClose, src.AgeAtClose)
+	dst.IngestToResult = metrics.MergeHistogram(dst.IngestToResult, src.IngestToResult)
 	// Fleets shard whole, so per-fleet freshness unions without collisions
 	// (after a ring move both owners may briefly report the fleet; the
 	// merge keeps whichever answered last, a transient either way).
@@ -425,23 +426,4 @@ func MergeStats(dst *pipeline.Stats, src pipeline.Stats) {
 		}
 		dst.Freshness[fleet] = ff
 	}
-}
-
-// mergeHistogram sums two snapshots of the shared fixed-bucket scheme.
-func mergeHistogram(a, b pipeline.HistogramSnapshot) pipeline.HistogramSnapshot {
-	out := pipeline.HistogramSnapshot{
-		Count:   a.Count + b.Count,
-		SumMS:   a.SumMS + b.SumMS,
-		Buckets: make(map[int64]uint64, len(a.Buckets)+len(b.Buckets)),
-	}
-	for bound, n := range a.Buckets {
-		out.Buckets[bound] += n
-	}
-	for bound, n := range b.Buckets {
-		out.Buckets[bound] += n
-	}
-	if out.Count > 0 {
-		out.MeanMS = out.SumMS / float64(out.Count)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package mcs
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"strings"
@@ -20,7 +21,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		buf = r.AppendBinary(buf)
 	}
 	// One report is decoded into again and again, as the log's replay
-	// does: a v1 record after a stamped one must read back unstamped.
+	// does: an unstamped record after a stamped one must read back
+	// unstamped.
 	var got Report
 	for i, want := range reports {
 		n, err := DecodeBinary(buf, got.Fleet, &got)
@@ -44,9 +46,44 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBinaryBytes pins the layout byte for byte. The stamped
+// report's bytes are those of the release that introduced the stamp, so
+// WAL segments it wrote and a router of that release stay readable; an
+// unstamped report encodes in the same layout with a zero stamp.
+func TestAppendBinaryBytes(t *testing.T) {
+	for _, tc := range []struct {
+		r   Report
+		hex string
+	}{
+		{
+			Report{Fleet: "cab", Participant: 300, Slot: 70000, X: 1200.5, Y: -884.25, VX: math.Copysign(0, -1), VY: math.Inf(1),
+				IngestUnixMicro: 1_700_000_000_123_456, Origin: OriginRouter, TraceID: 0x0123456789abcdef},
+			"ff7f02" + "03636162" + "ac02" + "f0a204" +
+				"0000000000c29240" + "0000000000a28bc0" + "0000000000000080" + "000000000000f07f" +
+				"c0c480c1c1c48203" + "02" + "efcdab8967452301",
+		},
+		{
+			Report{Fleet: "bus", Participant: 1, Slot: 2, X: 3, IngestUnixMicro: 5, Origin: OriginDirect},
+			"ff7f02" + "03627573" + "01" + "02" +
+				"0000000000000840" + "0000000000000000" + "0000000000000000" + "0000000000000000" +
+				"05" + "01" + "0000000000000000",
+		},
+		{
+			Report{Fleet: "bus", Participant: 1, Slot: 2, X: 3},
+			"ff7f02" + "03627573" + "01" + "02" +
+				"0000000000000840" + "0000000000000000" + "0000000000000000" + "0000000000000000" +
+				"00" + "00" + "0000000000000000",
+		},
+	} {
+		if got := hex.EncodeToString(tc.r.AppendBinary(nil)); got != tc.hex {
+			t.Errorf("%+v encodes as\n%s, want\n%s", tc.r, got, tc.hex)
+		}
+	}
+}
+
 // TestDecodeBinaryReusesFleet pins the decoder's fleet sharing: a record
-// whose fleet matches the one passed in costs no allocation, in either
-// layout, and any other fleet is copied out of the buffer.
+// whose fleet matches the one passed in costs no allocation, stamped or
+// not, and any other fleet is copied out of the buffer.
 func TestDecodeBinaryReusesFleet(t *testing.T) {
 	fleet := "cab"
 	for _, r := range []Report{
@@ -71,15 +108,31 @@ func TestDecodeBinaryReusesFleet(t *testing.T) {
 	}
 }
 
+// unstampedLayout is a report in the layout written before stamps
+// existed: the body alone, beginning with the fleet length. It sits after
+// the sentinel and version (3 bytes) and spans the fleet length and "cab"
+// (4), participant and slot (1 each) and the four values (32).
+func unstampedLayout() []byte {
+	return Report{Fleet: "cab", Participant: 1, Slot: 2, X: 3}.AppendBinary(nil)[3 : 3+4+1+1+32]
+}
+
 func TestDecodeBinaryMalformed(t *testing.T) {
-	good := Report{Fleet: "cab", Participant: 1, Slot: 2, X: 3}.AppendBinary(nil)
+	good := Report{Fleet: "cab", Participant: 1, Slot: 2, X: 3, IngestUnixMicro: 4, Origin: OriginRouter, TraceID: 5}.AppendBinary(nil)
+	head := []byte{0xFF, 0x7F, 2}
 	cases := map[string][]byte{
 		"empty":             {},
-		"huge fleet length": {0xFF, 0xFF, 0xFF, 0x7F},
-		"truncated fleet":   {0x05, 'c', 'a'},
-		"truncated values":  good[:len(good)-5],
+		"unstamped layout":  unstampedLayout(),
+		"sentinel only":     head[:2],
+		"unknown version":   {0xFF, 0x7F, 9},
+		"version 1":         append([]byte{0xFF, 0x7F, 1}, unstampedLayout()...),
+		"huge fleet length": append(head, 0xFF, 0xFF, 0xFF, 0x7F),
+		"truncated fleet":   append(head, 0x05, 'c', 'a'),
+		"truncated values":  good[:3+4+1+1+27],
+		"no stamp":          good[:3+4+1+1+32],
+		"truncated stamp":   good[:len(good)-5],
+		"unreadable stamp":  append(good[:3+4+1+1+32:3+4+1+1+32], 0x80),
 		"oversized participant": append(
-			[]byte{0x00},                                               // empty fleet
+			append(head, 0x00),                                         // empty fleet
 			0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, // > MaxInt32
 		),
 	}
@@ -87,6 +140,9 @@ func TestDecodeBinaryMalformed(t *testing.T) {
 		if _, err := DecodeBinary(b, "cab", new(Report)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if n, err := DecodeBinary(good, "cab", new(Report)); err != nil || n != len(good) {
+		t.Fatalf("good report: n %d of %d, err %v", n, len(good), err)
 	}
 }
 

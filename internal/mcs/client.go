@@ -24,11 +24,6 @@ type ClientOptions struct {
 	// reason: a dead or slow backend degrades to data loss at the tail,
 	// never to unbounded memory or a blocked producer.
 	QueueDepth int
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each write of a batch of report frames (default
-	// 10s).
-	WriteTimeout time.Duration
 	// AckTimeout bounds the wait for each acknowledgement line (default
 	// 30s). A swallowed write or a hung peer surfaces here and triggers a
 	// reconnect instead of pinning the sender forever.
@@ -46,19 +41,20 @@ type ClientOptions struct {
 	// wall time because net.Conn deadlines do.
 	Clock fault.Clock
 	// Dial is the transport seam (default a net.Dialer bounded by
-	// DialTimeout). Tests inject in-memory pipes or fault.FlakyConn here.
+	// dialTimeout). Tests inject in-memory pipes or fault.FlakyConn here.
 	Dial func(addr string) (net.Conn, error)
 }
+
+// dialTimeout bounds each connection attempt, writeTimeout each write of a
+// batch of report frames.
+const (
+	dialTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+)
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 30 * time.Second
@@ -150,7 +146,7 @@ func NewClient(addr string, opt ClientOptions) *Client {
 	}
 	if c.opt.Dial == nil {
 		c.opt.Dial = func(addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: opt.DialTimeout}
+			d := net.Dialer{Timeout: dialTimeout}
 			return d.Dial("tcp", addr)
 		}
 	}
@@ -349,7 +345,7 @@ func (c *Client) loop() {
 			c.c.sent += uint64(len(win) - wrote)
 			c.c.retries += uint64(resend)
 			c.mu.Unlock()
-			err := cs.send(win[wrote:], c.opt.WriteTimeout)
+			err := cs.send(win[wrote:])
 			wrote, resend = len(win), 0
 			if err != nil {
 				fail()
@@ -483,8 +479,8 @@ func newClientConn(conn net.Conn) *clientConn {
 }
 
 // send buffers the reports' frames and flushes them in one write, under
-// one wall-clock deadline.
-func (cs *clientConn) send(rs []Report, writeTimeout time.Duration) error {
+// one wall-clock deadline of writeTimeout.
+func (cs *clientConn) send(rs []Report) error {
 	if err := cs.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}

@@ -179,7 +179,6 @@ func TestClientDropsOldestWhenQueueFull(t *testing.T) {
 	// No server: nothing drains the queue, so sends beyond the depth evict.
 	opt := fastClientOptions()
 	opt.QueueDepth = 4
-	opt.DialTimeout = 50 * time.Millisecond
 	cl := NewClient("127.0.0.1:1", opt) // reserved port: dials fail fast
 	defer cl.Close()
 

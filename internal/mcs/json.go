@@ -18,7 +18,9 @@ import (
 // line (another key case, an escape, an unknown field, null, a nested
 // value, a non-ASCII or control byte, a malformed number, trailing bytes)
 // is handed whole to json.Unmarshal, so encoding/json stays the judge of
-// everything unusual.
+// everything unusual. The stamp fields have no JSON name, so a line that
+// sends ingest_us, origin or trace_id takes the fallback, which ignores
+// them: only the door stamps a participant's report.
 func decodeJSON(b []byte, fleet string, r *Report) error {
 	if scanReport(b, fleet, r) {
 		return nil
@@ -117,14 +119,6 @@ func setNumber(r *Report, key, num []byte) bool {
 		r.VX, err = strconv.ParseFloat(string(num), 64)
 	case "vy":
 		r.VY, err = strconv.ParseFloat(string(num), 64)
-	case "ingest_us":
-		r.IngestUnixMicro, err = strconv.ParseInt(string(num), 10, 64)
-	case "origin":
-		var n uint64
-		n, err = strconv.ParseUint(string(num), 10, 8)
-		r.Origin = Origin(n)
-	case "trace_id":
-		r.TraceID, err = strconv.ParseUint(string(num), 10, 64)
 	default:
 		return false
 	}

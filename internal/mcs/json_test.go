@@ -9,6 +9,10 @@ import (
 // unstamped report, as the load generator and SendReports write them.
 const jsonLine = `{"fleet":"fleet-07","participant":42,"slot":1234,"x":1200.5123456789,"y":-884.25,"vx":4.1,"vy":-2}`
 
+// stampedLine is a participant line that also sends the stamp fields'
+// former JSON keys: the door ignores them.
+const stampedLine = `{"fleet":"cab","participant":3,"slot":7,"x":1.5,"y":-2,"vx":0.25,"vy":0,"ingest_us":1700000000000000,"origin":2,"trace_id":18446744073709551615}`
+
 // jsonCases are lines at the edge of the fixed schema. fast says whether
 // the scanner decodes the line itself; every other line must reach
 // json.Unmarshal whole. Either way the door must agree with encoding/json.
@@ -18,7 +22,7 @@ var jsonCases = []struct {
 	fast bool
 }{
 	{"generator shape", jsonLine, true},
-	{"stamped", `{"fleet":"cab","participant":0,"slot":7,"x":1,"y":2,"vx":0,"vy":0,"ingest_us":1700000000000000,"origin":2,"trace_id":18446744073709551615}`, true},
+	{"stamped", stampedLine, false},
 	{"key in other case", `{"Fleet":"cab","participant":1}`, false},
 	{"short key in other case", `{"fleet":"cab","X":1}`, false},
 	{"escaped key", `{"fle\u0074":"cab"}`, false},
@@ -43,7 +47,7 @@ var jsonCases = []struct {
 	{"exponent for int", `{"slot":1e2}`, false},
 	{"2^63 for int", `{"participant":9223372036854775808}`, false},
 	{"min int", `{"participant":-9223372036854775808}`, true},
-	{"origin 255", `{"origin":255}`, true},
+	{"origin 255", `{"origin":255}`, false},
 	{"origin 256", `{"origin":256}`, false},
 	{"origin -1", `{"origin":-1}`, false},
 	{"trace_id -1", `{"trace_id":-1}`, false},
@@ -105,6 +109,20 @@ func TestDecodeJSONMatchesEncodingJSON(t *testing.T) {
 				checkDoorDecode(t, []byte(tc.line), prev)
 			}
 		})
+	}
+}
+
+// TestDecodeJSONIgnoresStamp pins that a participant cannot stamp its own
+// report: the stamp keys on a line decode to nothing, and the payload
+// decodes as it would without them.
+func TestDecodeJSONIgnoresStamp(t *testing.T) {
+	var got Report
+	if !(&connState{}).decode([]byte(stampedLine), &got) {
+		t.Fatal("line refused")
+	}
+	want := Report{Fleet: "cab", Participant: 3, Slot: 7, X: 1.5, Y: -2, VX: 0.25}
+	if got.Stamped() || got.Origin != OriginUnknown || got.TraceID != 0 || !sameBits(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }
 

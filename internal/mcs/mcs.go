@@ -45,19 +45,23 @@ type Report struct {
 
 	// IngestUnixMicro is the freshness stamp: the wall-clock instant
 	// (microseconds since the Unix epoch) at which the report first crossed
-	// a network front door. Zero means unstamped — a pre-upgrade frame or an
-	// embedded sink that bypassed the doors. The doors stamp exactly once
-	// (StampIngest is a no-op on a stamped report), so replaying a durable
-	// record preserves the original instant and freshness accounting never
-	// double-counts queueing or recovery time.
-	IngestUnixMicro int64 `json:"ingest_us,omitempty"`
+	// a network front door. Zero means unstamped — an embedded sink that
+	// bypassed the doors. The stamp fields come only from a door or the
+	// binary hop behind one, never from a participant's JSON line: they
+	// take no part in JSON, so a participant cannot forge its freshness age
+	// or another report's trace. The doors stamp exactly once (StampIngest
+	// is a no-op on a stamped report), so a router's stamp survives the hop
+	// to a backend, replaying a durable record preserves the original
+	// instant, and freshness accounting never double-counts queueing or
+	// recovery time.
+	IngestUnixMicro int64 `json:"-"`
 	// Origin records which door stamped the report (OriginDirect for the
 	// itscs-serve ingest listener, OriginRouter for the itscs-router
 	// forwarder); OriginUnknown when unstamped.
-	Origin Origin `json:"origin,omitempty"`
+	Origin Origin `json:"-"`
 	// TraceID links the report to its end-to-end trace (ingest →
 	// wal-commit → window close → detect → publish). Zero means untraced.
-	TraceID uint64 `json:"trace_id,omitempty"`
+	TraceID uint64 `json:"-"`
 }
 
 // Origin identifies the network front door that stamped a report.
@@ -86,8 +90,8 @@ func (r *Report) Stamped() bool { return r.IngestUnixMicro != 0 }
 
 // StampIngest fills the freshness stamp and origin, and assigns a trace ID
 // if the report has none. It is a no-op on an already-stamped report, which
-// is what keeps stamps exactly-once across door hops (router → serve) and
-// across WAL replay.
+// is what keeps stamps exactly-once across the binary hop (router → serve)
+// and across WAL replay.
 func StampIngest(r *Report, now time.Time, origin Origin) {
 	if r.IngestUnixMicro != 0 {
 		return

@@ -159,9 +159,10 @@ func TestServerBadFrameInPlace(t *testing.T) {
 	wire = append(wire, rawFrame([]byte{0xFF, 0x7F, 9})...)             // unknown version
 	wire = append(wire, rawFrame(append(good.AppendBinary(nil), 0))...) // a byte left over
 	wire = append(wire, rawFrame(nil)...)                               // empty payload
+	wire = append(wire, rawFrame(unstampedLayout())...)                 // no sentinel
 	wire = append(wire, frameOf(t, Report{Fleet: "cab", Participant: 1, Slot: 0, X: 2})...)
 	write(t, conn, wire)
-	checkAcks(t, "binary", readAcks(t, br, 5), []string{"ok", "err bad frame", "err bad frame", "err bad frame", "ok"})
+	checkAcks(t, "binary", readAcks(t, br, 6), []string{"ok", "err bad frame", "err bad frame", "err bad frame", "err bad frame", "ok"})
 	if accepted, rejected := c.counts(); accepted != 2 || rejected != 0 {
 		t.Fatalf("sink counts %d/%d, want the 2 good reports and no others", accepted, rejected)
 	}

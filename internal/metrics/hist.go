@@ -103,6 +103,25 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
+// MergeHistogram sums two snapshots taken over the same bucket scheme.
+func MergeHistogram(a, b HistogramSnapshot) HistogramSnapshot {
+	out := HistogramSnapshot{
+		Count:   a.Count + b.Count,
+		SumMS:   a.SumMS + b.SumMS,
+		Buckets: make(map[int64]uint64, len(a.Buckets)+len(b.Buckets)),
+	}
+	for bound, n := range a.Buckets {
+		out.Buckets[bound] += n
+	}
+	for bound, n := range b.Buckets {
+		out.Buckets[bound] += n
+	}
+	if out.Count > 0 {
+		out.MeanMS = out.SumMS / float64(out.Count)
+	}
+	return out
+}
+
 // Quantile estimates the q-quantile (q in [0,1]) of a snapshot taken over
 // the given bucket bounds, in milliseconds, by linear interpolation within
 // the containing bucket — the same estimate Prometheus's histogram_quantile

@@ -100,7 +100,7 @@ func EmitStats(b *obs.Prom, prefix string, st pipeline.Stats) {
 	// Freshness partition: stamped + unstamped == ingested, always — replay
 	// must never re-stamp, so the split survives crash/recovery intact.
 	b.Counter(prefix+"reports_stamped_total", "Ingested reports carrying an ingest freshness stamp.", float64(st.ReportsStamped))
-	b.Counter(prefix+"reports_unstamped_total", "Ingested reports without a freshness stamp (pre-upgrade frames, direct engine feeds).", float64(st.ReportsUnstamped))
+	b.Counter(prefix+"reports_unstamped_total", "Ingested reports without a freshness stamp (direct engine feeds).", float64(st.ReportsUnstamped))
 
 	// Admission-gate counters. The gate tags, it never drops:
 	// admitted_clean + tagged_quarantined + tagged_probation == ingested.

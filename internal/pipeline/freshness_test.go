@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,5 +414,84 @@ func TestFreshnessCountsOverlappingWindowsOnce(t *testing.T) {
 		if h.SumMS < wantSumMS-1 || h.SumMS > wantSumMS+1 {
 			t.Errorf("%s age_at_close sum = %.0fms, want %.0fms", name, h.SumMS, wantSumMS)
 		}
+	}
+}
+
+// TestFreshnessEngineMergesFleets pins the engine-wide freshness
+// histograms to the sum of the fleets' own: three fleets age their reports
+// into different buckets, and the engine's counts and buckets equal the
+// fleets' added up, its sums to rounding. An engine without a fleet still
+// renders empty buckets, not null.
+func TestFreshnessEngineMergesFleets(t *testing.T) {
+	clock := fault.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	empty, err := New(freshCfg(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(empty.Stats())
+	empty.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"age_at_close_ms":{"count":0,"sum_ms":0,"mean_ms":0,"buckets":{}}`,
+		`"ingest_to_result_ms":{"count":0,"sum_ms":0,"mean_ms":0,"buckets":{}}`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("empty engine stats lack %s: %s", key, b)
+		}
+	}
+
+	cfg := freshCfg(clock)
+	cfg.Core.Detect.Window = 3 // fits the 4-slot window, so every window runs
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := e.Subscribe(16)
+	defer cancel()
+	fleets := map[string]time.Duration{"a": 30 * time.Millisecond, "b": 700 * time.Millisecond, "c": 20 * time.Second}
+	for _, fleet := range []string{"c", "a", "b"} {
+		for s := 0; s <= 4; s++ { // slot 4 closes window [0,4)
+			for p := 0; p < 3; p++ {
+				if err := e.Ingest(stamped(clock, fleet, p, s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.Advance(fleets[fleet])
+		}
+	}
+	drain(t, e, ch)
+
+	st := e.Stats()
+	if len(st.Freshness) != len(fleets) {
+		t.Fatalf("freshness for %d fleets, want %d", len(st.Freshness), len(fleets))
+	}
+	for _, h := range []struct {
+		name   string
+		engine HistogramSnapshot
+		fleet  func(FleetFreshness) HistogramSnapshot
+	}{
+		{"age_at_close", st.AgeAtClose, func(ff FleetFreshness) HistogramSnapshot { return ff.AgeAtClose }},
+		{"ingest_to_result", st.IngestToResult, func(ff FleetFreshness) HistogramSnapshot { return ff.IngestToResult }},
+	} {
+		var count uint64
+		var sum float64
+		buckets := map[int64]uint64{}
+		for _, ff := range st.Freshness {
+			f := h.fleet(ff)
+			count += f.Count
+			sum += f.SumMS
+			for bound, n := range f.Buckets {
+				buckets[bound] += n
+			}
+		}
+		if h.engine.Count != count || count == 0 || !reflect.DeepEqual(h.engine.Buckets, buckets) {
+			t.Errorf("%s: engine count %d buckets %v, fleets add up to %d %v", h.name, h.engine.Count, h.engine.Buckets, count, buckets)
+		}
+		if math.Abs(h.engine.SumMS-sum) > 1e-9*sum || h.engine.MeanMS != h.engine.SumMS/float64(count) {
+			t.Errorf("%s: engine sum %v mean %v, fleets add up to %v", h.name, h.engine.SumMS, h.engine.MeanMS, sum)
+		}
+	}
+	if len(st.AgeAtClose.Buckets) < 3 {
+		t.Errorf("age_at_close buckets %v: want the fleets spread over at least 3", st.AgeAtClose.Buckets)
 	}
 }

@@ -316,8 +316,8 @@ type shard struct {
 	spans   *obs.Ring
 	traces  *obs.TraceTable
 
-	// ageAtClose and ingestToResult are the fleet-local freshness
-	// histograms (the engine-wide pair lives in counters).
+	// ageAtClose and ingestToResult are the fleet's freshness histograms;
+	// the engine-wide pair is their merge, made by Stats.
 	ageAtClose     *metrics.Histogram
 	ingestToResult *metrics.Histogram
 }
@@ -404,8 +404,6 @@ func New(cfg Config) (*Engine, error) {
 		// The capacities (QueueDepth+i)/Workers sum to QueueDepth.
 		e.lanes[i] = &lane{q: make(chan job, max(1, (cfg.QueueDepth+i)/cfg.Workers))}
 	}
-	e.c.ageAtClose = metrics.NewHistogram(metrics.AgeBuckets)
-	e.c.ingestToResult = metrics.NewHistogram(metrics.AgeBuckets)
 	phase := func() *metrics.Histogram { return metrics.NewHistogram(metrics.HistBuckets) }
 	e.hist.detect, e.hist.correct, e.hist.check, e.hist.run, e.hist.wait = phase(), phase(), phase(), phase(), phase()
 	e.wg.Add(cfg.Workers)
@@ -981,14 +979,18 @@ func (e *Engine) Stats() Stats {
 			"run":     e.hist.run.Snapshot(),
 			"wait":    e.hist.wait.Snapshot(),
 		},
-		AgeAtClose:     e.c.ageAtClose.Snapshot(),
-		IngestToResult: e.c.ingestToResult.Snapshot(),
+		AgeAtClose:     HistogramSnapshot{Buckets: map[int64]uint64{}},
+		IngestToResult: HistogramSnapshot{Buckets: map[int64]uint64{}},
 	}
 	for _, l := range e.lanes {
 		s.QueueDepth += len(l.q)
 		s.QueueCapacity += cap(l.q)
 	}
-	for _, sh := range e.allShards() {
+	// Merge the fleets in name order: float sums added in one order never
+	// step back between snapshots, as a Prometheus _sum must not.
+	shards := e.allShards()
+	sort.Slice(shards, func(i, j int) bool { return shards[i].fleet < shards[j].fleet })
+	for _, sh := range shards {
 		if n := sh.dropped.Load(); n != 0 {
 			if s.WindowsDroppedByFleet == nil {
 				s.WindowsDroppedByFleet = make(map[string]uint64)
@@ -1011,6 +1013,8 @@ func (e *Engine) Stats() Stats {
 			s.Freshness = make(map[string]FleetFreshness)
 		}
 		s.Freshness[sh.fleet] = ff
+		s.AgeAtClose = metrics.MergeHistogram(s.AgeAtClose, ff.AgeAtClose)
+		s.IngestToResult = metrics.MergeHistogram(s.IngestToResult, ff.IngestToResult)
 		s.Fleets++
 	}
 	return s
@@ -1127,7 +1131,7 @@ func (sh *shard) ingest(r *mcs.Report, cfg *Config, c *counters, commit *obs.Tra
 			// fits the open window again. Only live slots need zeroing,
 			// and writes are confined to [start, start+w).
 			k := (r.Slot-(sh.start+w))/h + 1
-			sh.zeroSlots(sh.start, minInt(k*h, w), capSlots)
+			sh.zeroSlots(sh.start, min(k*h, w), capSlots)
 			sh.start += k * h
 			sh.seq += k
 			c.windowsSkipped.Add(uint64(k))
@@ -1198,7 +1202,6 @@ func (sh *shard) closeWindow(cfg *Config, c *counters) (job, bool) {
 				tsr[i] = -st
 				age := time.Duration(closedUS-int64(st)) * time.Microsecond
 				sh.ageAtClose.Observe(age)
-				c.ageAtClose.Observe(age)
 			}
 		}
 	}
@@ -1310,7 +1313,6 @@ func (e *Engine) process(j job) {
 				if st := row[t]; st > 0 {
 					lat := time.Duration(completedUS-int64(st)) * time.Microsecond
 					j.sh.ingestToResult.Observe(lat)
-					e.c.ingestToResult.Observe(lat)
 				}
 			}
 		}
@@ -1383,11 +1385,4 @@ func collectFlags(d *mat.Dense, startSlot int) []CellFlag {
 		}
 	}
 	return flags
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

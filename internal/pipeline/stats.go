@@ -34,12 +34,6 @@ type counters struct {
 	warmStarts        atomic.Uint64
 	coldStarts        atomic.Uint64
 	subscriberDrops   atomic.Uint64
-
-	// ageAtClose observes report age at window close, ingestToResult the
-	// full ingest→result latency; both over metrics.AgeBuckets. Nil in
-	// hand-built shard tests — Histogram tolerates a nil receiver.
-	ageAtClose     *metrics.Histogram
-	ingestToResult *metrics.Histogram
 }
 
 // Stats is a point-in-time snapshot of the engine's instrumentation; it
@@ -108,7 +102,8 @@ type Stats struct {
 	// the front-door ingest stamp to the close of the first window that
 	// could detect on the report — and IngestToResult extends it to the
 	// moment the window's detection result was published. Both are over
-	// metrics.AgeBuckets and observe only stamped reports.
+	// metrics.AgeBuckets and observe only stamped reports; each is the
+	// merge of every fleet's own in Freshness.
 	AgeAtClose     HistogramSnapshot `json:"age_at_close_ms"`
 	IngestToResult HistogramSnapshot `json:"ingest_to_result_ms"`
 	// Freshness breaks the freshness picture down per fleet, including each

@@ -9,7 +9,7 @@ import (
 )
 
 // The ledger blob rides inside the shard checkpoint format (wal.Checkpoint
-// version 2 carries it as an opaque length-prefixed section), so it needs
+// carries it as an opaque length-prefixed section), so it needs
 // the same properties as the checkpoint body: fully deterministic bytes —
 // fleets sorted by name, floats via Float64bits — and a strict reader.
 // Determinism is what makes the crash-recovery invariant checkable as

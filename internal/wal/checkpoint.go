@@ -77,8 +77,8 @@ type ShardCheckpoint struct {
 
 	// TS is the ingest-stamp ring (unix microseconds as float64, exact
 	// below 2⁵³): the same shape as EX, zero where a cell is unstamped and
-	// negated once a window close has aged the stamp.
-	// A nil TS is written as an all-zero ring.
+	// negated once a window close has aged the stamp. Every shard has
+	// one: the writer refuses a nil TS, as Restore does.
 	TS *mat.Dense
 
 	// WarmLX/WarmRX and WarmLY/WarmRY are the per-axis L·Rᵀ factors; all
@@ -210,14 +210,10 @@ func writeCheckpointTo(w io.Writer, ck *Checkpoint) error {
 				return fmt.Errorf("wal: checkpoint matrix: %w", err)
 			}
 		}
-		ts := sc.TS
-		if ts == nil {
-			// A shard snapshotted without stamps still writes a full ring
-			// so the layout stays positionally fixed.
-			rows, cols := sc.EX.Dims()
-			ts = mat.New(rows, cols)
+		if sc.TS == nil {
+			return fmt.Errorf("wal: checkpoint shard %q has no stamp ring", sc.Fleet)
 		}
-		if err := mat.WriteBinary(cw, ts); err != nil {
+		if err := mat.WriteBinary(cw, sc.TS); err != nil {
 			return fmt.Errorf("wal: checkpoint stamp matrix: %w", err)
 		}
 		warm := sc.WarmLX != nil
@@ -469,7 +465,7 @@ func PruneCheckpointsFS(fsys fault.FS, dir string, keep int) (int, error) {
 		return 0, err
 	}
 	removed := 0
-	for _, p := range paths[minInt(keep, len(paths)):] {
+	for _, p := range paths[min(keep, len(paths)):] {
 		if err := fsys.Remove(p); err != nil {
 			return removed, fmt.Errorf("wal: prune checkpoint: %w", err)
 		}
@@ -481,11 +477,4 @@ func PruneCheckpointsFS(fsys fault.FS, dir string, keep int) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -42,6 +42,7 @@ func fixtureCheckpoint() *Checkpoint {
 				// No warm state yet, empty fleet name (the default fleet).
 				Fleet: "", Start: 0, Seq: 0, WarmSeq: -1,
 				SX: ring(9), SY: ring(8), VX: ring(7), VY: ring(6), EX: ring(5),
+				TS: mat.New(3, 6), // no stamped cell
 			},
 		},
 	}
@@ -91,20 +92,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		pairs := [][2]*mat.Dense{
 			{got.SX, want.SX}, {got.SY, want.SY}, {got.VX, want.VX},
-			{got.VY, want.VY}, {got.EX, want.EX},
+			{got.VY, want.VY}, {got.EX, want.EX}, {got.TS, want.TS},
 		}
 		for k, p := range pairs {
 			if !matEqual(p[0], p[1]) {
 				t.Fatalf("shard %d ring %d mismatch", i, k)
 			}
-		}
-		// A nil TS ring writes (and reads back) as all-zero, same shape.
-		wantTS := want.TS
-		if wantTS == nil {
-			wantTS = mat.New(3, 6)
-		}
-		if got.TS == nil || !matEqual(got.TS, wantTS) {
-			t.Fatalf("shard %d TS ring mismatch", i)
 		}
 		if want.WarmLX == nil {
 			if got.WarmLX != nil {
@@ -126,6 +119,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointReputationRoundTrip pins the version-2 section: the opaque
 // ledger blob survives the write/read cycle byte for byte.
+// TestWriteCheckpointRefusesMissingStampRing pins the writer to what
+// Restore accepts: a shard without a TS ring is an error, and no
+// checkpoint file is left behind.
+func TestWriteCheckpointRefusesMissingStampRing(t *testing.T) {
+	dir := t.TempDir()
+	ck := fixtureCheckpoint()
+	ck.Shards[1].TS = nil
+	if _, err := WriteCheckpoint(dir, ck); err == nil || !strings.Contains(err.Error(), "no stamp ring") {
+		t.Fatalf("WriteCheckpoint with a nil TS: err %v, want a missing stamp ring", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("files left behind: %v", left)
+	}
+}
+
 func TestCheckpointReputationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ck := fixtureCheckpoint()

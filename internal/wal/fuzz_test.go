@@ -23,9 +23,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	seed(mcs.Report{}) // empty fleet, zero everything
 	seed(mcs.Report{Fleet: "x", X: math.NaN(), Y: math.Inf(1), VX: math.Inf(-1), VY: -0.0})
 	seed(mcs.Report{Fleet: "fleet-with-a-long-name", Participant: 1 << 20, Slot: 1 << 20, X: 1e308})
+	seed(mcs.Report{Fleet: "cab", Participant: 4, Slot: 9, X: 2, IngestUnixMicro: 1_700_000_000_000_000, Origin: mcs.OriginRouter, TraceID: 1<<64 - 1})
 	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge uvarint
-	f.Add([]byte{0x03, 'c', 'a'})                                             // truncated fleet
+	f.Add([]byte{0xFF, 0x7F, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge uvarint
+	f.Add([]byte{0xFF, 0x7F, 2, 0x03, 'c', 'a'})                                             // truncated fleet
+	f.Add(append([]byte{0x03, 'c', 'a', 'b', 1, 2}, make([]byte, 32)...))                    // no sentinel
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r mcs.Report
@@ -45,8 +47,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		if m != len(enc) {
 			t.Fatalf("re-decode consumed %d of %d bytes", m, len(enc))
 		}
-		if back.Fleet != r.Fleet || back.Participant != r.Participant || back.Slot != r.Slot {
-			t.Fatalf("round trip changed identity: %+v -> %+v", r, back)
+		if back.Fleet != r.Fleet || back.Participant != r.Participant || back.Slot != r.Slot ||
+			back.IngestUnixMicro != r.IngestUnixMicro || back.Origin != r.Origin || back.TraceID != r.TraceID {
+			t.Fatalf("round trip changed identity or stamp: %+v -> %+v", r, back)
 		}
 		pairs := [4][2]float64{{r.X, back.X}, {r.Y, back.Y}, {r.VX, back.VX}, {r.VY, back.VY}}
 		for i, p := range pairs {
@@ -71,11 +74,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		HopSlots:     1,
 		Shards: []ShardCheckpoint{{
 			Fleet: "cab", Start: 4, Seq: 2, WarmSeq: 1,
-			SX: smallMat(1), SY: smallMat(2), VX: smallMat(3), VY: smallMat(4), EX: smallMat(1),
+			SX: smallMat(1), SY: smallMat(2), VX: smallMat(3), VY: smallMat(4), EX: smallMat(1), TS: smallMat(1.7e15),
 			WarmLX: smallMat(5), WarmRX: smallMat(6), WarmLY: smallMat(7), WarmRY: smallMat(8),
 		}, {
 			Fleet: "", Start: 0, Seq: 0, WarmSeq: -1,
-			SX: smallMat(0), SY: smallMat(0), VX: smallMat(0), VY: smallMat(0), EX: smallMat(0),
+			SX: smallMat(0), SY: smallMat(0), VX: smallMat(0), VY: smallMat(0), EX: smallMat(0), TS: smallMat(0),
 		}},
 	}
 	var buf bytes.Buffer

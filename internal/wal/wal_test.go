@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -534,5 +535,60 @@ func TestSegmentReaderFrameSizes(t *testing.T) {
 			t.Fatalf("off %d after the end, want %d", r.off, off)
 		}
 		r.f.Close()
+	}
+}
+
+// TestReplaySkipsUnstampedLayout replays a segment holding one CRC-valid
+// frame in the layout written before reports carried a stamp (no sentinel,
+// no version, no stamp) between stamped records: replay skips and counts
+// exactly that frame, keeps walking, and finds no damaged segment.
+func TestReplaySkipsUnstampedLayout(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, dir, DefaultOptions())
+	stamped := func(slot int) mcs.Report {
+		r := testReport(1, slot)
+		r.IngestUnixMicro, r.Origin, r.TraceID = 1_700_000_000_000_000+int64(slot), mcs.OriginDirect, uint64(slot+1)
+		return r
+	}
+	old := testReport(2, 1)
+	payload := binary.AppendUvarint(nil, uint64(len(old.Fleet)))
+	payload = append(payload, old.Fleet...)
+	payload = binary.AppendUvarint(payload, uint64(old.Participant))
+	payload = binary.AppendUvarint(payload, uint64(old.Slot))
+	for _, v := range [...]float64{old.X, old.Y, old.VX, old.VY} {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+
+	if err := l.Append(stamped(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.submit(appendReq{frames: frame, records: 1, done: make(chan error, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(stamped(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openTestLog(t, dir, DefaultOptions())
+	defer l2.Close()
+	var idx []uint64
+	var got []mcs.Report
+	if _, err := l2.Replay(0, func(i uint64, r mcs.Report) error {
+		idx, got = append(idx, i), append(got, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || idx[0] != 0 || idx[1] != 2 || got[0] != stamped(0) || got[1] != stamped(2) {
+		t.Fatalf("replayed %v: %+v, want indices [0 2] holding the stamped records", idx, got)
+	}
+	if st := l2.Stats(); st.ReplaySkipped != 1 || st.CorruptSegments != 0 || st.Replayed != 2 {
+		t.Fatalf("stats %+v, want 1 skipped, no corrupt segment, 2 replayed", st)
 	}
 }
