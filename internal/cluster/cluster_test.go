@@ -331,6 +331,10 @@ func TestQueryPlane(t *testing.T) {
 		t.Fatalf("unknown fleet proxied as %v/%v, want 404", resp, err)
 	}
 
+	// A window the flushes dispatched may still be between its run
+	// histogram observation and its WindowsProcessed count; the two agree
+	// once every engine is idle.
+	waitQuiet(t, backends)
 	cm := q.Metrics(ctx)
 	if len(cm.Backends) != 3 {
 		t.Fatalf("metrics cover %d backends", len(cm.Backends))

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"itscs/internal/fault"
 	"itscs/internal/mcs"
@@ -39,7 +40,7 @@ type ForwarderOptions struct {
 
 // ForwarderStats snapshots the forwarding data plane. Forwarded +
 // Unroutable + NonFinite + InvalidIdentity equals the reports offered to
-// Ingest.
+// Ingest and IngestBatch.
 type ForwarderStats struct {
 	// Forwarded counts reports accepted into a backend client's queue;
 	// Unroutable those refused because the owner was ejected; NonFinite
@@ -55,10 +56,11 @@ type ForwarderStats struct {
 	Backends map[string]mcs.ClientStats `json:"backends"`
 }
 
-// Forwarder is the router's ingest data plane: it implements mcs.Ingestor,
-// so the router's mcs.Server feeds it straight from participant uploads.
-// Each report is routed by fleet through the ring and handed to the
-// owner's mcs.Client, which buffers, reconnects, and retries. The router's
+// Forwarder is the router's ingest data plane: it implements
+// mcs.BatchIngestor, so the router's mcs.Server feeds it each read's
+// participant uploads in one call. Each run of one fleet's reports is
+// routed through the ring once and handed to the owner's mcs.Client in one
+// call; the client buffers, reconnects, and retries. The router's
 // "ok" ack therefore means accepted for forwarding (store-and-forward, at
 // least once — the backend's duplicate rejection absorbs retry overlap),
 // not yet applied on the owner; Flush gives batch callers the stronger
@@ -108,37 +110,94 @@ func NewForwarder(backends []Backend, ring *Ring, opt ForwarderOptions) *Forward
 	return f
 }
 
-// Ingest routes one report to its fleet's owner. It never blocks: the
-// owner's client buffers (drop-oldest under sustained outage, counted).
+// Ingest routes one report to its fleet's owner: IngestBatch of one.
 func (f *Forwarder) Ingest(r mcs.Report) error {
-	if err := r.CheckFinite(); err != nil {
-		f.nonFinite.Add(1)
-		return err
+	rs, errs := [1]mcs.Report{r}, [1]error{}
+	f.IngestBatch(rs[:], errs[:])
+	return errs[0]
+}
+
+// IngestBatch routes a batch of reports, setting errs[i] to report i's
+// verdict exactly as Ingest of each report in order would. It never
+// blocks: each owner's client buffers (drop-oldest under sustained outage,
+// counted). The batch is cut into runs of consecutive reports of one
+// fleet; a run looks up its owner once and hands its accepted reports to
+// the owner's client in one call, so each backend receives them in batch
+// order. The clock is read once per call. What rs holds on return is
+// unspecified, as mcs.BatchIngestor allows.
+func (f *Forwarder) IngestBatch(rs []mcs.Report, errs []error) {
+	now := f.clock.Now()
+	for start := 0; start < len(rs); {
+		end := start + 1
+		for end < len(rs) && rs[end].Fleet == rs[start].Fleet {
+			end++
+		}
+		f.forwardRun(rs[start:end], errs[start:end], now)
+		start = end
 	}
-	if err := r.CheckIdentity(); err != nil {
-		f.invalidIdentity.Add(1)
-		return err
+}
+
+// forwardRun checks, stamps and forwards one fleet's run. The owner is
+// looked up at the run's first report that passes the checks, where Ingest
+// of each report would first consult the ring, and the reports accepted
+// are packed to the front of rs for the one hand-off.
+func (f *Forwarder) forwardRun(rs []mcs.Report, errs []error, now time.Time) {
+	var (
+		cl       *mcs.Client
+		routeErr error
+		kept     int
+	)
+	for i := range rs {
+		if errs[i] = rs[i].CheckFinite(); errs[i] != nil {
+			f.nonFinite.Add(1)
+			continue
+		}
+		if errs[i] = rs[i].CheckIdentity(); errs[i] != nil {
+			f.invalidIdentity.Add(1)
+			continue
+		}
+		if cl == nil && routeErr == nil {
+			cl, routeErr = f.route(rs[i].Fleet)
+		}
+		if routeErr != nil {
+			errs[i] = routeErr
+			f.unroutable.Add(1)
+			continue
+		}
+		// Stamp at the door: freshness is measured from the moment the
+		// system first accepted the report. StampIngest no-ops on an
+		// already-stamped report, so a relay hop never resets the clock.
+		mcs.StampIngest(&rs[i], now, mcs.OriginRouter)
+		rs[kept] = rs[i]
+		kept++
 	}
-	owner, ok := f.ring.Owner(r.Fleet)
+	if kept == 0 {
+		return
+	}
+	if err := cl.SendBatch(rs[:kept]); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+		f.unroutable.Add(uint64(kept))
+		return
+	}
+	f.forwarded.Add(uint64(kept))
+}
+
+// route finds a fleet's owner and its client, or the ErrNoBackend refusal
+// when the ring is empty or the owner is ejected.
+func (f *Forwarder) route(fleet string) (*mcs.Client, error) {
+	owner, ok := f.ring.Owner(fleet)
 	if !ok {
-		f.unroutable.Add(1)
-		return fmt.Errorf("%w: empty ring", ErrNoBackend)
+		return nil, fmt.Errorf("%w: empty ring", ErrNoBackend)
 	}
 	if !f.ready(owner) {
-		f.unroutable.Add(1)
-		f.log.Debug("report unroutable", "fleet", r.Fleet, "owner", owner)
-		return fmt.Errorf("%w: fleet %q owner %s ejected", ErrNoBackend, r.Fleet, owner)
+		f.log.Debug("report unroutable", "fleet", fleet, "owner", owner)
+		return nil, fmt.Errorf("%w: fleet %q owner %s ejected", ErrNoBackend, fleet, owner)
 	}
-	// Stamp at the door: freshness is measured from the moment the system
-	// first accepted the report. StampIngest no-ops on an already-stamped
-	// report, so a relay hop never resets the clock.
-	mcs.StampIngest(&r, f.clock.Now(), mcs.OriginRouter)
-	if err := f.clients[owner].Send(r); err != nil {
-		f.unroutable.Add(1)
-		return err
-	}
-	f.forwarded.Add(1)
-	return nil
+	return f.clients[owner], nil
 }
 
 // Owner exposes the ring placement for the query plane and diagnostics.

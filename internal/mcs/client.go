@@ -12,7 +12,7 @@ import (
 	"itscs/internal/stat"
 )
 
-// ErrClientClosed is returned by Send after Close.
+// ErrClientClosed is returned by Send and SendBatch after Close.
 var ErrClientClosed = errors.New("mcs: client closed")
 
 // ClientOptions parameterizes a Client. The zero value is usable: every
@@ -78,8 +78,9 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // Acked + Rejected + Dropped + QueueDepth + in-flight, where in-flight is
 // at most the window of reports written but not yet answered (256).
 type ClientStats struct {
-	// Enqueued counts reports accepted by Send; Dropped the subset evicted
-	// from the full queue or abandoned by Close before delivery.
+	// Enqueued counts reports accepted by Send and SendBatch; Dropped the
+	// subset evicted from the full queue or abandoned by Close before
+	// delivery.
 	Enqueued uint64 `json:"enqueued"`
 	Dropped  uint64 `json:"dropped"`
 	// Sent counts report writes including retries; Acked reports the server
@@ -155,37 +156,50 @@ func NewClient(addr string, opt ClientOptions) *Client {
 	return c
 }
 
-// Send buffers one report for delivery. It never blocks: when the queue is
-// full the oldest buffered report is evicted and counted under Dropped
-// (the report just handed in is accepted). The only error is ErrClientClosed.
+// Send buffers one report for delivery: SendBatch of one.
 func (c *Client) Send(r Report) error {
+	return c.SendBatch([]Report{r})
+}
+
+// SendBatch buffers the reports for delivery, in order, exactly as Send of
+// each in turn would: it never blocks, and when the queue is full the
+// oldest buffered report is evicted and counted under Dropped (so a batch
+// longer than QueueDepth evicts its own head). The batch takes the counter
+// lock once and the queue lock once, so a concurrent SendBatch never
+// interleaves with it. The only error is ErrClientClosed, for the whole
+// batch.
+func (c *Client) SendBatch(rs []Report) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClientClosed
 	}
-	c.c.enqueued++
-	c.pending++
+	c.c.enqueued += uint64(len(rs))
+	c.pending += len(rs)
 	c.mu.Unlock()
 
 	evicted := 0
 	c.qmu.Lock()
-	for {
-		select {
-		case c.queue <- r:
-			c.qmu.Unlock()
-			if evicted > 0 {
-				c.settle(evicted, func() { c.c.dropped += uint64(evicted) })
+	for _, r := range rs {
+	enqueue:
+		for {
+			select {
+			case c.queue <- r:
+				break enqueue
+			default:
 			}
-			return nil
-		default:
-		}
-		select {
-		case <-c.queue:
-			evicted++
-		default:
+			select {
+			case <-c.queue:
+				evicted++
+			default:
+			}
 		}
 	}
+	c.qmu.Unlock()
+	if evicted > 0 {
+		c.settle(evicted, func() { c.c.dropped += uint64(evicted) })
+	}
+	return nil
 }
 
 // Flush blocks until every buffered report has reached a terminal state

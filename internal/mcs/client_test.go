@@ -2,6 +2,7 @@ package mcs
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -203,6 +204,68 @@ func TestClientDropsOldestWhenQueueFull(t *testing.T) {
 	st = cl.Stats()
 	if st.Acked+st.Rejected+st.Dropped != st.Enqueued {
 		t.Fatalf("counters do not conserve after close: %+v", st)
+	}
+}
+
+// TestClientSendBatchDropsOldest: a batch longer than the queue evicts the
+// same reports, oldest first, as Send of each report in turn, and the
+// counters conserve. Each client's delivery loop first takes one primer
+// report and then blocks in a gated dial, so nothing drains the queue
+// while the batch goes in.
+func TestClientSendBatchDropsOldest(t *testing.T) {
+	const depth, n = 4, 11
+	batch := make([]Report, n)
+	for s := range batch {
+		batch[s] = Report{Participant: 0, Slot: s + 1, X: 1, Y: 1}
+	}
+	primer := Report{Participant: 0, Slot: 0, X: 1, Y: 1}
+	var delivered [2][]int
+	for k, sendBatch := range []bool{true, false} {
+		sink := newOrderedSink()
+		addr := startServer(t, sink)
+		release := make(chan struct{})
+		opt := fastClientOptions()
+		opt.QueueDepth = depth
+		opt.Dial = func(addr string) (net.Conn, error) {
+			<-release
+			return net.Dial("tcp", addr)
+		}
+		cl := NewClient(addr, opt)
+		if err := cl.Send(primer); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); cl.Stats().QueueDepth != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("delivery loop never took the primer")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if sendBatch {
+			if err := cl.SendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sendAll(t, cl, batch)
+		}
+		if st := cl.Stats(); st.Enqueued != n+1 || st.Dropped != n-depth || st.QueueDepth != depth {
+			t.Fatalf("stats before delivery = %+v, want %d enqueued, %d dropped, %d queued", st, n+1, n-depth, depth)
+		}
+		close(release)
+		flushWithin(t, cl, 10*time.Second)
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := cl.Stats()
+		if st.Acked != depth+1 || st.Acked+st.Rejected+st.Dropped != st.Enqueued {
+			t.Fatalf("stats = %+v, want %d acked and the counters conserved", st, depth+1)
+		}
+		sink.mu.Lock()
+		delivered[k] = sink.accepted[""]
+		sink.mu.Unlock()
+	}
+	want := []int{0, n - depth + 1, n - depth + 2, n - depth + 3, n}
+	if fmt.Sprint(delivered[0]) != fmt.Sprint(want) || fmt.Sprint(delivered[1]) != fmt.Sprint(want) {
+		t.Fatalf("delivered slots: batch %v, one at a time %v, want %v", delivered[0], delivered[1], want)
 	}
 }
 

@@ -157,7 +157,8 @@ type Ingestor interface {
 // to report i's verdict (nil when accepted), exactly as Ingest of each
 // report in order would, so len(errs) must be at least len(rs). It may
 // modify rs. The streaming pipeline implements it to commit a whole batch
-// to its write-ahead log at once.
+// to its write-ahead log at once, and the router's forwarder to route each
+// run of one fleet's reports with one ring lookup and one client enqueue.
 type BatchIngestor interface {
 	IngestBatch(rs []Report, errs []error)
 }
